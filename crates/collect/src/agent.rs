@@ -322,24 +322,7 @@ impl RouterAgent {
         cfg: AgentConfig,
         ckpt: &AgentCheckpoint,
     ) -> Result<Self, CollectError> {
-        let expected = hifind_cfg.fingerprint();
-        if ckpt.fingerprint != expected {
-            return Err(CollectError::Checkpoint(
-                CheckpointError::FingerprintMismatch {
-                    expected,
-                    got: ckpt.fingerprint,
-                },
-            ));
-        }
-        if ckpt.router_id != cfg.router_id {
-            return Err(CollectError::Checkpoint(CheckpointError::Invalid {
-                at: "router_id",
-                detail: format!(
-                    "checkpoint is for router {}, agent configured as router {}",
-                    ckpt.router_id, cfg.router_id
-                ),
-            }));
-        }
+        ckpt.validate_for(hifind_cfg.fingerprint(), cfg.router_id)?;
         let mut agent = RouterAgent::new(addr, hifind_cfg, cfg).map_err(CollectError::Sketch)?;
         agent.interval = ckpt.interval;
         agent.shipper.restore_backlog(&ckpt.backlog);

@@ -1,16 +1,15 @@
-//! The mid-tier aggregation role: tree-structured collection.
+//! The mid-tier role: a tier node (`crate::node`) whose sink forwards.
 //!
 //! An [`Aggregator`] accepts N downstream nodes (router agents or other
-//! aggregators) on the same event-driven engine as the root collector,
-//! aligns their snapshots on the same bounded-reorder-window +
-//! straggler-quorum machinery ([`crate::align`]), COMBINEs them — gated
-//! on the record-plane config fingerprint — and re-emits **one** summed
-//! [`IntervalSnapshot`] upstream through the same retry/backoff/backlog
-//! shipping path the router agents use ([`crate::ship`]). Because sketch
-//! summation is associative and commutative (linearity), the root's
-//! detection over a tree of aggregators is bit-identical to a flat run
-//! where every agent connects to the root directly; the tree only
-//! multiplies fan-in.
+//! aggregators) on the same node loop as the root collector — same
+//! engine, same bounded-reorder-window + straggler-quorum alignment, same
+//! fingerprint-gated COMBINE — and re-emits **one** summed
+//! [`hifind::IntervalSnapshot`] upstream through the same
+//! retry/backoff/backlog shipping path the router agents use
+//! ([`crate::ship`]). Because sketch summation is associative and
+//! commutative (linearity), the root's detection over a tree of
+//! aggregators is bit-identical to a flat run where every agent connects
+//! to the root directly; the tree only multiplies fan-in.
 //!
 //! # Gap semantics
 //!
@@ -24,34 +23,31 @@
 //! # Durability
 //!
 //! An aggregator's durable state is precisely an agent checkpoint: its
-//! node id, the next interval its aligner will flush, and the encoded
+//! node id, the next interval its node will flush, and the encoded
 //! frames still owed upstream. It reuses the `"HFA1"` container verbatim,
 //! so a killed mid-tier node resumes with its numbering and backlog
 //! intact and the tiers above and below reconverge on their own.
 
-use crate::align::{AlignPolicy, Flush, FlushKind, IntervalAligner, OfferOutcome};
-use crate::checkpoint::{self, CheckpointError};
-use crate::collector::{CheckpointPolicy, CollectorTelemetry};
-use crate::engine::{EngineConfig, EngineHandle, Event, PollEngine};
+use crate::align::Flush;
+use crate::checkpoint::{self, AgentCheckpoint, CheckpointError};
+use crate::collector::{CheckpointPolicy, CollectionReport, CollectorConfig};
+use crate::node::{self, Sink, TierHandle};
 use crate::observer::CollectObserver;
 use crate::ship::{ShipConfig, Shipper};
-use crate::wire::{self, WireError};
+use crate::wire;
 use crate::{AgentStats, CollectError};
-use hifind::{HiFindConfig, IntervalSnapshot};
-use hifind_telemetry::{Counter, Registry, TelemetryError};
+use hifind::HiFindConfig;
+use hifind_telemetry::{Counter, Registry};
 use serde::Serialize;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::net::ToSocketAddrs;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Mid-tier policy knobs. The alignment half mirrors
 /// [`crate::CollectorConfig`]; the shipping half mirrors
 /// [`crate::AgentConfig`] — an aggregator is both at once.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct AggregatorConfig {
     /// This node's id in the frame headers it emits upstream.
     pub node_id: u32,
@@ -84,24 +80,6 @@ pub struct AggregatorConfig {
     /// Independent of `ship.codecs`: a tier can accept v2 below while a
     /// legacy root above forces its own uplink down to v1.
     pub codecs: Vec<u8>,
-}
-
-impl std::fmt::Debug for AggregatorConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AggregatorConfig")
-            .field("node_id", &self.node_id)
-            .field("expected_children", &self.expected_children)
-            .field("straggler_deadline", &self.straggler_deadline)
-            .field("reorder_window", &self.reorder_window)
-            .field("max_payload_bytes", &self.max_payload_bytes)
-            .field("linger", &self.linger)
-            .field("checkpoint", &self.checkpoint)
-            .field("resume_from", &self.resume_from)
-            .field("observer", &self.observer.as_ref().map(|_| "Some(..)"))
-            .field("ship", &self.ship)
-            .field("codecs", &self.codecs)
-            .finish()
-    }
 }
 
 impl AggregatorConfig {
@@ -170,35 +148,15 @@ pub struct AggregatorReport {
     pub frames_unshipped: u64,
 }
 
-/// Aggregator-specific metrics on top of the shared collection-tier set.
-struct AggregatorTelemetry {
-    base: CollectorTelemetry,
-    forwarded: Arc<Counter>,
-    tier_gaps: Arc<Counter>,
-}
-
-impl AggregatorTelemetry {
-    fn new(registry: &Registry) -> Result<Self, TelemetryError> {
-        Ok(AggregatorTelemetry {
-            base: CollectorTelemetry::new(registry)?,
-            forwarded: registry.counter(
-                "hifind_collect_forwarded_total",
-                "Summed interval snapshots forwarded upstream by this tier",
-            )?,
-            tier_gaps: registry.counter(
-                "hifind_collect_tier_gaps_total",
-                "Intervals this tier forwarded nothing for (no child reported)",
-            )?,
-        })
-    }
-}
-
 /// The mid-tier daemon. [`Aggregator::bind`] starts it; the returned
 /// [`AggregatorHandle`] stops or awaits it.
 pub struct Aggregator;
 
+/// A running aggregator.
+pub type AggregatorHandle = TierHandle<AggregatorReport>;
+
 impl Aggregator {
-    /// Binds `listen`, starts the engine and merger threads, and ships
+    /// Binds `listen`, starts the engine and node threads, and ships
     /// summed snapshots to `upstream` (a collector or another
     /// aggregator).
     ///
@@ -214,397 +172,80 @@ impl Aggregator {
         agg_cfg: AggregatorConfig,
         registry: Option<Registry>,
     ) -> Result<AggregatorHandle, CollectError> {
-        let telemetry = registry
-            .as_ref()
-            .map(AggregatorTelemetry::new)
-            .transpose()?;
-        let listener = TcpListener::bind(listen)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Same bound and rationale as the root collector: a merger that
-        // falls behind blocks the engine, pushing backpressure onto TCP.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Event>(32);
-        let engine = PollEngine::spawn(
-            listener,
-            tx,
-            Arc::clone(&shutdown),
-            EngineConfig {
-                max_payload: agg_cfg.max_payload_bytes,
-                tick: Duration::from_millis(50),
-                codecs: agg_cfg.codecs.clone(),
-            },
-        )?;
-        let merger = {
-            let shutdown = Arc::clone(&shutdown);
-            let mut merger = Merger::new(upstream.into(), cfg, agg_cfg, telemetry)?;
-            std::thread::spawn(move || merger.run(rx, shutdown))
-        };
-        Ok(AggregatorHandle {
-            local_addr,
-            shutdown,
-            engine,
-            merger,
-        })
-    }
-}
-
-/// A running aggregator.
-pub struct AggregatorHandle {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    engine: EngineHandle,
-    merger: JoinHandle<AggregatorReport>,
-}
-
-impl AggregatorHandle {
-    /// The bound downstream-facing address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Signals shutdown and returns the report once both threads exit.
-    /// Pending intervals are forwarded (partial where needed) first.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectError::WorkerPanic`] if an aggregator thread died.
-    pub fn stop(self) -> Result<AggregatorReport, CollectError> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.engine.wake();
-        self.join()
-    }
-
-    /// Waits for the natural end of the run: every expected child has
-    /// connected, all have disconnected, and the linger window has passed
-    /// with no reconnects.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectError::WorkerPanic`] if an aggregator thread died.
-    pub fn wait(self) -> Result<AggregatorReport, CollectError> {
-        self.join()
-    }
-
-    fn join(self) -> Result<AggregatorReport, CollectError> {
-        let merger_outcome = self.merger.join();
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.engine.wake();
-        let engine_outcome = self.engine.join();
-        let report = merger_outcome.map_err(|_| CollectError::WorkerPanic("merger"))?;
-        engine_outcome?;
-        Ok(report)
-    }
-}
-
-struct Merger {
-    cfg: AggregatorConfig,
-    fingerprint: u64,
-    aligner: IntervalAligner,
-    shipper: Shipper,
-    report: AggregatorReport,
-    telemetry: Option<AggregatorTelemetry>,
-    live_connections: usize,
-    ever_connected: usize,
-    last_disconnect: Option<Instant>,
-}
-
-impl Merger {
-    fn new(
-        upstream: String,
-        cfg: HiFindConfig,
-        agg_cfg: AggregatorConfig,
-        telemetry: Option<AggregatorTelemetry>,
-    ) -> Result<Self, CollectError> {
-        let mut report = AggregatorReport {
-            node_id: agg_cfg.node_id,
-            ..AggregatorReport::default()
-        };
-        let mut shipper = Shipper::new(upstream, agg_cfg.node_id, agg_cfg.ship.clone());
+        let fingerprint = cfg.fingerprint();
+        let node_id = agg_cfg.node_id;
+        let mut shipper = Shipper::new(upstream, node_id, agg_cfg.ship);
         if let Some(obs) = &agg_cfg.observer {
             shipper.set_observer(Arc::clone(obs));
         }
         let mut start_interval = 0;
         if let Some(path) = &agg_cfg.resume_from {
             let ckpt = checkpoint::read_agent_checkpoint(path)?;
-            let expected = cfg.fingerprint();
-            if ckpt.fingerprint != expected {
-                return Err(CollectError::Checkpoint(
-                    CheckpointError::FingerprintMismatch {
-                        expected,
-                        got: ckpt.fingerprint,
-                    },
-                ));
-            }
-            if ckpt.router_id != agg_cfg.node_id {
-                return Err(CollectError::Checkpoint(CheckpointError::Invalid {
-                    at: "node_id",
-                    detail: format!(
-                        "checkpoint is for node {}, aggregator configured as node {}",
-                        ckpt.router_id, agg_cfg.node_id
-                    ),
-                }));
-            }
+            ckpt.validate_for(fingerprint, node_id)?;
             start_interval = ckpt.interval;
             shipper.restore_backlog(&ckpt.backlog);
-            report.resumed_at_interval = Some(ckpt.interval);
-            if let Some(t) = &telemetry {
-                t.base.checkpoint_resumed.inc();
-            }
-            if let Some(obs) = &agg_cfg.observer {
-                obs.resumed(ckpt.interval, path);
-            }
         }
-        let aligner = IntervalAligner::new(
-            AlignPolicy {
-                expected: agg_cfg.expected_children,
-                straggler_deadline: agg_cfg.straggler_deadline,
-                reorder_window: agg_cfg.reorder_window,
-            },
-            start_interval,
-        );
-        Ok(Merger {
-            fingerprint: cfg.fingerprint(),
-            cfg: agg_cfg,
-            aligner,
+        let registry = registry.unwrap_or_default();
+        // The two series only a forwarding tier exports, on top of the
+        // shared `hifind_collect_*` set.
+        let forwarded = registry.counter(
+            "hifind_collect_forwarded_total",
+            "Summed interval snapshots forwarded upstream by this tier",
+        )?;
+        let tier_gaps = registry.counter(
+            "hifind_collect_tier_gaps_total",
+            "Intervals this tier forwarded nothing for (no child reported)",
+        )?;
+        let sink = ForwardSink {
+            node_id,
+            fingerprint,
             shipper,
-            report,
-            telemetry,
-            live_connections: 0,
-            ever_connected: 0,
-            last_disconnect: None,
-        })
-    }
-
-    fn run(&mut self, rx: Receiver<Event>, shutdown: Arc<AtomicBool>) -> AggregatorReport {
-        // Capped like the collector's tick: a long straggler deadline
-        // must not delay noticing natural finish by minutes.
-        let tick = (self.cfg.straggler_deadline / 4)
-            .clamp(Duration::from_millis(10), Duration::from_secs(1));
-        loop {
-            match rx.recv_timeout(tick) {
-                Ok(event) => self.handle(event),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            self.flush_ready(false);
-            if shutdown.load(Ordering::SeqCst) || self.finished() {
-                break;
-            }
-        }
-        // Drain whatever the engine already decoded, then forward every
-        // pending interval — partial or not, the tier never hangs.
-        while let Ok(event) = rx.try_recv() {
-            self.handle(event);
-        }
-        self.flush_ready(true);
-        // One last push at whatever is still owed upstream, then persist
-        // the remainder so a restart re-ships exactly that.
-        let _ = self.shipper.flush();
-        self.maybe_checkpoint(true);
-        self.report.ship = self.shipper.stats().clone();
-        self.report.frames_unshipped =
-            u64::try_from(self.shipper.backlog_len()).unwrap_or(u64::MAX);
-        std::mem::take(&mut self.report)
-    }
-
-    /// Natural end of a run: the full child fleet connected at some
-    /// point, all of it left, and nobody reconnected for a linger window.
-    fn finished(&self) -> bool {
-        self.live_connections == 0
-            && self.ever_connected >= self.cfg.expected_children
-            && self
-                .last_disconnect
-                .is_some_and(|t| t.elapsed() >= self.cfg.linger)
-    }
-
-    /// Writes a checkpoint if the policy says one is due (`force` writes
-    /// whenever a policy exists). Failures are counted and logged; the
-    /// run always continues.
-    fn maybe_checkpoint(&mut self, force: bool) {
-        let Some(policy) = &self.cfg.checkpoint else {
-            return;
+            forwarded,
+            tier_gaps,
         };
-        let next_interval = self.aligner.next_interval();
-        let due = force
-            || (policy.every_intervals > 0 && next_interval.is_multiple_of(policy.every_intervals));
-        if !due {
-            return;
-        }
-        let ckpt = checkpoint::AgentCheckpoint {
-            fingerprint: self.fingerprint,
-            router_id: self.cfg.node_id,
-            interval: next_interval,
-            backlog: self.shipper.backlog_frames(),
+        let tier_cfg = CollectorConfig {
+            expected_routers: agg_cfg.expected_children,
+            straggler_deadline: agg_cfg.straggler_deadline,
+            reorder_window: agg_cfg.reorder_window,
+            max_payload_bytes: agg_cfg.max_payload_bytes,
+            linger: agg_cfg.linger,
+            checkpoint: agg_cfg.checkpoint,
+            resume_from: agg_cfg.resume_from,
+            observer: agg_cfg.observer,
+            codecs: agg_cfg.codecs,
         };
-        match checkpoint::write_agent_checkpoint(&policy.path, &ckpt) {
-            Ok(()) => {
-                self.report.checkpoints_written += 1;
-                if let Some(t) = &self.telemetry {
-                    t.base.checkpoint_written.inc();
-                    t.base
-                        .checkpoint_last_interval
-                        .set(i64::try_from(next_interval).unwrap_or(i64::MAX));
-                }
-                if let Some(obs) = &self.cfg.observer {
-                    obs.checkpoint_written(next_interval, &policy.path);
-                }
-            }
-            Err(e) => {
-                eprintln!("[hifind-aggregate] checkpoint write failed: {e}");
-                self.report.checkpoint_errors += 1;
-                if let Some(t) = &self.telemetry {
-                    t.base.checkpoint_write_errors.inc();
-                }
-            }
-        }
+        node::spawn(
+            listen,
+            ("aggregator", node_id),
+            fingerprint,
+            tier_cfg,
+            start_interval,
+            sink,
+            &registry,
+        )
     }
+}
 
-    fn handle(&mut self, event: Event) {
-        match event {
-            Event::Connected => {
-                self.live_connections += 1;
-                self.ever_connected += 1;
-                if let Some(t) = &self.telemetry {
-                    t.base
-                        .routers_connected
-                        .set(i64::try_from(self.live_connections).unwrap_or(i64::MAX));
-                }
-            }
-            Event::Disconnected => {
-                self.live_connections = self.live_connections.saturating_sub(1);
-                if self.live_connections == 0 {
-                    self.last_disconnect = Some(Instant::now());
-                }
-                if let Some(t) = &self.telemetry {
-                    t.base
-                        .routers_connected
-                        .set(i64::try_from(self.live_connections).unwrap_or(i64::MAX));
-                }
-            }
-            Event::Rejected(err) => self.reject(err),
-            Event::Frame {
-                router_id,
-                interval,
-                snapshot,
-                frame_bytes,
-                codec,
-                delta,
-            } => self.handle_frame(router_id, interval, *snapshot, frame_bytes, codec, delta),
-        }
-    }
+struct ForwardSink {
+    node_id: u32,
+    fingerprint: u64,
+    shipper: Shipper,
+    forwarded: Arc<Counter>,
+    tier_gaps: Arc<Counter>,
+}
 
-    /// A typed, counted rejection — mismatched children are surfaced
-    /// through the report, telemetry, and observer, never silently
-    /// dropped (and certainly never merged).
-    fn reject(&mut self, err: WireError) {
-        eprintln!("[hifind-aggregate] rejected frame: {err}");
-        self.report.frames_rejected += 1;
-        if let Some(t) = &self.telemetry {
-            t.base.frames_rejected.inc();
-        }
-        if let Some(obs) = &self.cfg.observer {
-            obs.frame_rejected(&err);
-        }
-    }
+impl Sink for ForwardSink {
+    type Report = AggregatorReport;
 
-    fn handle_frame(
-        &mut self,
-        child_id: u32,
-        interval: u64,
-        snapshot: IntervalSnapshot,
-        frame_bytes: u64,
-        codec: u8,
-        delta: bool,
-    ) {
-        if snapshot.fingerprint != self.fingerprint {
-            // A child recording under different seeds or shapes cannot be
-            // combined; COMBINE is gated on the config fingerprint at
-            // every tier, not just the root.
-            self.reject(WireError::FingerprintMismatch {
-                header: self.fingerprint,
-                payload: snapshot.fingerprint,
-            });
-            return;
-        }
-        let combine_start = Instant::now();
-        match self.aligner.offer(child_id, interval, snapshot) {
-            OfferOutcome::Accepted => {
-                self.report.frames_received += 1;
-                self.report.bytes_received += frame_bytes;
-                match (codec, delta) {
-                    (wire::CODEC_V2, true) => self.report.frames_v2_deltas += 1,
-                    (wire::CODEC_V2, false) => self.report.frames_v2_keyframes += 1,
-                    _ => self.report.frames_codec_v1 += 1,
-                }
-                if !self.report.children_seen.contains(&child_id) {
-                    self.report.children_seen.push(child_id);
-                }
-                if let Some(t) = &self.telemetry {
-                    t.base.frames_received.inc();
-                    t.base.bytes_received.add(frame_bytes);
-                    match (codec, delta) {
-                        (wire::CODEC_V2, true) => t.base.frames_v2_deltas.inc(),
-                        (wire::CODEC_V2, false) => t.base.frames_v2_keyframes.inc(),
-                        _ => t.base.frames_codec_v1.inc(),
-                    }
-                    t.base
-                        .combine_seconds
-                        .observe_duration(combine_start.elapsed());
-                }
-            }
-            OfferOutcome::Late | OfferOutcome::Duplicate => {
-                self.report.frames_late += 1;
-                if let Some(t) = &self.telemetry {
-                    t.base.frames_late.inc();
-                }
-            }
-            OfferOutcome::CombineFailed => {
-                // Unreachable given the fingerprint gate, but a counted
-                // rejection beats a poisoned aggregate.
-                self.report.frames_rejected += 1;
-                if let Some(t) = &self.telemetry {
-                    t.base.frames_rejected.inc();
-                }
-            }
-        }
-    }
-
-    /// Forwards every interval the aligner deems ready; with `drain`
-    /// forwards everything pending.
-    fn flush_ready(&mut self, drain: bool) {
-        while let Some(flush) = self.aligner.pop_ready(drain) {
-            match &flush.kind {
-                FlushKind::Complete => self.report.complete_intervals += 1,
-                FlushKind::Partial { missing } => {
-                    self.report.partial_intervals += 1;
-                    self.report.straggler_slots += missing;
-                    if let Some(t) = &self.telemetry {
-                        t.base.straggler_slots.add(*missing);
-                    }
-                }
-                FlushKind::Gap => {
-                    let slots = u64::try_from(self.cfg.expected_children).unwrap_or(u64::MAX);
-                    self.report.gap_intervals += 1;
-                    self.report.straggler_slots += slots;
-                    if let Some(t) = &self.telemetry {
-                        t.base.straggler_slots.add(slots);
-                        t.tier_gaps.inc();
-                    }
-                }
-            }
-            self.forward(flush);
-            self.maybe_checkpoint(false);
-        }
-    }
-
-    fn forward(&mut self, flush: Flush) {
+    fn flush(&mut self, flush: Flush, tier: &CollectorConfig) {
         let Some((combined, contributors)) = flush.payload else {
             // A gap forwards NOTHING. An all-zero snapshot would be
             // summed upstream as a genuine observation and drag the
             // forecast baseline down; silence lets the upstream tier's
             // own straggler/gap machinery classify the hole correctly.
-            if let Some(obs) = &self.cfg.observer {
-                obs.tier_gap(self.cfg.node_id, flush.interval);
+            self.tier_gaps.inc();
+            if let Some(obs) = &tier.observer {
+                obs.tier_gap(self.node_id, flush.interval);
             }
             return;
         };
@@ -612,18 +253,56 @@ impl Merger {
         // negotiated (keeping its own delta chain against that peer) and
         // counts an unframeable sum as a dropped interval itself.
         let _ = self.shipper.ship_snapshot(flush.interval, &combined);
-        self.report.intervals_forwarded += 1;
-        if let Some(t) = &self.telemetry {
-            t.forwarded.inc();
-        }
-        if let Some(obs) = &self.cfg.observer {
+        self.forwarded.inc();
+        if let Some(obs) = &tier.observer {
             obs.snapshot_forwarded(
-                self.cfg.node_id,
+                self.node_id,
                 flush.interval,
                 &combined,
                 contributors,
-                self.cfg.expected_children,
+                tier.expected_routers,
             );
+        }
+    }
+
+    /// One last push at whatever is still owed upstream, so the final
+    /// checkpoint persists only the remainder and a restart re-ships
+    /// exactly that.
+    fn settle(&mut self) {
+        let _ = self.shipper.flush();
+    }
+
+    fn write_checkpoint(&self, path: &Path, next_interval: u64) -> Result<(), CheckpointError> {
+        let ckpt = AgentCheckpoint {
+            fingerprint: self.fingerprint,
+            router_id: self.node_id,
+            interval: next_interval,
+            backlog: self.shipper.backlog_frames(),
+        };
+        checkpoint::write_agent_checkpoint(path, &ckpt)
+    }
+
+    fn finish(self, c: CollectionReport) -> AggregatorReport {
+        AggregatorReport {
+            node_id: self.node_id,
+            intervals_forwarded: c.intervals_flushed - c.gap_intervals,
+            complete_intervals: c.complete_intervals,
+            partial_intervals: c.partial_intervals,
+            gap_intervals: c.gap_intervals,
+            straggler_slots: c.straggler_slots,
+            frames_received: c.frames_received,
+            frames_late: c.frames_late,
+            frames_rejected: c.frames_rejected,
+            frames_codec_v1: c.frames_codec_v1,
+            frames_v2_keyframes: c.frames_v2_keyframes,
+            frames_v2_deltas: c.frames_v2_deltas,
+            bytes_received: c.bytes_received,
+            children_seen: c.routers_seen,
+            checkpoints_written: c.checkpoints_written,
+            checkpoint_errors: c.checkpoint_errors,
+            resumed_at_interval: c.resumed_at_interval,
+            ship: self.shipper.stats().clone(),
+            frames_unshipped: u64::try_from(self.shipper.backlog_len()).unwrap_or(u64::MAX),
         }
     }
 }

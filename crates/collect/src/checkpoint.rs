@@ -166,6 +166,35 @@ pub struct AgentCheckpoint {
     pub backlog: Vec<BacklogFrame>,
 }
 
+impl AgentCheckpoint {
+    /// Checks that this checkpoint belongs to the node resuming from it:
+    /// taken under configuration `fingerprint`, by node `id` (a router id
+    /// or an aggregator node id).
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::FingerprintMismatch`] or
+    /// [`CheckpointError::Invalid`] naming the id mismatch.
+    pub fn validate_for(&self, fingerprint: u64, id: u32) -> Result<(), CheckpointError> {
+        if self.fingerprint != fingerprint {
+            return Err(CheckpointError::FingerprintMismatch {
+                expected: fingerprint,
+                got: self.fingerprint,
+            });
+        }
+        if self.router_id != id {
+            return Err(CheckpointError::Invalid {
+                at: "router_id",
+                detail: format!(
+                    "checkpoint is for node {}, resuming node is configured as {id}",
+                    self.router_id
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Wraps an encoded payload in the version-1 CRC-checked container shared
 /// by checkpoints and history segments.
 pub fn encode_container(magic: [u8; 4], fingerprint: u64, payload: &[u8]) -> Vec<u8> {

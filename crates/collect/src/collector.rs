@@ -1,54 +1,30 @@
-//! The central collection site: an event-driven connection engine and the
-//! interval aligner that feeds [`DetectionCore`].
+//! The root role: a tier node (`crate::node`) whose sink runs detection.
 //!
-//! # Threading
-//!
-//! * **engine** (one thread, [`crate::engine`]) — a readiness-driven poll
-//!   loop over the listener, a wakeup pipe, and every downstream
-//!   connection; per-connection buffers and frame state machines slice
-//!   out complete frames, validate them ([`crate::wire`]), and forward
-//!   decoded snapshots over a bounded channel — TCP backpressure, not
-//!   unbounded queueing, absorbs a router that outpaces detection. No
-//!   thread is spawned per connection, so fan-in scales to hundreds of
-//!   routers per node.
-//! * **aligner** — owns the [`DetectionCore`]. Frames for the same
-//!   interval are combined *incrementally on arrival* (one accumulated
-//!   snapshot per pending interval, never a list), so collector memory is
-//!   bounded by the reorder window, not by router count. The alignment
-//!   policy itself lives in [`crate::align`], shared with the mid-tier
-//!   [`crate::aggregator`] so every tier degrades identically.
-//!
-//! # Graceful degradation
-//!
-//! The aligner never waits indefinitely for anyone. An interval flushes as
-//! soon as every expected router reported; otherwise after
-//! [`CollectorConfig::straggler_deadline`] it flushes with whatever quorum
-//! arrived and the missing contributions are counted. An interval no
-//! router reported (a gap while later intervals stream in) advances the
-//! grid via [`DetectionCore::process_gap`]. A crashed router therefore
-//! costs observability of its traffic slice — never liveness of the
-//! pipeline.
+//! Alignment, quorum degradation, checkpoint cadence, counters and
+//! metrics are the shared node's. The detect sink adds only what the root
+//! of a collection tree does differently: it resumes a [`DetectionCore`]
+//! from an `"HFC1"` checkpoint, feeds every flushed interval to it (a
+//! combined snapshot through [`DetectionCore::process_snapshot`], a gap
+//! through [`DetectionCore::process_gap`]), checkpoints the core's state,
+//! and reports the run's [`AlertLog`] beside the shared counters.
 
-use crate::align::{AlignPolicy, Flush, FlushKind, IntervalAligner, OfferOutcome};
-use crate::checkpoint;
-use crate::engine::{EngineConfig, EngineHandle, Event, PollEngine};
+use crate::align::Flush;
+use crate::checkpoint::{self, CheckpointError};
+use crate::node::{self, Sink, TierHandle};
 use crate::observer::CollectObserver;
-use crate::wire::{self, WireError};
+use crate::wire;
 use crate::CollectError;
 use hifind::pipeline::DetectionCore;
 use hifind::report::AlertLog;
-use hifind::{HiFindConfig, IntervalSnapshot};
-use hifind_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Registry, TelemetryError};
+use hifind::HiFindConfig;
+use hifind_telemetry::Registry;
 use serde::Serialize;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::net::ToSocketAddrs;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// When and where the aligner persists its detection state.
+/// When and where a tier node persists its durable state.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
     /// Checkpoint file, overwritten atomically on every write.
@@ -67,8 +43,10 @@ impl CheckpointPolicy {
     }
 }
 
-/// Collection-site policy knobs.
-#[derive(Clone)]
+/// Collection-site policy knobs. This is also the receiving-side policy
+/// of every tier node: [`crate::AggregatorConfig`] is these fields plus a
+/// node id and an upstream shipping policy.
+#[derive(Clone, Debug)]
 pub struct CollectorConfig {
     /// Routers expected to report each interval. Detection flushes early
     /// when all of them did; the deadline below covers the rest.
@@ -96,7 +74,7 @@ pub struct CollectorConfig {
     pub resume_from: Option<PathBuf>,
     /// Hooks invoked at collection-plane transitions (interval close, gap
     /// synthesis, checkpoint write/resume, frame rejection); `None`
-    /// observes nothing. Callbacks run inline on the aligner thread, so
+    /// observes nothing. Callbacks run inline on the node thread, so
     /// they must stay cheap.
     pub observer: Option<Arc<dyn CollectObserver>>,
     /// Codec ids accepted from downstream agents, in preference order.
@@ -104,22 +82,6 @@ pub struct CollectorConfig {
     /// this node byte-for-byte a legacy v1 collector (hellos rejected as
     /// bad magic), which is how cross-version interop is tested.
     pub codecs: Vec<u8>,
-}
-
-impl std::fmt::Debug for CollectorConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CollectorConfig")
-            .field("expected_routers", &self.expected_routers)
-            .field("straggler_deadline", &self.straggler_deadline)
-            .field("reorder_window", &self.reorder_window)
-            .field("max_payload_bytes", &self.max_payload_bytes)
-            .field("linger", &self.linger)
-            .field("checkpoint", &self.checkpoint)
-            .field("resume_from", &self.resume_from)
-            .field("observer", &self.observer.as_ref().map(|_| "Some(..)"))
-            .field("codecs", &self.codecs)
-            .finish()
-    }
 }
 
 impl CollectorConfig {
@@ -180,467 +142,60 @@ pub struct CollectionReport {
     pub log: AlertLog,
 }
 
-/// Best-effort collection-tier metrics (`hifind_collect_*`), shared with
-/// the mid-tier aggregator so every tier exports the same series.
-pub(crate) struct CollectorTelemetry {
-    pub(crate) routers_connected: Arc<Gauge>,
-    pub(crate) frames_received: Arc<Counter>,
-    pub(crate) frames_late: Arc<Counter>,
-    pub(crate) frames_rejected: Arc<Counter>,
-    pub(crate) straggler_slots: Arc<Counter>,
-    pub(crate) bytes_received: Arc<Counter>,
-    pub(crate) frames_codec_v1: Arc<Counter>,
-    pub(crate) frames_v2_keyframes: Arc<Counter>,
-    pub(crate) frames_v2_deltas: Arc<Counter>,
-    pub(crate) combine_seconds: Arc<Histogram>,
-    pub(crate) checkpoint_written: Arc<Counter>,
-    pub(crate) checkpoint_write_errors: Arc<Counter>,
-    pub(crate) checkpoint_resumed: Arc<Counter>,
-    pub(crate) checkpoint_last_interval: Arc<Gauge>,
-}
-
-impl CollectorTelemetry {
-    pub(crate) fn new(registry: &Registry) -> Result<Self, TelemetryError> {
-        Ok(CollectorTelemetry {
-            routers_connected: registry.gauge(
-                "hifind_collect_routers_connected",
-                "Router agent connections currently open",
-            )?,
-            frames_received: registry.counter(
-                "hifind_collect_frames_received_total",
-                "Valid snapshot frames combined into intervals",
-            )?,
-            frames_late: registry.counter(
-                "hifind_collect_frames_late_total",
-                "Frames dropped as late or duplicate",
-            )?,
-            frames_rejected: registry.counter(
-                "hifind_collect_frames_rejected_total",
-                "Frames rejected for wire, codec or fingerprint violations",
-            )?,
-            straggler_slots: registry.counter(
-                "hifind_collect_straggler_slots_total",
-                "Missing router-interval contributions at flush time",
-            )?,
-            bytes_received: registry.counter(
-                "hifind_collect_bytes_received_total",
-                "Bytes of valid frames received",
-            )?,
-            frames_codec_v1: registry.counter(
-                "hifind_collect_frames_codec_v1_total",
-                "Valid frames received in the dense v1 codec",
-            )?,
-            frames_v2_keyframes: registry.counter(
-                "hifind_collect_frames_v2_keyframes_total",
-                "Valid codec-v2 keyframes received",
-            )?,
-            frames_v2_deltas: registry.counter(
-                "hifind_collect_frames_v2_deltas_total",
-                "Valid codec-v2 delta frames received",
-            )?,
-            combine_seconds: registry.histogram(
-                "hifind_collect_combine_seconds",
-                "Latency of combining one router snapshot into its interval",
-                exponential_buckets(1e-6, 4.0, 11),
-            )?,
-            checkpoint_written: registry.counter(
-                "hifind_checkpoint_written_total",
-                "Detection-state checkpoints written successfully",
-            )?,
-            checkpoint_write_errors: registry.counter(
-                "hifind_checkpoint_write_errors_total",
-                "Detection-state checkpoint writes that failed",
-            )?,
-            checkpoint_resumed: registry.counter(
-                "hifind_checkpoint_resumed_total",
-                "Collector starts that resumed from a checkpoint",
-            )?,
-            checkpoint_last_interval: registry.gauge(
-                "hifind_checkpoint_last_interval",
-                "Interval count covered by the most recent checkpoint",
-            )?,
-        })
-    }
-}
-
 /// The collection daemon. [`Collector::bind`] starts it; the returned
 /// [`CollectorHandle`] stops or awaits it.
 pub struct Collector;
 
+/// A running collector.
+pub type CollectorHandle = TierHandle<CollectionReport>;
+
 impl Collector {
-    /// Binds `addr` and starts the engine and aligner threads.
+    /// Binds `addr` and starts the engine and node threads.
     ///
     /// # Errors
     ///
-    /// Fails on bind errors, invalid `cfg`, or (when `registry` is given)
-    /// metric registration clashes.
+    /// Fails on bind errors, invalid `cfg`, unreadable/mismatched resume
+    /// checkpoints, or (when `registry` is given) metric registration
+    /// clashes.
     pub fn bind(
         addr: impl ToSocketAddrs,
         cfg: HiFindConfig,
         collector_cfg: CollectorConfig,
         registry: Option<Registry>,
     ) -> Result<CollectorHandle, CollectError> {
-        let telemetry = registry.as_ref().map(CollectorTelemetry::new).transpose()?;
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // A small bound: the engine blocks — and thus stops reading its
-        // sockets — when detection falls behind, pushing the backpressure
-        // onto TCP instead of collector memory.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Event>(32);
-        let engine = PollEngine::spawn(
-            listener,
-            tx,
-            Arc::clone(&shutdown),
-            EngineConfig {
-                max_payload: collector_cfg.max_payload_bytes,
-                tick: Duration::from_millis(50),
-                codecs: collector_cfg.codecs.clone(),
-            },
-        )?;
-        let aligner = {
-            let shutdown = Arc::clone(&shutdown);
-            let mut aligner = Aligner::new(cfg, collector_cfg, telemetry)?;
-            std::thread::spawn(move || aligner.run(rx, shutdown))
-        };
-        Ok(CollectorHandle {
-            local_addr,
-            shutdown,
-            engine,
-            aligner,
-        })
-    }
-}
-
-/// A running collector.
-pub struct CollectorHandle {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    engine: EngineHandle,
-    aligner: JoinHandle<CollectionReport>,
-}
-
-impl CollectorHandle {
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Signals shutdown and returns the report once both threads exit.
-    /// Pending intervals are flushed (partial where needed) first. The
-    /// engine's wakeup pipe makes the stop prompt — no waiting out an
-    /// accept or read timeout tick.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectError::WorkerPanic`] if a collector thread died; the run's
-    /// report is lost with it.
-    pub fn stop(self) -> Result<CollectionReport, CollectError> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.engine.wake();
-        self.join()
-    }
-
-    /// Waits for the natural end of the run: every expected router has
-    /// connected, all have disconnected, and the linger window has passed
-    /// with no reconnects.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectError::WorkerPanic`] if a collector thread died; the run's
-    /// report is lost with it.
-    pub fn wait(self) -> Result<CollectionReport, CollectError> {
-        self.join()
-    }
-
-    fn join(self) -> Result<CollectionReport, CollectError> {
-        let aligner_outcome = self.aligner.join();
-        // The aligner is done (or dead); release the engine either way so
-        // a worker panic cannot leak a spinning poll loop.
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.engine.wake();
-        let engine_outcome = self.engine.join();
-        let report = aligner_outcome.map_err(|_| CollectError::WorkerPanic("aligner"))?;
-        engine_outcome?;
-        Ok(report)
-    }
-}
-
-struct Aligner {
-    core: DetectionCore,
-    cfg: CollectorConfig,
-    fingerprint: u64,
-    aligner: IntervalAligner,
-    report: CollectionReport,
-    telemetry: Option<CollectorTelemetry>,
-    live_connections: usize,
-    ever_connected: usize,
-    last_disconnect: Option<Instant>,
-}
-
-impl Aligner {
-    fn new(
-        cfg: HiFindConfig,
-        collector_cfg: CollectorConfig,
-        telemetry: Option<CollectorTelemetry>,
-    ) -> Result<Self, CollectError> {
-        let mut report = CollectionReport::default();
         let core = match &collector_cfg.resume_from {
-            Some(path) => {
-                let ckpt = checkpoint::read_core_checkpoint(path)?;
-                let core = DetectionCore::restore(cfg, &ckpt)?;
-                report.resumed_at_interval = Some(core.intervals_processed());
-                if let Some(t) = &telemetry {
-                    t.checkpoint_resumed.inc();
-                }
-                if let Some(obs) = &collector_cfg.observer {
-                    obs.resumed(core.intervals_processed(), path);
-                }
-                core
-            }
+            Some(path) => DetectionCore::restore(cfg, &checkpoint::read_core_checkpoint(path)?)?,
             None => DetectionCore::new(cfg)?,
         };
-        let aligner = IntervalAligner::new(
-            AlignPolicy {
-                expected: collector_cfg.expected_routers,
-                straggler_deadline: collector_cfg.straggler_deadline,
-                reorder_window: collector_cfg.reorder_window,
-            },
-            core.intervals_processed(),
-        );
-        Ok(Aligner {
-            fingerprint: cfg.fingerprint(),
-            core,
-            cfg: collector_cfg,
-            aligner,
-            report,
-            telemetry,
-            live_connections: 0,
-            ever_connected: 0,
-            last_disconnect: None,
-        })
+        let start_interval = core.intervals_processed();
+        node::spawn(
+            addr,
+            ("collector", 0),
+            cfg.fingerprint(),
+            collector_cfg,
+            start_interval,
+            DetectSink(core),
+            &registry.unwrap_or_default(),
+        )
     }
+}
 
-    fn run(&mut self, rx: Receiver<Event>, shutdown: Arc<AtomicBool>) -> CollectionReport {
-        // The tick bounds two latencies while the channel is quiet:
-        // noticing a straggler deadline and noticing natural finish
-        // (everyone disconnected + linger). Cap it so a long straggler
-        // deadline cannot leave a finished run parked for minutes.
-        let tick = (self.cfg.straggler_deadline / 4)
-            .clamp(Duration::from_millis(10), Duration::from_secs(1));
-        loop {
-            match rx.recv_timeout(tick) {
-                Ok(event) => self.handle(event),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            self.flush_ready(false);
-            if shutdown.load(Ordering::SeqCst) || self.finished() {
-                break;
-            }
-        }
-        // Drain whatever the engine already decoded, then flush every
-        // pending interval — partial or not, detection never hangs.
-        while let Ok(event) = rx.try_recv() {
-            self.handle(event);
-        }
-        self.flush_ready(true);
-        // One final checkpoint so a clean shutdown is always resumable
-        // from its very last interval.
-        self.maybe_checkpoint(true);
-        std::mem::take(&mut self.report)
-    }
+struct DetectSink(DetectionCore);
 
-    /// Writes a checkpoint if the policy says one is due (`force` writes
-    /// whenever a policy exists). Failures are counted and logged; the
-    /// run always continues.
-    fn maybe_checkpoint(&mut self, force: bool) {
-        let Some(policy) = &self.cfg.checkpoint else {
-            return;
-        };
-        let next_interval = self.aligner.next_interval();
-        let due = force
-            || (policy.every_intervals > 0 && next_interval.is_multiple_of(policy.every_intervals));
-        if !due {
-            return;
-        }
-        match checkpoint::write_core_checkpoint(&policy.path, &self.core.checkpoint()) {
-            Ok(()) => {
-                self.report.checkpoints_written += 1;
-                if let Some(t) = &self.telemetry {
-                    t.checkpoint_written.inc();
-                    t.checkpoint_last_interval
-                        .set(i64::try_from(next_interval).unwrap_or(i64::MAX));
-                }
-                if let Some(obs) = &self.cfg.observer {
-                    obs.checkpoint_written(next_interval, &policy.path);
-                }
-            }
-            Err(e) => {
-                eprintln!("[hifind-collect] checkpoint write failed: {e}");
-                self.report.checkpoint_errors += 1;
-                if let Some(t) = &self.telemetry {
-                    t.checkpoint_write_errors.inc();
-                }
-            }
-        }
-    }
+impl Sink for DetectSink {
+    type Report = CollectionReport;
 
-    /// Natural end of a run: the full fleet connected at some point, all
-    /// of it left, and nobody reconnected for a linger window.
-    fn finished(&self) -> bool {
-        self.live_connections == 0
-            && self.ever_connected >= self.cfg.expected_routers
-            && self
-                .last_disconnect
-                .is_some_and(|t| t.elapsed() >= self.cfg.linger)
-    }
-
-    fn handle(&mut self, event: Event) {
-        match event {
-            Event::Connected => {
-                self.live_connections += 1;
-                self.ever_connected += 1;
-                if let Some(t) = &self.telemetry {
-                    t.routers_connected.set(self.live_connections as i64);
-                }
-            }
-            Event::Disconnected => {
-                self.live_connections = self.live_connections.saturating_sub(1);
-                if self.live_connections == 0 {
-                    self.last_disconnect = Some(Instant::now());
-                }
-                if let Some(t) = &self.telemetry {
-                    t.routers_connected.set(self.live_connections as i64);
-                }
-            }
-            Event::Rejected(err) => {
-                eprintln!("[hifind-collect] rejected frame: {err}");
-                self.report.frames_rejected += 1;
-                if let Some(t) = &self.telemetry {
-                    t.frames_rejected.inc();
-                }
-                if let Some(obs) = &self.cfg.observer {
-                    obs.frame_rejected(&err);
-                }
-            }
-            Event::Frame {
-                router_id,
-                interval,
-                snapshot,
-                frame_bytes,
-                codec,
-                delta,
-            } => self.handle_frame(router_id, interval, *snapshot, frame_bytes, codec, delta),
-        }
-    }
-
-    fn handle_frame(
-        &mut self,
-        router_id: u32,
-        interval: u64,
-        snapshot: IntervalSnapshot,
-        frame_bytes: u64,
-        codec: u8,
-        delta: bool,
-    ) {
-        if snapshot.fingerprint != self.fingerprint {
-            // A router recording under different seeds or shapes: its
-            // counters are meaningless here, reject them all.
-            self.report.frames_rejected += 1;
-            if let Some(t) = &self.telemetry {
-                t.frames_rejected.inc();
-            }
-            if let Some(obs) = &self.cfg.observer {
-                obs.frame_rejected(&WireError::FingerprintMismatch {
-                    header: self.fingerprint,
-                    payload: snapshot.fingerprint,
-                });
-            }
-            return;
-        }
-        let combine_start = Instant::now();
-        match self.aligner.offer(router_id, interval, snapshot) {
-            OfferOutcome::Accepted => {
-                self.report.frames_received += 1;
-                self.report.bytes_received += frame_bytes;
-                match (codec, delta) {
-                    (wire::CODEC_V2, true) => self.report.frames_v2_deltas += 1,
-                    (wire::CODEC_V2, false) => self.report.frames_v2_keyframes += 1,
-                    _ => self.report.frames_codec_v1 += 1,
-                }
-                if !self.report.routers_seen.contains(&router_id) {
-                    self.report.routers_seen.push(router_id);
-                }
-                if let Some(t) = &self.telemetry {
-                    t.frames_received.inc();
-                    t.bytes_received.add(frame_bytes);
-                    match (codec, delta) {
-                        (wire::CODEC_V2, true) => t.frames_v2_deltas.inc(),
-                        (wire::CODEC_V2, false) => t.frames_v2_keyframes.inc(),
-                        _ => t.frames_codec_v1.inc(),
-                    }
-                    t.combine_seconds.observe_duration(combine_start.elapsed());
-                }
-            }
-            OfferOutcome::Late | OfferOutcome::Duplicate => self.late_frame(),
-            OfferOutcome::CombineFailed => {
-                // Unreachable given the fingerprint gate, but a typed
-                // rejection beats a poisoned aggregate.
-                self.report.frames_rejected += 1;
-                if let Some(t) = &self.telemetry {
-                    t.frames_rejected.inc();
-                }
-            }
-        }
-    }
-
-    fn late_frame(&mut self) {
-        self.report.frames_late += 1;
-        if let Some(t) = &self.telemetry {
-            t.frames_late.inc();
-        }
-    }
-
-    /// Flushes every interval the aligner deems ready; with `drain`
-    /// flushes everything pending.
-    fn flush_ready(&mut self, drain: bool) {
-        while let Some(flush) = self.aligner.pop_ready(drain) {
-            self.report.intervals_flushed += 1;
-            match &flush.kind {
-                FlushKind::Complete => self.report.complete_intervals += 1,
-                FlushKind::Partial { missing } => {
-                    self.report.partial_intervals += 1;
-                    self.report.straggler_slots += missing;
-                    if let Some(t) = &self.telemetry {
-                        t.straggler_slots.add(*missing);
-                    }
-                }
-                FlushKind::Gap => {
-                    self.report.gap_intervals += 1;
-                    self.report.straggler_slots += self.cfg.expected_routers as u64;
-                    if let Some(t) = &self.telemetry {
-                        t.straggler_slots.add(self.cfg.expected_routers as u64);
-                    }
-                }
-            }
-            self.process_flush(&flush);
-            self.report.log = self.core.log().clone();
-            self.maybe_checkpoint(false);
-        }
-    }
-
-    fn process_flush(&mut self, flush: &Flush) {
+    fn flush(&mut self, flush: Flush, tier: &CollectorConfig) {
         match &flush.payload {
             Some((combined, contributors)) => {
-                let outcome = self.core.process_snapshot(combined);
-                if let Some(obs) = &self.cfg.observer {
+                let outcome = self.0.process_snapshot(combined);
+                if let Some(obs) = &tier.observer {
                     obs.interval_closed(
                         flush.interval,
                         combined,
                         &outcome,
                         *contributors,
-                        self.cfg.expected_routers,
+                        tier.expected_routers,
                     );
                 }
             }
@@ -652,11 +207,24 @@ impl Aligner {
                 // forecast toward zero and spike the error on the first
                 // real interval after the outage (spurious alerts on
                 // resume).
-                let outcome = self.core.process_gap();
-                if let Some(obs) = &self.cfg.observer {
+                let outcome = self.0.process_gap();
+                if let Some(obs) = &tier.observer {
                     obs.gap_synthesized(flush.interval, &outcome);
                 }
             }
+        }
+    }
+
+    fn write_checkpoint(&self, path: &Path, _next_interval: u64) -> Result<(), CheckpointError> {
+        checkpoint::write_core_checkpoint(path, &self.0.checkpoint())
+    }
+
+    fn finish(self, counted: CollectionReport) -> CollectionReport {
+        CollectionReport {
+            // Taken once, at run end: nobody can read a report before
+            // `join` hands it over.
+            log: self.0.log().clone(),
+            ..counted
         }
     }
 }
@@ -667,6 +235,7 @@ mod tests {
     use crate::agent::{AgentConfig, RouterAgent};
     use hifind_flow::Packet;
     use std::net::TcpStream;
+    use std::time::Instant;
 
     fn local_collector(
         cfg: HiFindConfig,

@@ -8,7 +8,7 @@
 //! thread is ever spawned per connection, so a node holding hundreds of
 //! downstream agents costs one engine thread, not hundreds of stacks.
 //!
-//! Decoded frames flow to the consumer (the aligner or merger thread)
+//! Decoded frames flow to the consumer (the tier node thread)
 //! over a bounded channel. A consumer that falls behind backpressures
 //! the engine: events it cannot `try_send` park in a small pending queue
 //! and every connection that has produced data frames leaves the poll

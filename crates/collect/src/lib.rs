@@ -13,20 +13,20 @@
 //! * [`wire`] — versioned, length-prefixed, CRC-checked framing with the
 //!   record-plane configuration fingerprint in every header, so a
 //!   mis-seeded router is rejected before its counters can poison the sum.
-//! * [`collector`] — the root collection daemon: an event-driven
-//!   connection engine (one poll thread for all sockets, no thread per
-//!   connection) accepts N downstream nodes, aligns their frames per
-//!   interval inside a bounded reorder window, and feeds the combined
-//!   snapshot to the standard detection pipeline. After a straggler
-//!   deadline it degrades gracefully: detection proceeds on the routers
-//!   that reported, stragglers are counted, and a dead router can never
-//!   stall the pipeline.
+//! * `node` (crate-private) — the one tier node every receiving tier
+//!   runs: an event-driven connection engine (one poll thread for all
+//!   sockets, no thread per connection) accepts N downstream nodes, and
+//!   one align-and-flush loop sums their frames per interval inside a
+//!   bounded reorder window. After a straggler deadline it degrades
+//!   gracefully: the interval flushes on the children that reported,
+//!   stragglers are counted, and a dead child can never stall the
+//!   pipeline. What a flushed interval *does* is the node's sink:
+//! * [`collector`] — the root role: the detect sink feeds each combined
+//!   snapshot to the standard detection pipeline.
 //! * [`aggregator`] — the mid-tier role for tree-structured collection:
-//!   the same engine and alignment machinery, but instead of detecting it
-//!   COMBINEs its children's snapshots and re-emits one summed frame
-//!   upstream through the shared shipping path, scaling fan-in
-//!   multiplicatively while staying bit-identical to a flat deployment
-//!   (sketch linearity).
+//!   the forward sink re-emits one summed frame upstream through the
+//!   shared shipping path, scaling fan-in multiplicatively while staying
+//!   bit-identical to a flat deployment (sketch linearity).
 //! * [`ship`] — the bounded-backlog retry/backoff upstream shipping path
 //!   shared by router agents and aggregators.
 //! * [`agent`] — the router side: wraps a recorder, encodes each
@@ -42,8 +42,9 @@
 //!   that sits between agents and the collector in tests, exercising the
 //!   quorum/gap degradation policies above.
 //!
-//! The `hifind` CLI binary (also hosted by this crate) exposes the two
-//! roles as `hifind collect` and `hifind agent`.
+//! The `hifind` CLI binary (hosted by the `hifind-obsv` crate, which layers
+//! the operator plane on top) exposes the roles as `hifind collect`,
+//! `hifind aggregate` and `hifind agent`.
 
 // `deny`, not `forbid`: the poll(2) FFI module in `engine` carries a
 // scoped `#[allow(unsafe_code)]` — the one sanctioned hole, mirrored by
@@ -59,6 +60,7 @@ pub mod codec_v2;
 pub mod collector;
 pub(crate) mod engine;
 pub mod faults;
+mod node;
 pub mod observer;
 pub mod ship;
 pub mod wire;
@@ -71,6 +73,7 @@ pub use collector::{
     CheckpointPolicy, CollectionReport, Collector, CollectorConfig, CollectorHandle,
 };
 pub use faults::{FaultPlan, FaultProxy, FaultStats};
+pub use node::TierHandle;
 pub use observer::CollectObserver;
 pub use ship::{BacklogFrame, ShipConfig, Shipper};
 pub use wire::{FrameHeader, WireError, HEADER_LEN, PROTOCOL_VERSION};

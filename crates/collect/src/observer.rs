@@ -20,7 +20,7 @@ use std::path::Path;
 
 /// Callbacks for collection-plane transitions. All methods default to
 /// no-ops; implementations must be `Send + Sync` because the collector
-/// invokes them from its aligner and acceptor threads.
+/// invokes them from its node thread and agents from their shipping path.
 pub trait CollectObserver: Send + Sync {
     /// An interval was aligned and fed through detection. `contributors`
     /// of `expected` routers reported before the flush (fewer than
@@ -84,5 +84,13 @@ pub trait CollectObserver: Send + Sync {
     /// synthesis to the upstream tier's own quorum machinery.
     fn tier_gap(&self, node_id: u32, interval: u64) {
         let _ = (node_id, interval);
+    }
+}
+
+/// Lets the configs that carry an `Arc<dyn CollectObserver>` derive
+/// `Debug`; an observer has no state worth printing.
+impl std::fmt::Debug for dyn CollectObserver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CollectObserver")
     }
 }

@@ -12,8 +12,8 @@ use hifind::mitigate::{plan, MitigationPolicy};
 use hifind::postprocess::correlate_block_scans;
 use hifind::{AlertKind, HiFind, HiFindConfig, Phase};
 use hifind_collect::{
-    AgentConfig, Aggregator, AggregatorConfig, CheckpointPolicy, Collector, CollectorConfig,
-    RouterAgent,
+    AgentConfig, Aggregator, AggregatorConfig, CheckpointPolicy, CollectError, Collector,
+    CollectorConfig, RouterAgent, TierHandle,
 };
 use hifind_flow::Trace;
 use hifind_obsv::{ApiState, EventLog, HistoryConfig, HistoryStore, HttpServer, ObsvHub};
@@ -414,40 +414,50 @@ fn register_build_info(registry: &Registry) -> Result<(), hifind_telemetry::Tele
     Ok(())
 }
 
-fn collect(args: &Args) -> Result<(), String> {
-    let listen = args.get("listen").ok_or("missing --listen ADDR")?;
-    let routers: usize = args.get_parsed("routers", 0)?;
-    if routers == 0 {
-        return Err("missing --routers N (how many agents to expect)".into());
-    }
+/// Runs one receiving tier node — `collect` and `aggregate` alike — to the
+/// natural end of its run: parses the policy flags both roles take, brings
+/// up the operator plane (observability hub, optional HTTP server) for
+/// node `(role, node_id)` expecting `expected` children, starts the node
+/// through `bind`, waits for it, takes the plane down and writes
+/// `--metrics-json`. `history_dir` is the archive directory of a role
+/// that takes one.
+fn run_tier<R: serde::Serialize>(
+    args: &Args,
+    (role, node_id): (&'static str, u32),
+    expected: usize,
+    history_dir: Option<&str>,
+    bind: impl FnOnce(
+        HiFindConfig,
+        CollectorConfig,
+        Option<Registry>,
+    ) -> Result<TierHandle<R>, CollectError>,
+) -> Result<R, String> {
     let metrics_json = metrics_json_path(args)?;
     let cfg = networked_config(args)?;
-    let mut ccfg = CollectorConfig::new(routers);
-    ccfg.straggler_deadline = Duration::from_millis(args.get_parsed("straggler-ms", 2000u64)?);
-    ccfg.reorder_window = args.get_parsed("reorder-window", 8u64)?;
-    ccfg.linger = Duration::from_millis(args.get_parsed("linger-ms", 400u64)?);
+    let mut policy = CollectorConfig::new(expected);
+    policy.straggler_deadline = Duration::from_millis(args.get_parsed("straggler-ms", 2000u64)?);
+    policy.reorder_window = args.get_parsed("reorder-window", 8u64)?;
+    policy.linger = Duration::from_millis(args.get_parsed("linger-ms", 400u64)?);
     if let Some(path) = args.get("checkpoint") {
-        let mut policy = CheckpointPolicy::new(path);
-        policy.every_intervals = args.get_parsed("checkpoint-every", 8u64)?;
-        ccfg.checkpoint = Some(policy);
+        let mut checkpoint = CheckpointPolicy::new(path);
+        checkpoint.every_intervals = args.get_parsed("checkpoint-every", 8u64)?;
+        policy.checkpoint = Some(checkpoint);
     }
     if let Some(path) = args.get("resume") {
-        ccfg.resume_from = Some(path.into());
+        policy.resume_from = Some(path.into());
     }
 
-    // Observability plane: history archive, event log, HTTP API.
-    let http_addr = args.get("http").map(String::from);
+    // Observability plane: history archive, event log, HTTP API. An
+    // interior node's forwarded snapshots land in the same history ring
+    // (via snapshot_forwarded) as a root's closed intervals.
+    let http_addr = args.get("http");
     if args.has("http") && http_addr.is_none() {
         return Err("--http needs an ADDR operand (e.g. 127.0.0.1:9100)".into());
     }
-    let registry = http_addr.as_ref().map(|_| Registry::new());
-    let wants_obsv = http_addr.is_some() || args.has("history-dir") || args.has("event-log");
+    let registry = http_addr.map(|_| Registry::new());
     let mut hub = None;
-    if wants_obsv {
-        let hcfg = match args.get("history-dir") {
-            Some(dir) => HistoryConfig::with_dir(dir),
-            None => HistoryConfig::default(),
-        };
+    if http_addr.is_some() || history_dir.is_some() || args.has("event-log") {
+        let hcfg = history_dir.map_or_else(HistoryConfig::default, HistoryConfig::with_dir);
         let history = Arc::new(
             HistoryStore::open(hcfg, cfg.fingerprint(), registry.as_ref())
                 .map_err(|e| format!("cannot open history store: {e}"))?,
@@ -459,37 +469,31 @@ fn collect(args: &Args) -> Result<(), String> {
             ),
             None => None,
         };
-        let h = Arc::new(ObsvHub::new(cfg, history, events).with_identity("collector", 0));
-        ccfg.observer = Some(h.clone());
+        let h = Arc::new(ObsvHub::new(cfg, history, events).with_identity(role, node_id));
+        policy.observer = Some(h.clone());
         hub = Some(h);
     }
-    let server = match (&http_addr, &hub) {
-        (Some(addr), Some(hub)) => {
-            if let Some(r) = &registry {
-                register_build_info(r).map_err(|e| format!("cannot register metrics: {e}"))?;
-            }
-            let state = ApiState {
-                hub: Arc::clone(hub),
-                registry: registry.clone().map(Arc::new),
-            };
-            let server =
-                HttpServer::bind(addr, state).map_err(|e| format!("cannot serve --http: {e}"))?;
-            eprintln!("operator API on http://{}", server.local_addr());
-            Some(server)
-        }
-        _ => None,
-    };
+    // `--http` always brings a registry and a hub with it.
+    let mut server = None;
+    if let (Some(addr), Some(hub), Some(r)) = (http_addr, &hub, &registry) {
+        register_build_info(r).map_err(|e| format!("cannot register metrics: {e}"))?;
+        let state = ApiState {
+            hub: Arc::clone(hub),
+            registry: Some(Arc::new(r.clone())),
+        };
+        let http =
+            HttpServer::bind(addr, state).map_err(|e| format!("cannot serve --http: {e}"))?;
+        eprintln!("operator API on http://{}", http.local_addr());
+        server = Some(http);
+    }
 
-    let handle =
-        Collector::bind(listen, cfg, ccfg, registry).map_err(|e| format!("cannot start: {e}"))?;
+    let handle = bind(cfg, policy, registry).map_err(|e| format!("cannot start: {e}"))?;
     eprintln!(
-        "collecting on {} from {routers} router(s); finishes once all have \
-         connected and disconnected",
+        "{role} {node_id} listening on {} for {expected} downstream node(s); finishes \
+         once all have connected and disconnected",
         handle.local_addr()
     );
-    let report = handle
-        .wait()
-        .map_err(|e| format!("collector failed: {e}"))?;
+    let report = handle.wait().map_err(|e| format!("{role} failed: {e}"))?;
     if let Some(server) = server {
         server.stop();
     }
@@ -501,6 +505,36 @@ fn collect(args: &Args) -> Result<(), String> {
             eprintln!("history flush failed: {e}");
         }
     }
+    if let Some(path) = metrics_json {
+        write_json(&path, &report)?;
+        eprintln!("{role} report written to {path}");
+    }
+    Ok(report)
+}
+
+/// The checkpoint/resume lines every tier prints after its summary.
+fn print_durability(resumed_at: Option<u64>, written: u64, errors: u64) {
+    if let Some(iv) = resumed_at {
+        eprintln!("resumed from checkpoint at interval {iv}");
+    }
+    if written > 0 || errors > 0 {
+        eprintln!("{written} checkpoint(s) written, {errors} write failure(s)");
+    }
+}
+
+fn collect(args: &Args) -> Result<(), String> {
+    let listen = args.get("listen").ok_or("missing --listen ADDR")?;
+    let routers: usize = args.get_parsed("routers", 0)?;
+    if routers == 0 {
+        return Err("missing --routers N (how many agents to expect)".into());
+    }
+    let report = run_tier(
+        args,
+        ("collector", 0),
+        routers,
+        args.get("history-dir"),
+        |cfg, policy, registry| Collector::bind(listen, cfg, policy, registry),
+    )?;
     println!(
         "{} intervals ({} complete, {} partial, {} gaps); {} frames, {} bytes, \
          {} late, {} rejected; routers seen: {:?}",
@@ -514,15 +548,11 @@ fn collect(args: &Args) -> Result<(), String> {
         report.frames_rejected,
         report.routers_seen,
     );
-    if let Some(iv) = report.resumed_at_interval {
-        eprintln!("resumed from checkpoint at interval {iv}");
-    }
-    if report.checkpoints_written > 0 || report.checkpoint_errors > 0 {
-        eprintln!(
-            "{} checkpoint(s) written, {} write failure(s)",
-            report.checkpoints_written, report.checkpoint_errors
-        );
-    }
+    print_durability(
+        report.resumed_at_interval,
+        report.checkpoints_written,
+        report.checkpoint_errors,
+    );
     if report.log.final_alerts().is_empty() {
         println!("no intrusions detected");
     } else {
@@ -530,10 +560,6 @@ fn collect(args: &Args) -> Result<(), String> {
         for alert in report.log.final_alerts() {
             println!("  {alert}");
         }
-    }
-    if let Some(path) = metrics_json {
-        write_json(&path, &report)?;
-        eprintln!("collection report written to {path}");
     }
     Ok(())
 }
@@ -545,81 +571,27 @@ fn aggregate(args: &Args) -> Result<(), String> {
     if quorum == 0 {
         return Err("missing --quorum N (how many downstream nodes to expect)".into());
     }
-    let metrics_json = metrics_json_path(args)?;
-    let cfg = networked_config(args)?;
     let node_id: u32 = args.get_parsed("node-id", 0)?;
-    let mut acfg = AggregatorConfig::new(node_id, quorum);
-    acfg.straggler_deadline = Duration::from_millis(args.get_parsed("straggler-ms", 2000u64)?);
-    acfg.reorder_window = args.get_parsed("reorder-window", 8u64)?;
-    acfg.linger = Duration::from_millis(args.get_parsed("linger-ms", 400u64)?);
-    if let Some(path) = args.get("checkpoint") {
-        let mut policy = CheckpointPolicy::new(path);
-        policy.every_intervals = args.get_parsed("checkpoint-every", 8u64)?;
-        acfg.checkpoint = Some(policy);
-    }
-    if let Some(path) = args.get("resume") {
-        acfg.resume_from = Some(path.into());
-    }
-
-    // Observability plane: same hub as the collector, minus detection —
-    // forwarded snapshots land in the history ring via snapshot_forwarded.
-    let http_addr = args.get("http").map(String::from);
-    if args.has("http") && http_addr.is_none() {
-        return Err("--http needs an ADDR operand (e.g. 127.0.0.1:9101)".into());
-    }
-    let registry = http_addr.as_ref().map(|_| Registry::new());
-    let wants_obsv = http_addr.is_some() || args.has("event-log");
-    let mut hub = None;
-    if wants_obsv {
-        let history = Arc::new(
-            HistoryStore::open(
-                HistoryConfig::default(),
-                cfg.fingerprint(),
-                registry.as_ref(),
-            )
-            .map_err(|e| format!("cannot open history store: {e}"))?,
-        );
-        let events = match args.get("event-log") {
-            Some(path) => Some(
-                EventLog::open(std::path::Path::new(path), cfg.fingerprint())
-                    .map_err(|e| format!("cannot open event log {path}: {e}"))?,
-            ),
-            None => None,
-        };
-        let h = Arc::new(ObsvHub::new(cfg, history, events).with_identity("aggregator", node_id));
-        acfg.observer = Some(h.clone());
-        hub = Some(h);
-    }
-    let server = match (&http_addr, &hub) {
-        (Some(addr), Some(hub)) => {
-            if let Some(r) = &registry {
-                register_build_info(r).map_err(|e| format!("cannot register metrics: {e}"))?;
-            }
-            let state = ApiState {
-                hub: Arc::clone(hub),
-                registry: registry.clone().map(Arc::new),
+    let report = run_tier(
+        args,
+        ("aggregator", node_id),
+        quorum,
+        None,
+        |cfg, policy, registry| {
+            let acfg = AggregatorConfig {
+                straggler_deadline: policy.straggler_deadline,
+                reorder_window: policy.reorder_window,
+                linger: policy.linger,
+                checkpoint: policy.checkpoint,
+                resume_from: policy.resume_from,
+                observer: policy.observer,
+                ..AggregatorConfig::new(node_id, quorum)
             };
-            let server =
-                HttpServer::bind(addr, state).map_err(|e| format!("cannot serve --http: {e}"))?;
-            eprintln!("operator API on http://{}", server.local_addr());
-            Some(server)
-        }
-        _ => None,
-    };
-
-    let handle = Aggregator::bind(listen, upstream, cfg, acfg, registry)
-        .map_err(|e| format!("cannot start: {e}"))?;
-    eprintln!(
-        "aggregating on {} from {quorum} downstream node(s), shipping to {upstream} \
-         as node {node_id}; finishes once all have connected and disconnected",
-        handle.local_addr()
-    );
-    let report = handle
-        .wait()
-        .map_err(|e| format!("aggregator failed: {e}"))?;
-    if let Some(server) = server {
-        server.stop();
-    }
+            let handle = Aggregator::bind(listen, upstream, cfg, acfg, registry)?;
+            eprintln!("shipping to {upstream} as node {node_id}");
+            Ok(handle)
+        },
+    )?;
     println!(
         "node {}: {} intervals forwarded ({} complete, {} partial, {} gaps); \
          {} frames in, {} bytes, {} late, {} rejected; children seen: {:?}",
@@ -634,19 +606,11 @@ fn aggregate(args: &Args) -> Result<(), String> {
         report.frames_rejected,
         report.children_seen,
     );
-    if let Some(iv) = report.resumed_at_interval {
-        eprintln!("resumed from checkpoint at interval {iv}");
-    }
-    if report.checkpoints_written > 0 || report.checkpoint_errors > 0 {
-        eprintln!(
-            "{} checkpoint(s) written, {} write failure(s)",
-            report.checkpoints_written, report.checkpoint_errors
-        );
-    }
-    if let Some(path) = metrics_json {
-        write_json(&path, &report)?;
-        eprintln!("aggregation report written to {path}");
-    }
+    print_durability(
+        report.resumed_at_interval,
+        report.checkpoints_written,
+        report.checkpoint_errors,
+    );
     if report.frames_unshipped > 0 {
         return Err(format!(
             "{} combined frame(s) never reached the upstream at {upstream}",

@@ -212,7 +212,7 @@ struct Inner {
     segments: Vec<SegmentMeta>,
 }
 
-/// The tiered store. Appends come from the collector's aligner thread
+/// The tiered store. Appends come from the collector's node thread
 /// (via the observer hooks); queries come from HTTP worker threads, so
 /// all state sits behind one mutex — both sides are off the per-packet
 /// hot path.

@@ -25,14 +25,17 @@ pub const PANIC_FREE_CRATES: [&str; 7] = [
 
 /// Boundary files that parse raw wire bytes: every integer conversion
 /// must be checked, so no bare `as` casts. The poll engine assembles
-/// frames straight off attacker-reachable sockets and the aggregator
-/// re-encodes what it combined, so both live inside this boundary too.
-pub const CAST_CHECKED_FILES: [&str; 7] = [
+/// frames straight off attacker-reachable sockets, and the tier node —
+/// the shared loop and both of its sinks — counts those frames and
+/// re-encodes what it combined, so they live inside this boundary too.
+pub const CAST_CHECKED_FILES: [&str; 9] = [
     "crates/collect/src/wire.rs",
     "crates/collect/src/codec.rs",
     "crates/collect/src/codec_v2.rs",
     "crates/collect/src/checkpoint.rs",
     "crates/collect/src/engine.rs",
+    "crates/collect/src/node.rs",
+    "crates/collect/src/collector.rs",
     "crates/collect/src/aggregator.rs",
     "crates/obsv/src/history.rs",
 ];
@@ -717,22 +720,25 @@ mod tests {
     #[test]
     fn aggregation_tier_modules_are_inside_the_lint_perimeter() {
         // The poll engine reads frame bytes straight off attacker-facing
-        // sockets and the aggregator re-encodes combined snapshots, so
-        // both sit inside the cast boundary on top of the collect-crate
-        // perimeter — a rename that silently moved them out would gut
-        // the rules.
+        // sockets and the tier node (shared loop + detect and forward
+        // sinks) counts them and re-encodes combined snapshots, so all
+        // of it sits inside the cast boundary on top of the
+        // collect-crate perimeter — a rename that silently moved either
+        // role back out would gut the rules.
         const ENGINE: &str = "crates/collect/src/engine.rs";
+        const NODE: &str = "crates/collect/src/node.rs";
         const AGGREGATOR: &str = "crates/collect/src/aggregator.rs";
         let cast = "fn f(x: u64) -> usize { x as usize }\n";
-        assert_eq!(rules_of(&lint(ENGINE, cast)), vec!["truncating-cast"]);
-        assert_eq!(rules_of(&lint(AGGREGATOR, cast)), vec!["truncating-cast"]);
+        for file in [ENGINE, NODE, "crates/collect/src/collector.rs", AGGREGATOR] {
+            assert_eq!(rules_of(&lint(file, cast)), vec!["truncating-cast"]);
+        }
         let unwrap = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
         assert_eq!(rules_of(&lint(ENGINE, unwrap)), vec!["hot-path-panic"]);
         let chan =
             "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u8>(); tx.send(1); rx.recv(); }\n";
-        assert_eq!(rules_of(&lint(AGGREGATOR, chan)), vec!["bounded-channels"]);
+        assert_eq!(rules_of(&lint(NODE, chan)), vec!["bounded-channels"]);
         let spawn = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(rules_of(&lint(AGGREGATOR, spawn)), vec!["joined-threads"]);
+        assert_eq!(rules_of(&lint(NODE, spawn)), vec!["joined-threads"]);
         let relaxed = "fn f(x: &std::sync::atomic::AtomicU64) { x.load(Ordering::Relaxed); }\n";
         assert_eq!(rules_of(&lint(ENGINE, relaxed)), vec!["atomics-audit"]);
     }
