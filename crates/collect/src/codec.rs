@@ -153,6 +153,16 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// One raw byte — for flag and mode bytes, which are single bytes on
+    /// the wire and must not be read as (possibly non-canonical) varints.
+    pub(crate) fn u8(&mut self, at: &'static str) -> Result<u8, CodecError> {
+        let Some(&b) = self.bytes.get(self.pos) else {
+            return Err(CodecError::Truncated { at });
+        };
+        self.pos += 1;
+        Ok(b)
+    }
+
     pub(crate) fn uvarint(&mut self, at: &'static str) -> Result<u64, CodecError> {
         let mut v = 0u64;
         let mut shift = 0u32;

@@ -7,7 +7,10 @@
 //! * **Sparse stages** — each grid stage (and the Bloom word array) is
 //!   encoded either densely (v1-style varints) or as runs of non-zero
 //!   values with zero-gap prefixes, whichever is smaller *for that stage*.
-//!   A quiet stage costs two bytes instead of one byte per bucket.
+//!   A quiet stage costs two bytes instead of one byte per bucket. The
+//!   encoder decides in one scan, skipping all-zero chunks 8 values at a
+//!   time, writing the sparse form as it goes and only costing the dense
+//!   one.
 //! * **Delta frames** — the cumulative active-service Bloom filter
 //!   (megabytes of raw words in a long run) may be encoded as an XOR
 //!   residual against the previous **acked** interval: just the bits
@@ -96,42 +99,98 @@ fn wrapping_apply_u64(old: u64, residual: i64) -> u64 {
     old.wrapping_add(u64::from_le_bytes(residual.to_le_bytes()))
 }
 
-/// Encodes one value array as whichever of dense/sparse is smaller.
-/// `values` are already residuals in delta mode; zero means "unchanged".
-fn encode_stage_i64(out: &mut Vec<u8>, values: &[i64]) {
-    // Cost the dense form without materialising it.
-    let dense_size: usize = values.iter().map(|&v| uvarint_len(zigzag(v))).sum();
-    // Build the sparse form: runs of consecutive non-zeros.
-    let mut sparse = Vec::new();
-    let mut nruns = 0u64;
-    let mut i = 0usize;
-    let mut last_end = 0usize;
-    while i < values.len() {
-        if values[i] == 0 {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < values.len() && values[i] != 0 {
-            i += 1;
-        }
-        put_uvarint(&mut sparse, codec::len_u64(start - last_end));
-        put_uvarint(&mut sparse, codec::len_u64(i - start));
-        for &v in &values[start..i] {
-            put_uvarint(&mut sparse, zigzag(v));
-        }
-        last_end = i;
-        nruns += 1;
+/// Width of the zero skip: an all-zero chunk this long is passed over
+/// with one OR-reduction, which the compiler vectorises, instead of value
+/// by value. Quiet sketch stages are almost entirely such chunks.
+const LANES: usize = 8;
+
+/// An element of a value array the run encoder writes: zig-zag varint
+/// counters (grid stages) or raw words (the Bloom filter).
+trait WireValue: Copy + Default + PartialEq + std::ops::BitOr<Output = Self> {
+    /// Bytes the dense form spends on a zero.
+    const ZERO_BYTES: usize;
+
+    fn put(out: &mut Vec<u8>, v: Self);
+}
+
+impl WireValue for i64 {
+    const ZERO_BYTES: usize = 1;
+
+    fn put(out: &mut Vec<u8>, v: i64) {
+        put_uvarint(out, zigzag(v));
     }
-    let sparse_size = uvarint_len(nruns) + sparse.len();
+}
+
+impl WireValue for u64 {
+    const ZERO_BYTES: usize = 8;
+
+    fn put(out: &mut Vec<u8>, v: u64) {
+        put_u64(out, v);
+    }
+}
+
+/// Index of the first non-zero value at or after `i` (`values.len()` if
+/// there is none).
+fn next_nonzero<T: WireValue>(values: &[T], mut i: usize) -> usize {
+    let zero = T::default();
+    while let Some(chunk) = values.get(i..i + LANES) {
+        if chunk.iter().fold(zero, |acc, &v| acc | v) != zero {
+            break;
+        }
+        i += LANES;
+    }
+    while values.get(i).is_some_and(|&v| v == zero) {
+        i += 1;
+    }
+    i
+}
+
+/// Encodes one value array as whichever of dense/sparse is smaller (dense
+/// on a tie). `values` are already residuals in delta mode; zero means
+/// "unchanged".
+///
+/// One scan: the sparse form — runs of consecutive non-zeros — is written
+/// straight into `out` while the dense form is only costed (a zero costs
+/// [`WireValue::ZERO_BYTES`], a non-zero what the sparse body spent on
+/// it). Only when dense wins is the array walked a second time.
+fn encode_values<T: WireValue>(out: &mut Vec<u8>, values: &[T]) {
+    let mode_at = out.len();
+    out.push(MODE_SPARSE);
+    let body_at = out.len();
+    let (mut nruns, mut nonzero, mut value_bytes) = (0u64, 0usize, 0usize);
+    let mut last_end = 0usize;
+    let mut i = next_nonzero(values, 0);
+    while i < values.len() {
+        let start = i;
+        while values.get(i).is_some_and(|&v| v != T::default()) {
+            i += 1;
+        }
+        put_uvarint(out, codec::len_u64(start - last_end));
+        put_uvarint(out, codec::len_u64(i - start));
+        let values_at = out.len();
+        for &v in &values[start..i] {
+            T::put(out, v);
+        }
+        value_bytes += out.len() - values_at;
+        nonzero += i - start;
+        nruns += 1;
+        last_end = i;
+        i = next_nonzero(values, i);
+    }
+    let dense_size = (values.len() - nonzero) * T::ZERO_BYTES + value_bytes;
+    let sparse_size = uvarint_len(nruns) + (out.len() - body_at);
     if sparse_size < dense_size {
-        out.push(MODE_SPARSE);
+        // The run count leads the body on the wire: append it, rotate it
+        // to the front.
+        let body_end = out.len();
         put_uvarint(out, nruns);
-        out.extend_from_slice(&sparse);
+        let count_len = out.len() - body_end;
+        out[body_at..].rotate_right(count_len);
     } else {
+        out.truncate(mode_at);
         out.push(MODE_DENSE);
         for &v in values {
-            put_uvarint(out, zigzag(v));
+            T::put(out, v);
         }
     }
 }
@@ -142,14 +201,14 @@ fn decode_stage_i64(
     into: &mut [i64],
     which: &'static str,
 ) -> Result<(), CodecError> {
-    match r.uvarint(which)? {
-        m if m == u64::from(MODE_DENSE) => {
+    match r.u8(which)? {
+        MODE_DENSE => {
             for slot in into.iter_mut() {
                 *slot = r.ivarint(which)?;
             }
             Ok(())
         }
-        m if m == u64::from(MODE_SPARSE) => {
+        MODE_SPARSE => {
             let nruns = r.uvarint(which)?;
             let nruns = r.counted(which, nruns, codec::len_u64(into.len()))?;
             let mut pos = 0usize;
@@ -179,57 +238,19 @@ fn decode_stage_i64(
     }
 }
 
-/// Same dense/sparse choice for raw `u64` Bloom words (absolute in
-/// keyframes, XOR residuals in deltas; zero means "unchanged").
-fn encode_words(out: &mut Vec<u8>, words: &[u64]) {
-    let dense_size = words.len().saturating_mul(8);
-    let mut sparse = Vec::new();
-    let mut nruns = 0u64;
-    let mut i = 0usize;
-    let mut last_end = 0usize;
-    while i < words.len() {
-        if words[i] == 0 {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < words.len() && words[i] != 0 {
-            i += 1;
-        }
-        put_uvarint(&mut sparse, codec::len_u64(start - last_end));
-        put_uvarint(&mut sparse, codec::len_u64(i - start));
-        for &w in &words[start..i] {
-            put_u64(&mut sparse, w);
-        }
-        last_end = i;
-        nruns += 1;
-    }
-    let sparse_size = uvarint_len(nruns) + sparse.len();
-    if sparse_size < dense_size {
-        out.push(MODE_SPARSE);
-        put_uvarint(out, nruns);
-        out.extend_from_slice(&sparse);
-    } else {
-        out.push(MODE_DENSE);
-        for &w in words {
-            put_u64(out, w);
-        }
-    }
-}
-
 fn decode_words(
     r: &mut Reader<'_>,
     into: &mut [u64],
     which: &'static str,
 ) -> Result<(), CodecError> {
-    match r.uvarint(which)? {
-        m if m == u64::from(MODE_DENSE) => {
+    match r.u8(which)? {
+        MODE_DENSE => {
             for slot in into.iter_mut() {
                 *slot = r.u64(which)?;
             }
             Ok(())
         }
-        m if m == u64::from(MODE_SPARSE) => {
+        MODE_SPARSE => {
             let nruns = r.uvarint(which)?;
             let nruns = r.counted(which, nruns, codec::len_u64(into.len()))?;
             let mut pos = 0usize;
@@ -268,30 +289,59 @@ const GRID_NAMES: [&str; 9] = [
     "twod_sipdip_dport",
 ];
 
-/// Serializes `snap` as a standalone v2 keyframe payload.
-pub fn encode_keyframe(snap: &IntervalSnapshot) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 << 12);
-    out.push(0u8); // flags: keyframe
-    put_u64(&mut out, snap.fingerprint);
-    put_uvarint(&mut out, snap.syn_count);
-    put_uvarint(&mut out, snap.syn_ack_count);
-    put_uvarint(&mut out, snap.fin_rst_count);
+/// The grid section both frame kinds share: fingerprint, packet counters
+/// and the nine grids, all absolute.
+fn put_grid_section(out: &mut Vec<u8>, snap: &IntervalSnapshot) {
+    put_u64(out, snap.fingerprint);
+    put_uvarint(out, snap.syn_count);
+    put_uvarint(out, snap.syn_ack_count);
+    put_uvarint(out, snap.fin_rst_count);
     for grid in codec::grids(snap) {
-        put_uvarint(&mut out, codec::len_u64(grid.stages()));
-        put_uvarint(&mut out, codec::len_u64(grid.buckets()));
+        put_uvarint(out, codec::len_u64(grid.stages()));
+        put_uvarint(out, codec::len_u64(grid.buckets()));
         for stage in 0..grid.stages() {
-            encode_stage_i64(&mut out, grid.stage(stage));
+            encode_values(out, grid.stage(stage));
         }
     }
-    let bloom = &snap.active_services;
-    put_uvarint(&mut out, codec::len_u64(bloom.bit_words().len()));
-    put_uvarint(&mut out, codec::len_u64(bloom.hash_seeds().len()));
-    put_uvarint(&mut out, bloom.inserted());
-    encode_words(&mut out, bloom.bit_words());
-    for &s in bloom.hash_seeds() {
-        put_u64(&mut out, s);
+}
+
+/// The Bloom tail of a frame. `words` are `bloom`'s own in a keyframe and
+/// their XOR against the baseline's in a delta, where `base_inserted`
+/// turns `inserted` into a residual too.
+fn put_bloom(out: &mut Vec<u8>, bloom: &BloomFilter, words: &[u64], base_inserted: Option<u64>) {
+    put_uvarint(out, codec::len_u64(bloom.bit_words().len()));
+    put_uvarint(out, codec::len_u64(bloom.hash_seeds().len()));
+    match base_inserted {
+        Some(base) => put_uvarint(out, zigzag(wrapping_diff_u64(bloom.inserted(), base))),
+        None => put_uvarint(out, bloom.inserted()),
     }
-    out
+    encode_values(out, words);
+    for &s in bloom.hash_seeds() {
+        put_u64(out, s);
+    }
+}
+
+/// A keyframe payload and where its grid section ends (it starts right
+/// after the flags byte).
+fn keyframe_with_grid_end(snap: &IntervalSnapshot) -> (Vec<u8>, usize) {
+    let mut out = Vec::with_capacity(1 << 12);
+    out.push(0u8); // flags: keyframe
+    put_grid_section(&mut out, snap);
+    let grid_end = out.len();
+    let bloom = &snap.active_services;
+    put_bloom(&mut out, bloom, bloom.bit_words(), None);
+    (out, grid_end)
+}
+
+/// Whether `bloom` can carry XOR residuals against a baseline with these
+/// words and seeds.
+fn same_bloom_shape(bloom: &BloomFilter, base_words: &[u64], base_seeds: &[u64]) -> bool {
+    bloom.bit_words().len() == base_words.len() && bloom.hash_seeds() == base_seeds
+}
+
+/// Serializes `snap` as a standalone v2 keyframe payload.
+pub fn encode_keyframe(snap: &IntervalSnapshot) -> Vec<u8> {
+    keyframe_with_grid_end(snap).0
 }
 
 /// Serializes `snap` as a delta against `base` (the snapshot of interval
@@ -310,41 +360,20 @@ pub fn encode_delta(
     base_interval: u64,
 ) -> Result<Vec<u8>, CodecError> {
     let (bloom, base_bloom) = (&snap.active_services, &base.active_services);
-    if bloom.bit_words().len() != base_bloom.bit_words().len()
-        || bloom.hash_seeds() != base_bloom.hash_seeds()
-    {
+    if !same_bloom_shape(bloom, base_bloom.bit_words(), base_bloom.hash_seeds()) {
         return Err(CodecError::DeltaShapeMismatch { at: "bloom" });
     }
     let mut out = Vec::with_capacity(1 << 12);
     out.push(FLAG_DELTA);
     put_uvarint(&mut out, base_interval);
-    put_u64(&mut out, snap.fingerprint);
-    put_uvarint(&mut out, snap.syn_count);
-    put_uvarint(&mut out, snap.syn_ack_count);
-    put_uvarint(&mut out, snap.fin_rst_count);
-    for grid in codec::grids(snap) {
-        put_uvarint(&mut out, codec::len_u64(grid.stages()));
-        put_uvarint(&mut out, codec::len_u64(grid.buckets()));
-        for stage in 0..grid.stages() {
-            encode_stage_i64(&mut out, grid.stage(stage));
-        }
-    }
-    put_uvarint(&mut out, codec::len_u64(bloom.bit_words().len()));
-    put_uvarint(&mut out, codec::len_u64(bloom.hash_seeds().len()));
-    put_uvarint(
-        &mut out,
-        zigzag(wrapping_diff_u64(bloom.inserted(), base_bloom.inserted())),
-    );
+    put_grid_section(&mut out, snap);
     let xored: Vec<u64> = bloom
         .bit_words()
         .iter()
         .zip(base_bloom.bit_words())
         .map(|(&n, &o)| n ^ o)
         .collect();
-    encode_words(&mut out, &xored);
-    for &s in bloom.hash_seeds() {
-        put_u64(&mut out, s);
-    }
+    put_bloom(&mut out, bloom, &xored, Some(base_bloom.inserted()));
     Ok(out)
 }
 
@@ -368,14 +397,13 @@ pub enum V2Kind {
 /// truncated baseline varint.
 pub fn peek_kind(payload: &[u8]) -> Result<V2Kind, CodecError> {
     let mut r = Reader::new(payload);
-    let flags = r.uvarint("flags")?;
-    match flags {
+    match r.u8("flags")? {
         0 => Ok(V2Kind::Keyframe),
-        f if f == u64::from(FLAG_DELTA) => Ok(V2Kind::Delta {
+        FLAG_DELTA => Ok(V2Kind::Delta {
             baseline: r.uvarint("baseline_interval")?,
         }),
         other => Err(CodecError::BadFlags {
-            flags: other.min(u64::from(u8::MAX)),
+            flags: u64::from(other),
         }),
     }
 }
@@ -387,13 +415,13 @@ fn decode_body(
     base: Option<&IntervalSnapshot>,
 ) -> Result<IntervalSnapshot, CodecError> {
     let mut r = Reader::new(payload);
-    let flags = r.uvarint("flags")?;
-    if flags > u64::from(FLAG_DELTA) {
+    let flags = r.u8("flags")?;
+    if flags > FLAG_DELTA {
         return Err(CodecError::BadFlags {
-            flags: flags.min(u64::from(u8::MAX)),
+            flags: u64::from(flags),
         });
     }
-    let is_delta = flags == u64::from(FLAG_DELTA);
+    let is_delta = flags == FLAG_DELTA;
     if is_delta != base.is_some() {
         return Err(CodecError::DeltaShapeMismatch { at: "flags" });
     }
@@ -519,7 +547,17 @@ pub struct ChainDecoded {
 /// are capped.
 #[derive(Default)]
 pub struct ChainStore {
-    per_router: BTreeMap<u32, BTreeMap<u64, Vec<u8>>>,
+    per_router: BTreeMap<u32, Chain>,
+    /// Inserts so far; a chain's `last_insert` ranks its staleness.
+    inserts: u64,
+}
+
+/// One router's retained intervals.
+#[derive(Default)]
+struct Chain {
+    /// [`ChainStore::inserts`] as of this router's latest insert.
+    last_insert: u64,
+    intervals: BTreeMap<u64, Vec<u8>>,
 }
 
 impl ChainStore {
@@ -531,26 +569,29 @@ impl ChainStore {
     fn insert(&mut self, router_id: u32, interval: u64, keyframe_payload: Vec<u8>) {
         if !self.per_router.contains_key(&router_id) && self.per_router.len() >= MAX_CHAIN_ROUTERS {
             // A flood of forged router ids must not grow memory without
-            // bound; evict the lowest id (deterministic, and a real
-            // router that loses its chain simply costs one keyframe).
-            let evict = self.per_router.keys().next().copied();
-            if let Some(evict) = evict {
-                self.per_router.remove(&evict);
+            // bound — nor push out a live router: evict the chain that
+            // went longest without an insert (a real router that loses
+            // its chain simply costs one keyframe).
+            let stalest = self
+                .per_router
+                .iter()
+                .min_by_key(|(_, chain)| chain.last_insert)
+                .map(|(&id, _)| id);
+            if let Some(stalest) = stalest {
+                self.per_router.remove(&stalest);
             }
         }
+        self.inserts += 1;
         let chain = self.per_router.entry(router_id).or_default();
-        chain.insert(interval, keyframe_payload);
-        while chain.len() > RETAIN_PER_ROUTER {
-            let drop = chain.keys().next().copied();
-            match drop {
-                Some(k) => chain.remove(&k),
-                None => break,
-            };
+        chain.last_insert = self.inserts;
+        chain.intervals.insert(interval, keyframe_payload);
+        while chain.intervals.len() > RETAIN_PER_ROUTER {
+            chain.intervals.pop_first();
         }
     }
 
     fn retained(&self, router_id: u32, interval: u64) -> Option<&Vec<u8>> {
-        self.per_router.get(&router_id)?.get(&interval)
+        self.per_router.get(&router_id)?.intervals.get(&interval)
     }
 
     /// Decodes one v2 payload for `(router_id, interval)`, updating the
@@ -618,15 +659,29 @@ pub struct EncodedV2 {
     pub is_delta: bool,
 }
 
-/// Sender-side v2 encoder: retains the last encoded interval (as its
-/// keyframe payload) and emits a delta against it only when the caller
-/// has seen the collector's ack for exactly that interval — otherwise a
-/// keyframe. Periodic keyframes ([`DEFAULT_KEYFRAME_EVERY`]) bound loss
-/// recovery regardless of acks.
+/// Sender-side v2 encoder. It retains the last encoded interval's Bloom
+/// filter (the only part of a snapshot a delta is relative to) and emits
+/// a delta against it only when the caller has seen the collector's ack
+/// for exactly that interval; otherwise a keyframe. Periodic keyframes ([`DEFAULT_KEYFRAME_EVERY`]) bound loss recovery
+/// regardless of acks.
+///
+/// Each interval's grids are encoded once: the keyframe and the delta
+/// share one grid section and differ only in their flags/baseline head
+/// and their Bloom tail.
 pub struct SnapshotEncoder {
     keyframe_every: u32,
     since_keyframe: u32,
-    last: Option<(u64, Vec<u8>)>,
+    last: Option<Baseline>,
+}
+
+/// The last encoded interval's Bloom filter, kept as raw parts so its
+/// buffers are reused from one interval to the next.
+#[derive(Default)]
+struct Baseline {
+    interval: u64,
+    words: Vec<u64>,
+    seeds: Vec<u64>,
+    inserted: u64,
 }
 
 impl Default for SnapshotEncoder {
@@ -662,23 +717,41 @@ impl SnapshotEncoder {
         snap: &IntervalSnapshot,
         acked: Option<u64>,
     ) -> EncodedV2 {
-        let keyframe = encode_keyframe(snap);
-        let delta = match (&self.last, acked) {
-            (Some((base_iv, base_bytes)), Some(acked_iv))
-                if acked_iv >= *base_iv && self.since_keyframe < self.keyframe_every =>
+        let (keyframe, grid_end) = keyframe_with_grid_end(snap);
+        let bloom = &snap.active_services;
+        let mut last = self.last.take();
+        let delta = match (last.as_mut(), acked) {
+            (Some(base), Some(acked_iv))
+                if acked_iv >= base.interval
+                    && self.since_keyframe < self.keyframe_every
+                    && same_bloom_shape(bloom, &base.words, &base.seeds) =>
             {
-                decode_keyframe(base_bytes)
-                    .ok()
-                    .and_then(|base| encode_delta(snap, &base, *base_iv).ok())
-                    .map(|payload| (*base_iv, payload))
+                let mut payload = Vec::with_capacity(keyframe.len());
+                payload.push(FLAG_DELTA);
+                put_uvarint(&mut payload, base.interval);
+                payload.extend_from_slice(&keyframe[1..grid_end]);
+                // The baseline's words become the XOR residual in place;
+                // they are overwritten with this interval's words below.
+                for (old, &new) in base.words.iter_mut().zip(bloom.bit_words()) {
+                    *old ^= new;
+                }
+                put_bloom(&mut payload, bloom, &base.words, Some(base.inserted));
+                Some(payload)
             }
             _ => None,
         };
-        self.last = Some((interval, keyframe.clone()));
+        let mut base = last.unwrap_or_default();
+        base.interval = interval;
+        base.words.clear();
+        base.words.extend_from_slice(bloom.bit_words());
+        base.seeds.clear();
+        base.seeds.extend_from_slice(bloom.hash_seeds());
+        base.inserted = bloom.inserted();
+        self.last = Some(base);
         match delta {
             // A delta that does not actually save bytes (attack churn
             // touching most buckets) is pointless risk; ship the keyframe.
-            Some((_, payload)) if payload.len() < keyframe.len() => {
+            Some(payload) if payload.len() < keyframe.len() => {
                 self.since_keyframe += 1;
                 EncodedV2 {
                     payload,
@@ -692,6 +765,217 @@ impl SnapshotEncoder {
                     payload: keyframe.clone(),
                     keyframe,
                     is_delta: false,
+                }
+            }
+        }
+    }
+}
+
+/// The two-scan encoder this module's single-scan one replaced, kept
+/// verbatim as the oracle of the byte-identity test below: the wire bytes
+/// must never depend on which of the two produced them.
+#[cfg(test)]
+mod reference {
+    use super::{
+        codec, decode_keyframe, put_u64, put_uvarint, uvarint_len, wrapping_diff_u64, zigzag,
+        CodecError, EncodedV2, IntervalSnapshot, FLAG_DELTA, MODE_DENSE, MODE_SPARSE,
+    };
+
+    /// Encodes one value array as whichever of dense/sparse is smaller.
+    /// `values` are already residuals in delta mode; zero means "unchanged".
+    pub(super) fn encode_stage_i64(out: &mut Vec<u8>, values: &[i64]) {
+        // Cost the dense form without materialising it.
+        let dense_size: usize = values.iter().map(|&v| uvarint_len(zigzag(v))).sum();
+        // Build the sparse form: runs of consecutive non-zeros.
+        let mut sparse = Vec::new();
+        let mut nruns = 0u64;
+        let mut i = 0usize;
+        let mut last_end = 0usize;
+        while i < values.len() {
+            if values[i] == 0 {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < values.len() && values[i] != 0 {
+                i += 1;
+            }
+            put_uvarint(&mut sparse, codec::len_u64(start - last_end));
+            put_uvarint(&mut sparse, codec::len_u64(i - start));
+            for &v in &values[start..i] {
+                put_uvarint(&mut sparse, zigzag(v));
+            }
+            last_end = i;
+            nruns += 1;
+        }
+        let sparse_size = uvarint_len(nruns) + sparse.len();
+        if sparse_size < dense_size {
+            out.push(MODE_SPARSE);
+            put_uvarint(out, nruns);
+            out.extend_from_slice(&sparse);
+        } else {
+            out.push(MODE_DENSE);
+            for &v in values {
+                put_uvarint(out, zigzag(v));
+            }
+        }
+    }
+
+    /// Same dense/sparse choice for raw `u64` Bloom words (absolute in
+    /// keyframes, XOR residuals in deltas; zero means "unchanged").
+    pub(super) fn encode_words(out: &mut Vec<u8>, words: &[u64]) {
+        let dense_size = words.len().saturating_mul(8);
+        let mut sparse = Vec::new();
+        let mut nruns = 0u64;
+        let mut i = 0usize;
+        let mut last_end = 0usize;
+        while i < words.len() {
+            if words[i] == 0 {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < words.len() && words[i] != 0 {
+                i += 1;
+            }
+            put_uvarint(&mut sparse, codec::len_u64(start - last_end));
+            put_uvarint(&mut sparse, codec::len_u64(i - start));
+            for &w in &words[start..i] {
+                put_u64(&mut sparse, w);
+            }
+            last_end = i;
+            nruns += 1;
+        }
+        let sparse_size = uvarint_len(nruns) + sparse.len();
+        if sparse_size < dense_size {
+            out.push(MODE_SPARSE);
+            put_uvarint(out, nruns);
+            out.extend_from_slice(&sparse);
+        } else {
+            out.push(MODE_DENSE);
+            for &w in words {
+                put_u64(out, w);
+            }
+        }
+    }
+
+    /// Serializes `snap` as a standalone v2 keyframe payload.
+    pub(super) fn encode_keyframe(snap: &IntervalSnapshot) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1 << 12);
+        out.push(0u8); // flags: keyframe
+        put_u64(&mut out, snap.fingerprint);
+        put_uvarint(&mut out, snap.syn_count);
+        put_uvarint(&mut out, snap.syn_ack_count);
+        put_uvarint(&mut out, snap.fin_rst_count);
+        for grid in codec::grids(snap) {
+            put_uvarint(&mut out, codec::len_u64(grid.stages()));
+            put_uvarint(&mut out, codec::len_u64(grid.buckets()));
+            for stage in 0..grid.stages() {
+                encode_stage_i64(&mut out, grid.stage(stage));
+            }
+        }
+        let bloom = &snap.active_services;
+        put_uvarint(&mut out, codec::len_u64(bloom.bit_words().len()));
+        put_uvarint(&mut out, codec::len_u64(bloom.hash_seeds().len()));
+        put_uvarint(&mut out, bloom.inserted());
+        encode_words(&mut out, bloom.bit_words());
+        for &s in bloom.hash_seeds() {
+            put_u64(&mut out, s);
+        }
+        out
+    }
+
+    /// Serializes `snap` as a delta against `base`.
+    pub(super) fn encode_delta(
+        snap: &IntervalSnapshot,
+        base: &IntervalSnapshot,
+        base_interval: u64,
+    ) -> Result<Vec<u8>, CodecError> {
+        let (bloom, base_bloom) = (&snap.active_services, &base.active_services);
+        if bloom.bit_words().len() != base_bloom.bit_words().len()
+            || bloom.hash_seeds() != base_bloom.hash_seeds()
+        {
+            return Err(CodecError::DeltaShapeMismatch { at: "bloom" });
+        }
+        let mut out = Vec::with_capacity(1 << 12);
+        out.push(FLAG_DELTA);
+        put_uvarint(&mut out, base_interval);
+        put_u64(&mut out, snap.fingerprint);
+        put_uvarint(&mut out, snap.syn_count);
+        put_uvarint(&mut out, snap.syn_ack_count);
+        put_uvarint(&mut out, snap.fin_rst_count);
+        for grid in codec::grids(snap) {
+            put_uvarint(&mut out, codec::len_u64(grid.stages()));
+            put_uvarint(&mut out, codec::len_u64(grid.buckets()));
+            for stage in 0..grid.stages() {
+                encode_stage_i64(&mut out, grid.stage(stage));
+            }
+        }
+        put_uvarint(&mut out, codec::len_u64(bloom.bit_words().len()));
+        put_uvarint(&mut out, codec::len_u64(bloom.hash_seeds().len()));
+        put_uvarint(
+            &mut out,
+            zigzag(wrapping_diff_u64(bloom.inserted(), base_bloom.inserted())),
+        );
+        let xored: Vec<u64> = bloom
+            .bit_words()
+            .iter()
+            .zip(base_bloom.bit_words())
+            .map(|(&n, &o)| n ^ o)
+            .collect();
+        encode_words(&mut out, &xored);
+        for &s in bloom.hash_seeds() {
+            put_u64(&mut out, s);
+        }
+        Ok(out)
+    }
+
+    /// The encoder that retained the last interval as keyframe bytes and
+    /// decoded them again to reach their Bloom filter.
+    pub(super) struct SnapshotEncoder {
+        pub(super) keyframe_every: u32,
+        pub(super) since_keyframe: u32,
+        pub(super) last: Option<(u64, Vec<u8>)>,
+    }
+
+    impl SnapshotEncoder {
+        pub(super) fn encode(
+            &mut self,
+            interval: u64,
+            snap: &IntervalSnapshot,
+            acked: Option<u64>,
+        ) -> EncodedV2 {
+            let keyframe = encode_keyframe(snap);
+            let delta = match (&self.last, acked) {
+                (Some((base_iv, base_bytes)), Some(acked_iv))
+                    if acked_iv >= *base_iv && self.since_keyframe < self.keyframe_every =>
+                {
+                    decode_keyframe(base_bytes)
+                        .ok()
+                        .and_then(|base| encode_delta(snap, &base, *base_iv).ok())
+                        .map(|payload| (*base_iv, payload))
+                }
+                _ => None,
+            };
+            self.last = Some((interval, keyframe.clone()));
+            match delta {
+                // A delta that does not actually save bytes (attack churn
+                // touching most buckets) is pointless risk; ship the keyframe.
+                Some((_, payload)) if payload.len() < keyframe.len() => {
+                    self.since_keyframe += 1;
+                    EncodedV2 {
+                        payload,
+                        keyframe,
+                        is_delta: true,
+                    }
+                }
+                _ => {
+                    self.since_keyframe = 0;
+                    EncodedV2 {
+                        payload: keyframe.clone(),
+                        keyframe,
+                        is_delta: false,
+                    }
                 }
             }
         }
@@ -844,6 +1128,37 @@ mod tests {
         }
     }
 
+    /// A snapshot of 1×4 all-zero grids around a Bloom filter of `words`,
+    /// small enough that every field's offset is known.
+    fn tiny(words: Vec<u64>) -> IntervalSnapshot {
+        let grid = || CounterGrid::from_data(1, 4, vec![0; 4]).unwrap();
+        IntervalSnapshot {
+            rs_sip_dport: grid(),
+            rs_sip_dport_verifier: grid(),
+            rs_dip_dport: grid(),
+            rs_dip_dport_verifier: grid(),
+            rs_sip_dip: grid(),
+            rs_sip_dip_verifier: grid(),
+            os: grid(),
+            twod_sipdport_dip: grid(),
+            twod_sipdip_dport: grid(),
+            active_services: BloomFilter::from_parts(words, vec![1, 2], 3).unwrap(),
+            syn_count: 1,
+            syn_ack_count: 2,
+            fin_rst_count: 3,
+            fingerprint: 0xF00D,
+        }
+    }
+
+    /// `payload` with the single byte at `at` respelled as the two-byte
+    /// non-canonical varint of the same value.
+    fn respelled(payload: &[u8], at: usize) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        out[at] |= 0x80;
+        out.insert(at + 1, 0);
+        out
+    }
+
     #[test]
     fn unknown_flags_and_mode_bytes_are_typed_errors() {
         let snap = sample(15, 20);
@@ -858,6 +1173,39 @@ mod tests {
             Err(CodecError::BadFlags { .. })
         ));
         assert!(peek_kind(&[]).is_err());
+
+        // Flag and mode bytes are single bytes: a varint spelling of a
+        // valid value (`0x80 0x00` for 0) used to decode as that value.
+        let snap = tiny(vec![0, 0]);
+        let payload = encode_keyframe(&snap);
+        assert_eq!(decode_keyframe(&payload).unwrap(), snap);
+        let flags = respelled(&payload, 0);
+        assert_eq!(
+            decode_keyframe(&flags),
+            Err(CodecError::BadFlags { flags: 0x80 })
+        );
+        assert!(matches!(
+            peek_kind(&flags),
+            Err(CodecError::BadFlags { flags: 0x80 })
+        ));
+        // flags, fingerprint, three one-byte counters, stages, buckets.
+        let stage_mode = 1 + 8 + 3 + 2;
+        assert_eq!(payload[stage_mode], MODE_SPARSE);
+        assert!(matches!(
+            decode_keyframe(&respelled(&payload, stage_mode)),
+            Err(CodecError::Grid {
+                which: "rs_sip_dport",
+                ..
+            })
+        ));
+        // The all-zero words are one empty sparse body (mode, zero runs)
+        // ahead of two raw seeds.
+        let bloom_mode = payload.len() - 2 * 8 - 2;
+        assert_eq!(payload[bloom_mode], MODE_SPARSE);
+        assert!(matches!(
+            decode_keyframe(&respelled(&payload, bloom_mode)),
+            Err(CodecError::Bloom(_))
+        ));
     }
 
     #[test]
@@ -897,11 +1245,191 @@ mod tests {
         for iv in 0..20u64 {
             chains.decode(1, iv, &key).unwrap();
         }
-        assert!(chains.per_router.get(&1).unwrap().len() <= RETAIN_PER_ROUTER);
+        assert!(chains.per_router.get(&1).unwrap().intervals.len() <= RETAIN_PER_ROUTER);
         for router in 0..2000u32 {
             chains.decode(router, 0, &key).unwrap();
         }
         assert!(chains.per_router.len() <= MAX_CHAIN_ROUTERS);
+    }
+
+    /// A burst of forged router ids evicts the forgeries, not a live
+    /// router that keeps its chain fresh — whatever its id.
+    #[test]
+    fn chain_store_evicts_the_stalest_router_not_the_lowest_id() {
+        let (a, b) = sample_pair(19);
+        let forged = encode_keyframe(&a);
+        let mut enc = SnapshotEncoder::new(u32::MAX);
+        let mut chains = ChainStore::new();
+        let first = enc.encode(0, &a, None);
+        chains.decode(0, 0, &first.payload).unwrap();
+        let mut next_forged = 1u32;
+        for iv in 1..=20u64 {
+            let encoded = enc.encode(iv, &b, Some(iv - 1));
+            assert!(encoded.is_delta);
+            let out = chains
+                .decode(0, iv, &encoded.payload)
+                .unwrap_or_else(|e| panic!("router 0 lost its chain at interval {iv}: {e}"));
+            assert!(out.was_delta);
+            assert_eq!(out.snapshot, b);
+            for _ in 0..100 {
+                chains.decode(next_forged, iv, &forged).unwrap();
+                next_forged += 1;
+            }
+        }
+        assert_eq!(next_forged, 2001);
+        assert_eq!(chains.per_router.len(), MAX_CHAIN_ROUTERS);
+        assert!(chains.per_router.contains_key(&0));
+    }
+
+    /// A value array of one of six shapes: all zero, all non-zero, sparse,
+    /// runs straddling the 8-lane chunk boundaries, mostly non-zero, and
+    /// the wire's edge values only.
+    fn value_array(rng: &mut hifind_flow::rng::SplitMix64, len: usize, shape: u64) -> Vec<i64> {
+        (0..len)
+            .map(|i| {
+                let hit = match shape {
+                    0 => false,
+                    1 => true,
+                    2 => rng.chance(0.15),
+                    3 => matches!(i % 8, 6 | 7 | 0 | 1),
+                    4 => rng.chance(0.85),
+                    _ => rng.chance(0.5),
+                };
+                match (hit, shape, rng.below(5)) {
+                    (false, _, _) => 0,
+                    (true, 5, pick) => [i64::MIN, i64::MAX, -1, 1, i64::MIN][pick as usize],
+                    (true, _, 0) => i64::MIN,
+                    (true, _, 1) => i64::MAX,
+                    (true, _, 2) => 1 + rng.below(40) as i64,
+                    (true, _, 3) => -1 - rng.below(40) as i64,
+                    (true, _, _) => (rng.next_u64() | 1) as i64,
+                }
+            })
+            .collect()
+    }
+
+    /// Every value array shape the sketches produce, the wire's edge
+    /// values, and random ack schedules: the single-scan encoder must emit
+    /// exactly the reference encoder's bytes and frame-kind choices.
+    #[test]
+    fn single_scan_encoder_is_byte_identical_to_the_reference() {
+        let mut rng = hifind_flow::rng::SplitMix64::new(0x2026_0522);
+
+        for len in 1..=67usize {
+            for shape in 0..6 {
+                let values = value_array(&mut rng, len, shape);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                encode_values(&mut got, &values);
+                reference::encode_stage_i64(&mut want, &values);
+                assert_eq!(got, want, "stage len {len} shape {shape}: {values:?}");
+                let words: Vec<u64> = values.iter().map(|&v| v as u64).collect();
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                encode_values(&mut got, &words);
+                reference::encode_words(&mut want, &words);
+                assert_eq!(got, want, "words len {len} shape {shape}: {words:?}");
+            }
+        }
+
+        for case in 0..150u64 {
+            let keyframe_every = 1 + rng.below(9) as u32;
+            let mut enc = SnapshotEncoder::new(keyframe_every);
+            let mut oracle = reference::SnapshotEncoder {
+                keyframe_every,
+                since_keyframe: 0,
+                last: None,
+            };
+            let dims: Vec<(usize, usize)> = (0..9)
+                .map(|_| (1 + rng.below(3) as usize, 1 + rng.below(67) as usize))
+                .collect();
+            let seeds: Vec<u64> = (0..1 + rng.below(4)).map(|_| rng.next_u64()).collect();
+            let mut words = vec![0u64; 1 << rng.below(5)];
+            let mut inserted = rng.next_u64();
+            let mut prev: Option<IntervalSnapshot> = None;
+            for iv in 0..12u64 {
+                match rng.below(8) {
+                    // Empty and full filters, and (rarely) a new geometry.
+                    0 => words.fill(0),
+                    1 => words.fill(u64::MAX),
+                    2 if rng.chance(0.3) => words = vec![0; 1 << rng.below(5)],
+                    _ => {
+                        for w in words.iter_mut() {
+                            if rng.chance(0.3) {
+                                *w |= 1 << rng.below(64);
+                            }
+                        }
+                    }
+                }
+                inserted = inserted.wrapping_add(rng.below(1000));
+                let shape = rng.below(6);
+                let grids: Vec<CounterGrid> = dims
+                    .iter()
+                    .map(|&(stages, buckets)| {
+                        let data = value_array(&mut rng, stages * buckets, shape);
+                        CounterGrid::from_data(stages, buckets, data).unwrap()
+                    })
+                    .collect();
+                let mut grids = grids.into_iter();
+                let mut grid = || grids.next().unwrap();
+                let snap = IntervalSnapshot {
+                    rs_sip_dport: grid(),
+                    rs_sip_dport_verifier: grid(),
+                    rs_dip_dport: grid(),
+                    rs_dip_dport_verifier: grid(),
+                    rs_sip_dip: grid(),
+                    rs_sip_dip_verifier: grid(),
+                    os: grid(),
+                    twod_sipdport_dip: grid(),
+                    twod_sipdip_dport: grid(),
+                    active_services: BloomFilter::from_parts(
+                        words.clone(),
+                        seeds.clone(),
+                        inserted,
+                    )
+                    .unwrap(),
+                    syn_count: rng.next_u64() >> rng.below(64),
+                    syn_ack_count: rng.below(1000),
+                    fin_rst_count: u64::MAX,
+                    fingerprint: rng.next_u64(),
+                };
+                // No ack yet, a stale one, or the previous interval's.
+                let acked = match rng.below(3) {
+                    0 => None,
+                    1 => iv.checked_sub(2),
+                    _ => iv.checked_sub(1),
+                };
+                let got = enc.encode(iv, &snap, acked);
+                let want = oracle.encode(iv, &snap, acked);
+                let at = format!("case {case} interval {iv} acked {acked:?}");
+                assert_eq!(got.is_delta, want.is_delta, "{at}");
+                assert_eq!(got.payload, want.payload, "{at}");
+                assert_eq!(got.keyframe, want.keyframe, "{at}");
+                assert_eq!(
+                    encode_keyframe(&snap),
+                    reference::encode_keyframe(&snap),
+                    "{at}"
+                );
+                if let Some(base) = &prev {
+                    assert_eq!(
+                        encode_delta(&snap, base, iv - 1),
+                        reference::encode_delta(&snap, base, iv - 1),
+                        "{at}"
+                    );
+                }
+                if rng.chance(0.05) {
+                    enc.reset();
+                    oracle.last = None;
+                    oracle.since_keyframe = 0;
+                }
+                prev = Some(snap);
+            }
+        }
+
+        let (base, snap) = sample_pair(20);
+        assert_eq!(encode_keyframe(&snap), reference::encode_keyframe(&snap));
+        assert_eq!(
+            encode_delta(&snap, &base, 0),
+            reference::encode_delta(&snap, &base, 0)
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Engine → consumer messages, one per connection transition or frame.
 pub(crate) enum Event {
@@ -54,6 +54,8 @@ pub(crate) enum Event {
         codec: u8,
         /// Whether a v2 payload was a delta (false for keyframes and v1).
         delta: bool,
+        /// Time spent decoding the payload (through the chain store for v2).
+        decode: Duration,
     },
     /// A frame failed wire validation and was discarded.
     Rejected(WireError),
@@ -128,6 +130,8 @@ pub(crate) enum Step {
         codec: u8,
         /// Whether a v2 payload was a delta.
         delta: bool,
+        /// Time spent decoding the payload.
+        decode: Duration,
     },
     /// The peer's hello: the codec ids it advertised.
     Hello(Vec<u8>),
@@ -230,11 +234,13 @@ impl FrameAssembler {
             return Step::Need;
         }
         let payload = &self.buf[HEADER_LEN..frame_len];
+        let decode_start = Instant::now();
         let decoded = if header.version == wire::PROTOCOL_VERSION_2 {
             wire::decode_payload_v2(&header, payload, chains)
         } else {
             wire::decode_payload(&header, payload).map(|snapshot| (snapshot, false))
         };
+        let decode = decode_start.elapsed();
         self.buf.drain(..frame_len);
         self.state = FrameState::Header;
         match decoded {
@@ -245,6 +251,7 @@ impl FrameAssembler {
                 frame_bytes: u64::try_from(frame_len).unwrap_or(u64::MAX),
                 codec: header.codec,
                 delta,
+                decode,
             },
             Err(e) => Step::Skip(e),
         }
@@ -742,6 +749,7 @@ fn drain_steps(
                 frame_bytes,
                 codec,
                 delta,
+                decode,
             } => {
                 conn.greeted = true;
                 // Acks exist solely to unlock the sender's delta chain;
@@ -757,6 +765,7 @@ fn drain_steps(
                     frame_bytes,
                     codec,
                     delta,
+                    decode,
                 };
                 if !emit(tx, pending, event) {
                     return (emitted, Drain::Exit);

@@ -88,6 +88,7 @@ struct TierTelemetry {
     frames_codec_v1: Arc<Counter>,
     frames_v2_keyframes: Arc<Counter>,
     frames_v2_deltas: Arc<Counter>,
+    decode_seconds: Arc<Histogram>,
     combine_seconds: Arc<Histogram>,
     checkpoint_written: Arc<Counter>,
     checkpoint_write_errors: Arc<Counter>,
@@ -133,6 +134,11 @@ impl TierTelemetry {
             frames_v2_deltas: registry.counter(
                 "hifind_collect_frames_v2_deltas_total",
                 "Valid codec-v2 delta frames received",
+            )?,
+            decode_seconds: registry.histogram(
+                "hifind_collect_decode_seconds",
+                "Latency of decoding one child frame's snapshot payload",
+                exponential_buckets(1e-6, 4.0, 11),
             )?,
             combine_seconds: registry.histogram(
                 "hifind_collect_combine_seconds",
@@ -390,7 +396,13 @@ impl<S: Sink> Node<S> {
                 frame_bytes,
                 codec,
                 delta,
-            } => self.handle_frame(router_id, interval, *snapshot, frame_bytes, codec, delta),
+                decode,
+            } => {
+                // Paid by the engine for every decoded frame, whatever
+                // COMBINE then makes of it.
+                self.telemetry.decode_seconds.observe_duration(decode);
+                self.handle_frame(router_id, interval, *snapshot, frame_bytes, codec, delta);
+            }
         }
         self.telemetry
             .routers_connected

@@ -334,7 +334,7 @@ struct Shared {
 /// One frame of a child script: `(child id, interval, mis-seeded?)`.
 type Step = (u32, u64, bool);
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum Role {
     Root,
     Interior,
@@ -451,7 +451,18 @@ fn play(role: Role, script: &[Step]) -> (Shared, Vec<(String, u64)>, Arc<Told>) 
     };
     drop(connections);
     upstream.stop().unwrap();
-    // Counters only: the combine histogram is timing, the gauge depends on
+    // Every scripted frame decodes (a mis-seeded one is turned away only
+    // after, by the fingerprint gate), and every decode is timed once.
+    let decodes = registry
+        .snapshot()
+        .metrics
+        .iter()
+        .find_map(|m| match &m.value {
+            MetricValue::Histogram(h) if m.name == "hifind_collect_decode_seconds" => Some(h.count),
+            _ => None,
+        });
+    assert_eq!(decodes, Some(script.len() as u64), "{role:?}");
+    // Counters only: the decode and combine histograms are timing, the gauge depends on
     // when connections closed, and the two forwarding series exist at the
     // interior alone (asserted through the observer instead).
     let series = registry

@@ -299,42 +299,36 @@ impl SketchRecorder {
         self.syn_ack_count += batch.synack_keys.len() as u64;
     }
 
-    /// Ends the interval: returns the snapshot and clears the per-interval
-    /// counters (the active-service filter is cumulative and persists).
+    /// Ends the interval: moves the per-interval counters out into the
+    /// snapshot, leaving zeroed sketches behind (the active-service filter
+    /// is cumulative, so it is copied and persists).
     pub fn take_snapshot(&mut self) -> IntervalSnapshot {
         // Paper configurations always attach verifiers; a verifier-less
         // sketch contributes a minimal zero grid instead of aborting the
         // data plane, keeping snapshots structurally complete either way.
-        fn verifier_grid(s: &ReversibleSketch) -> CounterGrid {
-            s.verifier()
-                .map_or_else(|| CounterGrid::new(1, 1), |v| v.grid().clone())
+        fn take_reversible(s: &mut ReversibleSketch) -> (CounterGrid, CounterGrid) {
+            let (grid, verifier) = s.take_counters();
+            (grid, verifier.unwrap_or_else(|| CounterGrid::new(1, 1)))
         }
-        let snap = IntervalSnapshot {
-            rs_sip_dport: self.rs_sip_dport.grid().clone(),
-            rs_sip_dport_verifier: verifier_grid(&self.rs_sip_dport),
-            rs_dip_dport: self.rs_dip_dport.grid().clone(),
-            rs_dip_dport_verifier: verifier_grid(&self.rs_dip_dport),
-            rs_sip_dip: self.rs_sip_dip.grid().clone(),
-            rs_sip_dip_verifier: verifier_grid(&self.rs_sip_dip),
-            os: self.os.grid().clone(),
-            twod_sipdport_dip: self.twod_sipdport_dip.grid().clone(),
-            twod_sipdip_dport: self.twod_sipdip_dport.grid().clone(),
+        let (rs_sip_dport, rs_sip_dport_verifier) = take_reversible(&mut self.rs_sip_dport);
+        let (rs_dip_dport, rs_dip_dport_verifier) = take_reversible(&mut self.rs_dip_dport);
+        let (rs_sip_dip, rs_sip_dip_verifier) = take_reversible(&mut self.rs_sip_dip);
+        IntervalSnapshot {
+            rs_sip_dport,
+            rs_sip_dport_verifier,
+            rs_dip_dport,
+            rs_dip_dport_verifier,
+            rs_sip_dip,
+            rs_sip_dip_verifier,
+            os: self.os.take_counters(),
+            twod_sipdport_dip: self.twod_sipdport_dip.take_counters(),
+            twod_sipdip_dport: self.twod_sipdip_dport.take_counters(),
             active_services: self.active_services.clone(),
-            syn_count: self.syn_count,
-            syn_ack_count: self.syn_ack_count,
-            fin_rst_count: self.fin_rst_count,
+            syn_count: std::mem::take(&mut self.syn_count),
+            syn_ack_count: std::mem::take(&mut self.syn_ack_count),
+            fin_rst_count: std::mem::take(&mut self.fin_rst_count),
             fingerprint: self.fingerprint,
-        };
-        self.rs_sip_dport.clear();
-        self.rs_dip_dport.clear();
-        self.rs_sip_dip.clear();
-        self.os.clear();
-        self.twod_sipdport_dip.clear();
-        self.twod_sipdip_dport.clear();
-        self.syn_count = 0;
-        self.syn_ack_count = 0;
-        self.fin_rst_count = 0;
-        snap
+        }
     }
 
     /// The record-plane configuration fingerprint stamped on every
@@ -434,6 +428,59 @@ mod tests {
         assert!(snap2
             .active_services
             .contains(DipDport::new(s, 80).to_u64()));
+    }
+
+    #[test]
+    fn move_out_take_matches_clone_then_clear() {
+        use hifind_flow::rng::SplitMix64;
+        // The snapshot a clone-then-clear take would have built: every
+        // grid copied as it stands, the counters read before resetting.
+        fn cloned(r: &SketchRecorder) -> IntervalSnapshot {
+            let verifier = |s: &ReversibleSketch| s.verifier().map(|v| v.grid().clone());
+            IntervalSnapshot {
+                rs_sip_dport: r.rs_sip_dport.grid().clone(),
+                rs_sip_dport_verifier: verifier(&r.rs_sip_dport).unwrap(),
+                rs_dip_dport: r.rs_dip_dport.grid().clone(),
+                rs_dip_dport_verifier: verifier(&r.rs_dip_dport).unwrap(),
+                rs_sip_dip: r.rs_sip_dip.grid().clone(),
+                rs_sip_dip_verifier: verifier(&r.rs_sip_dip).unwrap(),
+                os: r.os.grid().clone(),
+                twod_sipdport_dip: r.twod_sipdport_dip.grid().clone(),
+                twod_sipdip_dport: r.twod_sipdip_dport.grid().clone(),
+                active_services: r.active_services.clone(),
+                syn_count: r.syn_count,
+                syn_ack_count: r.syn_ack_count,
+                fin_rst_count: r.fin_rst_count,
+                fingerprint: r.fingerprint,
+            }
+        }
+        let mut r = SketchRecorder::new(&cfg()).unwrap();
+        let mut rng = SplitMix64::new(41);
+        for interval in 0..3u64 {
+            for i in 0..200 * (interval + 1) {
+                let c = Ip4::new(rng.next_u32());
+                let s = Ip4::new(0x8169_0000 | (rng.next_u32() & 0xFF));
+                r.record(&match rng.below(4) {
+                    0 => Packet::syn_ack(i, c, 999, s, 80),
+                    1 => Packet::rst(i, c, 999, s, 80),
+                    _ => Packet::syn(i, c, 999, s, 80),
+                });
+            }
+            let expected = cloned(&r);
+            assert_eq!(r.take_snapshot(), expected, "interval {interval}");
+            for rs in [&r.rs_sip_dport, &r.rs_dip_dport, &r.rs_sip_dip] {
+                assert!(rs.grid().is_zero() && rs.total() == 0);
+                let v = rs.verifier().unwrap();
+                assert!(v.grid().is_zero() && v.total() == 0);
+            }
+            assert!(r.os.grid().is_zero() && r.os.total() == 0);
+            for twod in [&r.twod_sipdport_dip, &r.twod_sipdip_dport] {
+                assert!(twod.grid().is_zero() && twod.total() == 0);
+            }
+            assert_eq!((r.syn_count, r.syn_ack_count, r.fin_rst_count), (0, 0, 0));
+            // The cumulative filter stays behind untouched.
+            assert_eq!(r.active_services, expected.active_services);
+        }
     }
 
     #[test]

@@ -123,6 +123,15 @@ impl CounterGrid {
         self.data.fill(0);
     }
 
+    /// Moves the counters out, leaving a zeroed grid of the same shape.
+    ///
+    /// The interval-close path: the replacement is a fresh zeroed
+    /// allocation, so no counter is copied — unlike a clone followed by
+    /// [`Self::clear`], which walks the grid twice.
+    pub fn take(&mut self) -> CounterGrid {
+        std::mem::replace(self, CounterGrid::new(self.stages, self.buckets))
+    }
+
     /// Returns `true` if every counter is zero.
     pub fn is_zero(&self) -> bool {
         self.data.iter().all(|&v| v == 0)
@@ -390,6 +399,17 @@ mod tests {
         g.add(0, 0, 9);
         g.clear();
         assert!(g.is_zero());
+    }
+
+    #[test]
+    fn take_moves_counters_out_and_leaves_zeros() {
+        let mut g = CounterGrid::new(2, 3);
+        g.add(0, 1, 9);
+        g.add(1, 2, -4);
+        let expected = g.clone();
+        assert_eq!(g.take(), expected);
+        assert!(g.is_zero());
+        assert_eq!((g.stages(), g.buckets()), (2, 3));
     }
 
     #[test]

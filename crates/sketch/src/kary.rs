@@ -266,10 +266,11 @@ impl KarySketch {
         self.total
     }
 
-    /// Zeroes the counters, keeping the hash functions.
-    pub fn clear(&mut self) {
-        self.grid.clear();
+    /// Moves the counters out ([`CounterGrid::take`]), leaving the sketch
+    /// zeroed with its hash functions intact.
+    pub fn take_counters(&mut self) -> CounterGrid {
         self.total = 0;
+        self.grid.take()
     }
 
     /// Memory accounting for Table 9.
@@ -410,12 +411,16 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_state() {
+    fn take_counters_resets_state() {
         let mut s = small();
         s.update(1, 5);
-        s.clear();
+        let expected = s.grid().clone();
+        assert_eq!(s.take_counters(), expected);
         assert_eq!(s.total(), 0);
         assert!(s.grid().is_zero());
+        // The hash functions survive: the next interval records as before.
+        s.update(1, 5);
+        assert_eq!(s.grid(), &expected);
     }
 
     #[test]

@@ -595,13 +595,12 @@ impl ReversibleSketch {
         self.total
     }
 
-    /// Zeroes all counters, keeping hash structure.
-    pub fn clear(&mut self) {
-        self.grid.clear();
-        if let Some(v) = &mut self.verifier {
-            v.clear();
-        }
+    /// Moves the main and verifier counters out ([`CounterGrid::take`]),
+    /// leaving the sketch zeroed with its hash structure intact.
+    pub fn take_counters(&mut self) -> (CounterGrid, Option<CounterGrid>) {
         self.total = 0;
+        let verifier = self.verifier.as_mut().map(KarySketch::take_counters);
+        (self.grid.take(), verifier)
     }
 
     /// Memory footprint in bytes (grid + verifier grid), for Table 9.
@@ -980,12 +979,18 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
+    fn take_counters_resets() {
         let mut rs = ReversibleSketch::new(small_cfg(50)).unwrap();
         rs.update(1, 100);
-        rs.clear();
+        let grid = rs.grid().clone();
+        let verifier = rs.verifier().map(|v| v.grid().clone());
+        assert!(verifier.is_some());
+        assert_eq!(rs.take_counters(), (grid, verifier));
         assert_eq!(rs.total(), 0);
         assert!(rs.grid().is_zero());
+        assert!(rs
+            .verifier()
+            .is_some_and(|v| v.total() == 0 && v.grid().is_zero()));
         assert!(rs.infer(50, &InferOptions::default()).keys.is_empty());
     }
 

@@ -354,10 +354,11 @@ impl TwoDSketch {
         self.total
     }
 
-    /// Zeroes the counters.
-    pub fn clear(&mut self) {
-        self.grid.clear();
+    /// Moves the counters out ([`CounterGrid::take`]), leaving the sketch
+    /// zeroed with its hash functions intact.
+    pub fn take_counters(&mut self) -> CounterGrid {
         self.total = 0;
+        self.grid.take()
     }
 
     /// Memory footprint in bytes.
@@ -577,11 +578,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
+    fn take_counters_resets() {
         let mut s = small();
         s.update(1, 2, 3);
-        s.clear();
+        let expected = s.grid().clone();
+        assert_eq!(s.take_counters(), expected);
         assert_eq!(s.total(), 0);
         assert!(s.grid().is_zero());
+        s.update(1, 2, 3);
+        assert_eq!(s.grid(), &expected);
     }
 }
