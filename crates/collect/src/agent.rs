@@ -41,13 +41,9 @@ pub struct AgentConfig {
     pub initial_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Socket connect and write timeout.
+    /// Socket connect and write timeout, and the wait for the collector's
+    /// answer to the hello.
     pub io_timeout: Duration,
-    /// Codec ids this agent offers, in preference order. The default
-    /// offers [`wire::CODEC_V2`] and falls back to v1 automatically when
-    /// the collector does not negotiate; `vec![wire::CODEC_V1]` pins the
-    /// agent to legacy framing.
-    pub codecs: Vec<u8>,
 }
 
 impl AgentConfig {
@@ -60,7 +56,6 @@ impl AgentConfig {
             initial_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
             io_timeout: Duration::from_secs(5),
-            codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
         }
     }
 
@@ -72,7 +67,6 @@ impl AgentConfig {
             initial_backoff: self.initial_backoff,
             max_backoff: self.max_backoff,
             io_timeout: self.io_timeout,
-            codecs: self.codecs.clone(),
         }
     }
 }
@@ -96,8 +90,6 @@ pub struct AgentStats {
     pub frames_v2_keyframes: u64,
     /// Intervals encoded as v2 deltas against an acked baseline.
     pub frames_v2_deltas: u64,
-    /// Backlogged v2 frames rewritten as v1 for a downgraded session.
-    pub frames_transcoded: u64,
 }
 
 /// What one flush (or interval end) managed to ship.
@@ -253,8 +245,7 @@ impl RouterAgent {
     }
 
     /// Ends the current interval: snapshots the recorder, encodes the
-    /// snapshot in the negotiated codec, enqueues it, and attempts a
-    /// flush.
+    /// snapshot as a codec-v2 frame, enqueues it, and attempts a flush.
     pub fn end_interval(&mut self) -> ShipReport {
         let interval = self.interval;
         self.interval += 1;

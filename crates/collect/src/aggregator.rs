@@ -73,13 +73,8 @@ pub struct AggregatorConfig {
     /// Hooks invoked at tier transitions (snapshot forwarded, tier gap,
     /// frame rejection, checkpoint write/resume, upstream reconnect).
     pub observer: Option<Arc<dyn CollectObserver>>,
-    /// Upstream shipping policy (backlog, attempts, backoff, timeouts,
-    /// and the codecs offered upstream).
+    /// Upstream shipping policy (backlog, attempts, backoff, timeouts).
     pub ship: ShipConfig,
-    /// Codec ids accepted from downstream children, in preference order.
-    /// Independent of `ship.codecs`: a tier can accept v2 below while a
-    /// legacy root above forces its own uplink down to v1.
-    pub codecs: Vec<u8>,
 }
 
 impl AggregatorConfig {
@@ -97,7 +92,6 @@ impl AggregatorConfig {
             resume_from: None,
             observer: None,
             ship: ShipConfig::default(),
-            codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
         }
     }
 }
@@ -212,7 +206,6 @@ impl Aggregator {
             checkpoint: agg_cfg.checkpoint,
             resume_from: agg_cfg.resume_from,
             observer: agg_cfg.observer,
-            codecs: agg_cfg.codecs,
         };
         node::spawn(
             listen,
@@ -249,9 +242,9 @@ impl Sink for ForwardSink {
             }
             return;
         };
-        // The shipper re-encodes the sum in whatever codec its upstream
-        // negotiated (keeping its own delta chain against that peer) and
-        // counts an unframeable sum as a dropped interval itself.
+        // The shipper re-encodes the sum (keeping its own delta chain
+        // against its upstream) and counts an unframeable sum as a
+        // dropped interval itself.
         let _ = self.shipper.ship_snapshot(flush.interval, &combined);
         self.forwarded.inc();
         if let Some(obs) = &tier.observer {

@@ -589,10 +589,11 @@ pub fn decode_agent_checkpoint(bytes: &[u8]) -> Result<AgentCheckpoint, Checkpoi
     let mut backlog = Vec::with_capacity(n_frames);
     for _ in 0..n_frames {
         let codec = if version >= CHECKPOINT_VERSION_2 {
-            let tag = r.uvarint("backlog.codec")?;
-            match u8::try_from(tag) {
-                Ok(c) if c == wire::CODEC_V1 || c == wire::CODEC_V2 => c,
-                _ => {
+            // One raw byte, as written: a varint spelling such as
+            // `0x81 0x00` is an unknown tag, never a valid 1.
+            match r.u8("backlog.codec")? {
+                c @ (wire::CODEC_V1 | wire::CODEC_V2) => c,
+                tag => {
                     return Err(CheckpointError::Invalid {
                         at: "backlog.codec",
                         detail: format!("unknown codec tag {tag}"),
@@ -877,14 +878,24 @@ mod tests {
                 frame: vec![1],
             }],
         };
-        let bytes = encode_agent_checkpoint(&ckpt);
-        assert!(matches!(
-            decode_agent_checkpoint(&bytes),
-            Err(CheckpointError::Invalid {
-                at: "backlog.codec",
-                ..
-            })
-        ));
+        // A tag is one raw byte: the varint spelling `0x81 0x00` of 1 is
+        // tag 0x81, not a v1 frame.
+        let mut payload = Vec::new();
+        put_uvarint(&mut payload, 1); // router_id
+        put_uvarint(&mut payload, 1); // interval
+        put_uvarint(&mut payload, 1); // backlog count
+        payload.extend_from_slice(&[0x81, 0x00, 1, 1]); // tag, frame length, frame
+        let non_canonical =
+            encode_container_versioned(AGENT_MAGIC, CHECKPOINT_VERSION_2, 1, &payload);
+        for bytes in [encode_agent_checkpoint(&ckpt), non_canonical] {
+            assert!(matches!(
+                decode_agent_checkpoint(&bytes),
+                Err(CheckpointError::Invalid {
+                    at: "backlog.codec",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -77,11 +77,6 @@ pub struct CollectorConfig {
     /// observes nothing. Callbacks run inline on the node thread, so
     /// they must stay cheap.
     pub observer: Option<Arc<dyn CollectObserver>>,
-    /// Codec ids accepted from downstream agents, in preference order.
-    /// The default speaks both v2 and v1; `vec![wire::CODEC_V1]` makes
-    /// this node byte-for-byte a legacy v1 collector (hellos rejected as
-    /// bad magic), which is how cross-version interop is tested.
-    pub codecs: Vec<u8>,
 }
 
 impl CollectorConfig {
@@ -96,7 +91,6 @@ impl CollectorConfig {
             checkpoint: None,
             resume_from: None,
             observer: None,
-            codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
         }
     }
 }

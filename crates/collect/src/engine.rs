@@ -16,8 +16,11 @@
 //! collector memory. Crucially the engine thread itself never blocks —
 //! the control plane (accepting connections, answering codec hellos,
 //! flushing interval acks) stays live however far behind detection runs.
-//! A v2 agent reconnecting into a backpressured collector still gets its
-//! hello answered instead of timing out into v1 fallback or retry loops.
+//! An agent reconnecting into a backpressured collector still gets its
+//! hello answered instead of timing out into retry loops.
+//!
+//! Every connection speaks codec v2 after a hello, or sends bare legacy
+//! v1 frames without one; both decode on the same connection state.
 //!
 //! Shutdown is prompt: [`EngineHandle::wake`] writes one byte into the
 //! wakeup pipe, which the poll set always watches, so `stop()` never
@@ -70,24 +73,6 @@ pub(crate) struct EngineConfig {
     /// Poll timeout: the worst-case latency of noticing the shutdown
     /// flag if the wakeup byte is ever lost (belt and braces).
     pub tick: Duration,
-    /// Codec ids this node accepts, in preference order. A list without
-    /// [`wire::CODEC_V2`] makes the node behave exactly like a legacy
-    /// v1 build: hellos die as bad magic and version-2 frames as
-    /// unsupported versions.
-    pub codecs: Vec<u8>,
-}
-
-impl EngineConfig {
-    /// Highest-preference codec shared with a peer advertising `theirs`,
-    /// falling back to v1 (which every build speaks and no hello is ever
-    /// sent for).
-    fn pick_codec(&self, theirs: &[u8]) -> u8 {
-        self.codecs
-            .iter()
-            .copied()
-            .find(|c| theirs.contains(c))
-            .unwrap_or(wire::CODEC_V1)
-    }
 }
 
 /// A typed per-connection frame state machine: bytes accumulate in one
@@ -97,11 +82,6 @@ pub(crate) struct FrameAssembler {
     buf: Vec<u8>,
     state: FrameState,
     max_payload: u32,
-    /// Whether this node understands v2 at all. When false the assembler
-    /// is byte-for-byte a legacy v1 endpoint: a hello is bad magic, a
-    /// version-2 header an unsupported version — which is exactly how
-    /// agents detect a v1-only collector and fall back.
-    accept_v2: bool,
 }
 
 /// Where the assembler stands in the current frame.
@@ -133,8 +113,8 @@ pub(crate) enum Step {
         /// Time spent decoding the payload.
         decode: Duration,
     },
-    /// The peer's hello: the codec ids it advertised.
-    Hello(Vec<u8>),
+    /// The peer's hello, which offered codec v2.
+    Hello,
     /// The framing was intact (lengths checked out) but the payload was
     /// bad; this frame is skipped, the connection survives.
     Skip(WireError),
@@ -143,12 +123,11 @@ pub(crate) enum Step {
 }
 
 impl FrameAssembler {
-    pub(crate) fn new(max_payload: u32, accept_v2: bool) -> Self {
+    pub(crate) fn new(max_payload: u32) -> Self {
         FrameAssembler {
             buf: Vec::new(),
             state: FrameState::Header,
             max_payload,
-            accept_v2,
         }
     }
 
@@ -168,7 +147,7 @@ impl FrameAssembler {
     /// `None` means "not a hello" (fall through to frame parsing);
     /// `Some(Need)` means one is forming but incomplete.
     fn try_hello(&mut self) -> Option<Step> {
-        if !self.accept_v2 || self.buf.len() < 4 || self.buf[..4] != wire::HELLO_MAGIC {
+        if self.buf.len() < 4 || self.buf[..4] != wire::HELLO_MAGIC {
             return None;
         }
         if self.buf.len() < wire::HELLO_BASE_LEN {
@@ -179,12 +158,16 @@ impl FrameAssembler {
         if self.buf.len() < total {
             return Some(Step::Need);
         }
-        let parsed = wire::parse_hello(&self.buf[..total]);
-        match parsed {
-            Ok(codecs) => {
+        match wire::parse_hello(&self.buf[..total]) {
+            Ok(codecs) if codecs.contains(&wire::CODEC_V2) => {
                 self.buf.drain(..total);
-                Some(Step::Hello(codecs))
+                Some(Step::Hello)
             }
+            // Every hello this protocol has ever seen offered v2; one
+            // that does not is as untrustworthy as a corrupt one.
+            Ok(_) => Some(Step::Fatal(WireError::BadControl {
+                at: "hello without codec v2",
+            })),
             // A corrupt hello means the peer's first bytes are already
             // untrustworthy; framing cannot recover.
             Err(e) => Some(Step::Fatal(e)),
@@ -210,9 +193,6 @@ impl FrameAssembler {
                     });
                 };
                 match wire::parse_header(&header_bytes, self.max_payload) {
-                    Ok(h) if h.version == wire::PROTOCOL_VERSION_2 && !self.accept_v2 => {
-                        return Step::Fatal(WireError::UnsupportedVersion(h.version));
-                    }
                     Ok(h) => {
                         self.state = FrameState::Payload(h);
                         h
@@ -377,9 +357,8 @@ struct Conn {
     stream: TcpStream,
     assembler: FrameAssembler,
     open: bool,
-    /// Codec granted to this peer by accepting its hello (`None` until —
-    /// or ever, for a v1 peer that never sends one).
-    negotiated: Option<u8>,
+    /// The peer's hello was accepted (never, for a legacy v1 peer).
+    negotiated: bool,
     /// Bytes queued for the peer (accept + acks), written opportunistically
     /// with nonblocking writes so the engine never stalls on a peer.
     out: Vec<u8>,
@@ -578,7 +557,6 @@ fn run(
     let mut pending: VecDeque<Event> = VecDeque::new();
     // Round-robin origin for the per-round service order (see below).
     let mut rr: usize = 0;
-    let accept_v2 = cfg.codecs.contains(&wire::CODEC_V2);
     while !shutdown.load(Ordering::SeqCst) {
         // Retry parked events first, preserving delivery order.
         while let Some(ev) = pending.pop_front() {
@@ -621,7 +599,7 @@ fn run(
             // poll will never announce them, so check explicitly.
             let leftover = !backpressured && conn.assembler.has_buffered();
             let flow = if *ready || leftover {
-                service(conn, &tx, &mut pending, &mut chains, &cfg)
+                service(conn, &tx, &mut pending, &mut chains)
             } else {
                 // Nothing to read (or paused); retry any queued
                 // accept/acks that hit WouldBlock earlier.
@@ -660,9 +638,9 @@ fn run(
                         }
                         conns.push(Conn {
                             stream,
-                            assembler: FrameAssembler::new(cfg.max_payload, accept_v2),
+                            assembler: FrameAssembler::new(cfg.max_payload),
                             open: true,
-                            negotiated: None,
+                            negotiated: false,
                             out: Vec::new(),
                             write_dead: false,
                             greeted: false,
@@ -727,7 +705,6 @@ fn drain_steps(
     tx: &SyncSender<Event>,
     pending: &mut VecDeque<Event>,
     chains: &mut ChainStore,
-    cfg: &EngineConfig,
     cap: Option<usize>,
 ) -> (usize, Drain) {
     let mut emitted = 0usize;
@@ -737,10 +714,9 @@ fn drain_steps(
         }
         match conn.assembler.step(chains) {
             Step::Need => return (emitted, Drain::Paused),
-            Step::Hello(theirs) => {
-                let chosen = cfg.pick_codec(&theirs);
-                conn.negotiated = Some(chosen);
-                conn.queue(&wire::encode_accept(chosen));
+            Step::Hello => {
+                conn.negotiated = true;
+                conn.queue(&wire::encode_accept(wire::CODEC_V2));
             }
             Step::Frame {
                 router_id,
@@ -755,7 +731,7 @@ fn drain_steps(
                 // Acks exist solely to unlock the sender's delta chain;
                 // a v1 frame on a v2 session (a replayed pre-upgrade
                 // backlog) needs none.
-                if conn.negotiated == Some(wire::CODEC_V2) && codec == wire::CODEC_V2 {
+                if conn.negotiated && codec == wire::CODEC_V2 {
                     conn.queue(&wire::encode_ack(interval));
                 }
                 let event = Event::Frame {
@@ -809,13 +785,12 @@ fn service(
     tx: &SyncSender<Event>,
     pending: &mut VecDeque<Event>,
     chains: &mut ChainStore,
-    cfg: &EngineConfig,
 ) -> Flow {
     let mut chunk = [0u8; 64 * 1024];
     let mut flow = Flow::Keep;
     // Leftovers first: an earlier capped round may have left complete
     // frames in the assembler that no poll readiness will announce.
-    let spent = match drain_steps(conn, tx, pending, chains, cfg, Some(1)) {
+    let spent = match drain_steps(conn, tx, pending, chains, Some(1)) {
         (_, Drain::Exit) => return Flow::Exit,
         (_, Drain::Fatal) => {
             conn.flush_out();
@@ -828,7 +803,7 @@ fn service(
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     if matches!(
-                        drain_steps(conn, tx, pending, chains, cfg, None),
+                        drain_steps(conn, tx, pending, chains, None),
                         (_, Drain::Exit)
                     ) {
                         return Flow::Exit;
@@ -838,7 +813,7 @@ fn service(
                 }
                 Ok(n) => {
                     conn.assembler.extend(&chunk[..n]);
-                    match drain_steps(conn, tx, pending, chains, cfg, Some(1)) {
+                    match drain_steps(conn, tx, pending, chains, Some(1)) {
                         (_, Drain::Exit) => return Flow::Exit,
                         (_, Drain::Fatal) => {
                             flow = Flow::Close;
@@ -855,7 +830,7 @@ fn service(
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     if matches!(
-                        drain_steps(conn, tx, pending, chains, cfg, None),
+                        drain_steps(conn, tx, pending, chains, None),
                         (_, Drain::Exit)
                     ) {
                         return Flow::Exit;
@@ -893,7 +868,7 @@ mod tests {
         let mut doubled = frame.clone();
         doubled.extend_from_slice(&frame);
         for chunk_size in [1, 7, 36, 37, 1024] {
-            let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
+            let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
             let mut chains = ChainStore::new();
             let mut frames = 0;
             for chunk in doubled.chunks(chunk_size) {
@@ -913,7 +888,7 @@ mod tests {
                             frames += 1;
                         }
                         Step::Skip(e) | Step::Fatal(e) => panic!("unexpected rejection: {e}"),
-                        Step::Hello(_) => panic!("no hello was sent"),
+                        Step::Hello => panic!("no hello was sent"),
                     }
                 }
             }
@@ -925,7 +900,7 @@ mod tests {
     fn assembler_rejects_bad_magic_fatally() {
         let (mut frame, _) = sample_frame();
         frame[0] = b'X';
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
         let mut chains = ChainStore::new();
         asm.extend(&frame);
         assert!(matches!(
@@ -941,7 +916,7 @@ mod tests {
         let last = corrupted.len() - 1;
         corrupted[last] ^= 0xFF; // flip a payload byte: CRC mismatch
         corrupted.extend_from_slice(&frame); // a good frame follows
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
         let mut chains = ChainStore::new();
         asm.extend(&corrupted);
         assert!(matches!(asm.step(&mut chains), Step::Skip(_)));
@@ -949,68 +924,47 @@ mod tests {
         assert!(matches!(asm.step(&mut chains), Step::Need));
     }
 
-    /// A hello arriving in arbitrary fragments negotiates, and the same
-    /// bytes fed to a v1-only assembler die as bad magic — exactly how a
-    /// legacy collector would treat them.
+    /// A hello arriving in arbitrary fragments is recognized when it
+    /// offers v2, and legacy v1 and v2 frames both parse after it. A
+    /// hello offering no v2 is a typed, fatal control error.
     #[test]
     fn hello_is_recognized_only_when_v2_is_enabled() {
-        let hello = wire::encode_hello(&[wire::CODEC_V2, wire::CODEC_V1]);
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
+        let hello = wire::encode_hello(&[wire::CODEC_V2]);
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
         let mut chains = ChainStore::new();
         for &b in &hello[..hello.len() - 1] {
             asm.extend(&[b]);
             assert!(matches!(asm.step(&mut chains), Step::Need));
         }
         asm.extend(&hello[hello.len() - 1..]);
-        match asm.step(&mut chains) {
-            Step::Hello(codecs) => assert_eq!(codecs, vec![wire::CODEC_V2, wire::CODEC_V1]),
-            _ => panic!("expected a hello"),
-        }
-        // A frame following the hello still parses.
+        assert!(matches!(asm.step(&mut chains), Step::Hello));
         let (frame, _) = sample_frame();
         asm.extend(&frame);
-        assert!(matches!(asm.step(&mut chains), Step::Frame { .. }));
-
-        // A v1-only assembler buffers the bare hello (it is shorter than
-        // a frame header, so the agent-side accept timeout is what breaks
-        // the stalemate), and the moment enough bytes follow, the hello
-        // prefix is fatal bad magic — a legacy collector can never
-        // misparse it as a frame.
-        let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, false);
-        v1_only.extend(&hello);
-        assert!(matches!(v1_only.step(&mut chains), Step::Need));
-        let (frame, _) = sample_frame();
-        v1_only.extend(&frame);
         assert!(matches!(
-            v1_only.step(&mut chains),
-            Step::Fatal(WireError::BadMagic(_))
+            asm.step(&mut chains),
+            Step::Frame {
+                codec: wire::CODEC_V1,
+                ..
+            }
         ));
-    }
-
-    /// A v2 frame fed to a v1-only assembler is an unsupported version.
-    #[test]
-    fn v1_only_assembler_rejects_v2_frames() {
         let cfg = HiFindConfig::small(3);
-        let mut rec = SketchRecorder::new(&cfg).unwrap();
-        let snap = rec.take_snapshot();
+        let snap = SketchRecorder::new(&cfg).unwrap().take_snapshot();
         let payload = crate::codec_v2::encode_keyframe(&snap);
-        let frame = wire::encode_frame_v2(9, 4, snap.fingerprint, &payload).unwrap();
-        let mut chains = ChainStore::new();
-        let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, false);
-        v1_only.extend(&frame);
+        asm.extend(&wire::encode_frame_v2(9, 4, snap.fingerprint, &payload).unwrap());
         assert!(matches!(
-            v1_only.step(&mut chains),
-            Step::Fatal(WireError::UnsupportedVersion(2))
-        ));
-        let mut v2 = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
-        v2.extend(&frame);
-        assert!(matches!(
-            v2.step(&mut chains),
+            asm.step(&mut chains),
             Step::Frame {
                 codec: wire::CODEC_V2,
                 delta: false,
                 ..
             }
+        ));
+
+        let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
+        v1_only.extend(&wire::encode_hello(&[wire::CODEC_V1]));
+        assert!(matches!(
+            v1_only.step(&mut chains),
+            Step::Fatal(WireError::BadControl { .. })
         ));
     }
 
@@ -1028,7 +982,6 @@ mod tests {
                 // A tick long enough that only the waker can explain a
                 // fast exit.
                 tick: Duration::from_secs(5),
-                codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
             },
         )
         .unwrap();

@@ -321,8 +321,8 @@ fn accept_loop(
 /// injected/organic connection death. Collector-to-agent traffic (codec
 /// accepts and interval acks) relays back unfaulted through a paired
 /// thread: the fault model is about data frames, and a control channel
-/// this proxy silently ate would just demote every agent to v1 keyframes
-/// instead of exercising the chain under faults.
+/// this proxy silently ate would just fail every agent's hello instead
+/// of exercising the delta chain under faults.
 fn relay_connection(mut downstream: TcpStream, upstream_addr: SocketAddr, conn: u64, sh: &Shared) {
     let _ = downstream.set_read_timeout(Some(Duration::from_millis(50)));
     let Ok(mut upstream) = TcpStream::connect_timeout(&upstream_addr, Duration::from_secs(5))

@@ -9,7 +9,9 @@
 //!
 //! * [`codec`] — a compact binary encoding of [`hifind::IntervalSnapshot`]
 //!   (zig-zag varint counters; mostly-zero sketch grids shrink by an order
-//!   of magnitude versus their in-memory size).
+//!   of magnitude versus their in-memory size). Receivers still decode it
+//!   from legacy senders; no node sends it.
+//! * [`codec_v2`] — the sparse/delta encoding every node sends.
 //! * [`wire`] — versioned, length-prefixed, CRC-checked framing with the
 //!   record-plane configuration fingerprint in every header, so a
 //!   mis-seeded router is rejected before its counters can poison the sum.

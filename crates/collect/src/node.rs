@@ -196,7 +196,6 @@ pub(crate) fn spawn<S: Sink>(
         EngineConfig {
             max_payload: cfg.max_payload_bytes,
             tick: Duration::from_millis(50),
-            codecs: cfg.codecs.clone(),
         },
     )?;
     let mut counted = CollectionReport::default();

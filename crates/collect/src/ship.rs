@@ -5,24 +5,21 @@
 //! costs a capped, predictable stall per interval at every tier, never a
 //! hang.
 //!
-//! # Codec negotiation
+//! # One codec
 //!
-//! A shipper that offers [`wire::CODEC_V2`] opens every connection with
-//! a hello and waits briefly for the collector's accept. A v1-only
-//! collector kills the connection instead (the hello is bad magic to
-//! it); the shipper notices — EOF or timeout — falls back to v1 for
-//! this address, and reconnects without a hello. Interop is therefore
-//! automatic in both directions: v1 agents never send hellos, and v2
-//! collectors accept bare v1 frames from the first byte.
+//! Every snapshot ships as codec v2 ([`crate::codec_v2`]). Each
+//! connection opens with a hello offering [`wire::CODEC_V2`] and waits up
+//! to `io_timeout` for the upstream's accept. An upstream that does not
+//! accept costs a failed connect attempt — counted, backed off, and the
+//! backlog kept — never a downgrade. Backlog frames restored from an old
+//! checkpoint may still be v1; they ship verbatim, since every receiver
+//! decodes legacy v1 frames.
 //!
-//! On a v2 session the collector acks each interval it decodes; those
-//! acks gate the delta chain (see [`crate::codec_v2`]): a snapshot is
-//! shipped as residuals only against a baseline the collector provably
-//! holds, so no drop, reorder, or restart can ever leave a frame
-//! undecodable. Backlogged delta frames carry their standalone keyframe
-//! twin, which replaces them after any reconnect — and is transcoded
-//! down to a v1 frame if the session renegotiates to v1 (an agent
-//! resuming its pre-upgrade checkpoint against a downgraded collector).
+//! The upstream acks each interval it decodes; those acks gate the delta
+//! chain: a snapshot is shipped as residuals only against a baseline the
+//! upstream provably holds, so no drop, reorder, or restart can ever
+//! leave a frame undecodable. Backlogged delta frames carry their
+//! standalone keyframe twin, which replaces them after any reconnect.
 
 use crate::agent::{AgentError, AgentStats, ShipReport};
 use crate::codec_v2::SnapshotEncoder;
@@ -48,12 +45,9 @@ pub struct ShipConfig {
     pub initial_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Socket connect and write timeout.
+    /// Socket connect and write timeout, and the wait for the upstream's
+    /// answer to the hello.
     pub io_timeout: Duration,
-    /// Codec ids this sender offers, in preference order. Without
-    /// [`wire::CODEC_V2`] no hello is ever sent and every frame is plain
-    /// v1 — byte-for-byte a legacy agent.
-    pub codecs: Vec<u8>,
 }
 
 impl Default for ShipConfig {
@@ -64,17 +58,16 @@ impl Default for ShipConfig {
             initial_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
             io_timeout: Duration::from_secs(5),
-            codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
         }
     }
 }
 
 /// One checkpointable backlog frame: the bytes to (re)ship plus the
-/// codec they are encoded in, so a resumed agent can renegotiate and
-/// transcode instead of replaying frames the new session cannot decode.
+/// codec they are encoded in.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BacklogFrame {
-    /// [`wire::CODEC_V1`] or [`wire::CODEC_V2`].
+    /// [`wire::CODEC_V2`], or [`wire::CODEC_V1`] for a frame restored
+    /// from a legacy agent's checkpoint.
     pub codec: u8,
     /// A complete standalone frame (header + payload, never a delta).
     pub frame: Vec<u8>,
@@ -99,12 +92,6 @@ impl Entry {
     }
 }
 
-/// How long to wait for the collector's accept before concluding the
-/// peer is a v1 build (which closes the connection on our hello instead
-/// of answering). Bounded separately from `io_timeout` so a legacy
-/// upstream costs a short, one-time stall — remembered per address.
-const ACCEPT_WAIT: Duration = Duration::from_millis(1500);
-
 /// Ships encoded frames to one upstream address on behalf of node `id`
 /// (a router id or an aggregator node id — whoever owns the frames).
 pub struct Shipper {
@@ -112,16 +99,12 @@ pub struct Shipper {
     id: u32,
     cfg: ShipConfig,
     backlog: VecDeque<Entry>,
+    /// The live v2 session: present only once the upstream accepted the
+    /// hello.
     stream: Option<TcpStream>,
     connected_before: bool,
     stats: AgentStats,
     observer: Option<Arc<dyn CollectObserver>>,
-    /// Codec granted by the current connection's negotiation (v1 when no
-    /// hello was sent); `None` while disconnected.
-    session: Option<u8>,
-    /// Set once this address proved to be a v1-only collector; suppresses
-    /// further hellos until the address changes.
-    v1_fallback: bool,
     /// Highest interval the collector acked on this connection.
     last_acked: Option<u64>,
     /// Partial ack bytes carried between nonblocking reads.
@@ -136,7 +119,7 @@ impl std::fmt::Debug for Shipper {
             .field("addr", &self.addr)
             .field("id", &self.id)
             .field("backlog", &self.backlog.len())
-            .field("session", &self.session)
+            .field("connected", &self.stream.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -154,8 +137,6 @@ impl Shipper {
             connected_before: false,
             stats: AgentStats::default(),
             observer: None,
-            session: None,
-            v1_fallback: false,
             last_acked: None,
             ack_buf: Vec::new(),
             encoder: SnapshotEncoder::default(),
@@ -176,16 +157,9 @@ impl Shipper {
     /// Points the shipper at a different upstream address (e.g. a
     /// restarted site on a new port). Any open connection is dropped; the
     /// backlog is kept and ships to the new address on the next flush.
-    /// Codec negotiation starts over — the new site may speak v2 even if
-    /// the old one did not.
     pub fn set_addr(&mut self, addr: impl Into<String>) {
         self.addr = addr.into();
-        self.v1_fallback = false;
         self.drop_stream();
-    }
-
-    fn offers_v2(&self) -> bool {
-        self.cfg.codecs.contains(&wire::CODEC_V2)
     }
 
     /// Drops the connection and every piece of per-session state: the
@@ -194,7 +168,6 @@ impl Shipper {
     /// encoder restarts from a keyframe.
     fn drop_stream(&mut self) {
         self.stream = None;
-        self.session = None;
         self.last_acked = None;
         self.ack_buf.clear();
         self.encoder.reset();
@@ -205,8 +178,7 @@ impl Shipper {
         }
     }
 
-    /// Encodes `snapshot` for `interval` in the best codec the current
-    /// (or prospective) session allows and queues it. Returns the flush
+    /// Encodes `snapshot` for `interval` and queues it. Returns the flush
     /// outcome, like the old frame-level path did.
     pub fn ship_snapshot(&mut self, interval: u64, snapshot: &IntervalSnapshot) -> ShipReport {
         let mut dropped = 0;
@@ -223,66 +195,33 @@ impl Shipper {
     }
 
     fn encode_entry(&mut self, interval: u64, snapshot: &IntervalSnapshot) -> Option<Entry> {
-        if self.offers_v2() && !self.v1_fallback {
-            // Deltas only against an interval the live session acked;
-            // anywhere short of that, `encode` falls back to a keyframe
-            // on its own.
-            let acked = if self.session == Some(wire::CODEC_V2) {
-                self.drain_acks();
-                self.last_acked
-            } else {
-                None
-            };
-            let encoded = self.encoder.encode(interval, snapshot, acked);
-            let frame =
-                wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &encoded.payload)
-                    .ok()?;
-            let standalone = if encoded.is_delta {
-                self.stats.frames_v2_deltas += 1;
-                Some(
-                    wire::encode_frame_v2(
-                        self.id,
-                        interval,
-                        snapshot.fingerprint,
-                        &encoded.keyframe,
-                    )
+        // Deltas only against an interval the live session acked (none
+        // while disconnected); anywhere short of that, `encode` falls
+        // back to a keyframe on its own.
+        self.drain_acks();
+        let encoded = self.encoder.encode(interval, snapshot, self.last_acked);
+        let frame =
+            wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &encoded.payload)
+                .ok()?;
+        let standalone = if encoded.is_delta {
+            self.stats.frames_v2_deltas += 1;
+            Some(
+                wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &encoded.keyframe)
                     .ok()?,
-                )
-            } else {
-                self.stats.frames_v2_keyframes += 1;
-                None
-            };
-            Some(Entry {
-                codec: wire::CODEC_V2,
-                frame,
-                standalone,
-            })
+            )
         } else {
-            let frame = wire::encode_frame(self.id, interval, snapshot).ok()?;
-            Some(Entry {
-                codec: wire::CODEC_V1,
-                frame,
-                standalone: None,
-            })
-        }
-    }
-
-    /// Queues one pre-encoded standalone frame (the codec is read off its
-    /// header), evicting the oldest on overflow (fresher intervals matter
-    /// more to detection). Returns how many frames were evicted.
-    pub fn enqueue(&mut self, frame: Vec<u8>) -> usize {
-        let codec = if frame.len() > 6 && frame[4] == 2 {
-            wire::CODEC_V2
-        } else {
-            wire::CODEC_V1
+            self.stats.frames_v2_keyframes += 1;
+            None
         };
-        self.enqueue_entry(Entry {
-            codec,
+        Some(Entry {
+            codec: wire::CODEC_V2,
             frame,
-            standalone: None,
+            standalone,
         })
     }
 
+    /// Queues `entry`, evicting the oldest on overflow (fresher intervals
+    /// matter more to detection). Returns how many frames were evicted.
     fn enqueue_entry(&mut self, entry: Entry) -> usize {
         self.stats.frames_enqueued += 1;
         let mut dropped = 0;
@@ -321,9 +260,6 @@ impl Shipper {
                         }
                         self.connected_before = true;
                         self.stream = Some(stream);
-                        if self.session != Some(wire::CODEC_V2) {
-                            self.downgrade_backlog_to_v1();
-                        }
                     }
                     Err(_) => {
                         self.stats.send_failures += 1;
@@ -363,37 +299,9 @@ impl Shipper {
                 }
             }
         }
-        if self.session == Some(wire::CODEC_V2) {
-            self.drain_acks();
-        }
+        self.drain_acks();
         report.queued = self.backlog.len();
         report
-    }
-
-    /// Rewrites every queued v2 frame as a v1 frame, for a session that
-    /// negotiated (or fell back to) v1. Frames that cannot be transcoded
-    /// are dropped and counted, never shipped undecodable.
-    fn downgrade_backlog_to_v1(&mut self) {
-        let mut kept = VecDeque::with_capacity(self.backlog.len());
-        for mut entry in self.backlog.drain(..) {
-            if entry.codec == wire::CODEC_V1 {
-                kept.push_back(entry);
-                continue;
-            }
-            match wire::transcode_frame_v2_to_v1(entry.standalone_frame()) {
-                Ok(frame) => {
-                    self.stats.frames_transcoded += 1;
-                    entry.codec = wire::CODEC_V1;
-                    entry.frame = frame;
-                    entry.standalone = None;
-                    kept.push_back(entry);
-                }
-                Err(_) => {
-                    self.stats.frames_dropped += 1;
-                }
-            }
-        }
-        self.backlog = kept;
     }
 
     /// Writes the front frame of the backlog, returning the bytes shipped
@@ -409,57 +317,30 @@ impl Shipper {
         Ok(bytes)
     }
 
-    /// Connects, and on a fresh v2-offering session performs the hello
-    /// handshake — falling back to a plain v1 connection (remembered for
-    /// this address) when the collector does not answer it.
-    fn connect_negotiated(&mut self) -> std::io::Result<TcpStream> {
+    /// Connects and performs the hello handshake. An upstream that does
+    /// not accept codec v2 within `io_timeout` fails the attempt; the
+    /// connection is dropped and the caller's retry budget decides what
+    /// happens next.
+    fn connect_negotiated(&self) -> std::io::Result<TcpStream> {
         let stream = self.connect()?;
-        if !self.offers_v2() || self.v1_fallback {
-            self.session = Some(wire::CODEC_V1);
-            return Ok(stream);
-        }
-        match self.hello_handshake(&stream) {
-            Ok(codec) => {
-                self.session = Some(codec);
-                Ok(stream)
-            }
-            Err(_) => {
-                // A v1 collector treats our hello as bad magic and kills
-                // the connection. Remember, reconnect, speak v1.
-                drop(stream);
-                self.v1_fallback = true;
-                self.session = Some(wire::CODEC_V1);
-                self.connect()
-            }
-        }
-    }
-
-    /// Sends the hello and reads the accept, under a bounded wait.
-    fn hello_handshake(&self, stream: &TcpStream) -> std::io::Result<u8> {
-        let mut s = stream;
-        s.write_all(&wire::encode_hello(&self.cfg.codecs))?;
-        stream.set_read_timeout(Some(ACCEPT_WAIT.min(self.cfg.io_timeout)))?;
+        let mut s = &stream;
+        s.write_all(&wire::encode_hello(&[wire::CODEC_V2]))?;
+        stream.set_read_timeout(Some(self.cfg.io_timeout))?;
         let mut accept = [0u8; wire::ACCEPT_LEN];
-        let outcome = (|| {
-            let mut filled = 0;
-            while filled < accept.len() {
-                match s.read(&mut accept[filled..]) {
-                    Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof)),
-                    Ok(n) => filled += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
+        let mut filled = 0;
+        while filled < accept.len() {
+            match s.read(&mut accept[filled..]) {
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof)),
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            let codec = wire::parse_accept(&accept)
-                .map_err(|_| std::io::Error::from(std::io::ErrorKind::InvalidData))?;
-            if self.cfg.codecs.contains(&codec) {
-                Ok(codec)
-            } else {
-                Err(std::io::Error::from(std::io::ErrorKind::InvalidData))
-            }
-        })();
+        }
+        if wire::parse_accept(&accept).ok() != Some(wire::CODEC_V2) {
+            return Err(std::io::Error::from(std::io::ErrorKind::InvalidData));
+        }
         stream.set_read_timeout(None)?;
-        outcome
+        Ok(stream)
     }
 
     /// Reads whatever acks the collector has sent without ever blocking;
@@ -552,37 +433,35 @@ impl Shipper {
         &self.stats
     }
 
-    /// Closes the connection gracefully. On a v2 session the collector
-    /// acks intervals as it *decodes* them, which can trail our last
-    /// write by however deep its queue runs; dropping the socket
-    /// outright would answer a late ack with an RST — and an RST
-    /// discards every shipped frame the collector had not yet read from
-    /// its receive buffer. So: shut down the write side (the collector
-    /// sees a clean EOF after our last frame) and hand the read side to
-    /// a detached drain that sinks acks until the collector closes.
-    /// Never blocks; the backlog and stats stay.
+    /// Closes the connection gracefully. The collector acks intervals as
+    /// it *decodes* them, which can trail our last write by however deep
+    /// its queue runs; dropping the socket outright would answer a late
+    /// ack with an RST — and an RST discards every shipped frame the
+    /// collector had not yet read from its receive buffer. So: shut down
+    /// the write side (the collector sees a clean EOF after our last
+    /// frame) and hand the read side to a detached drain that sinks acks
+    /// until the collector closes. Never blocks; the backlog and stats
+    /// stay.
     pub fn close(&mut self) {
         if let Some(stream) = self.stream.take() {
             let _ = stream.shutdown(std::net::Shutdown::Write);
-            if self.session == Some(wire::CODEC_V2) {
-                let _ = std::thread::Builder::new()
-                    .name("hifind-ack-drain".into())
-                    .spawn(move || {
-                        // The backstop timeout only matters if the
-                        // collector neither acks nor closes for this
-                        // long — then late-ack loss is moot anyway.
-                        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                        let mut s = &stream;
-                        let mut sink = [0u8; 1024];
-                        loop {
-                            match s.read(&mut sink) {
-                                Ok(n) if n > 0 => {}
-                                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                                _ => break,
-                            }
+            let _ = std::thread::Builder::new()
+                .name("hifind-ack-drain".into())
+                .spawn(move || {
+                    // The backstop timeout only matters if the collector
+                    // neither acks nor closes for this long — then
+                    // late-ack loss is moot anyway.
+                    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+                    let mut s = &stream;
+                    let mut sink = [0u8; 1024];
+                    loop {
+                        match s.read(&mut sink) {
+                            Ok(n) if n > 0 => {}
+                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                            _ => break,
                         }
-                    });
-            }
+                    }
+                });
         }
         self.drop_stream();
     }

@@ -21,21 +21,23 @@
 //! first 36 bytes, without decoding (or even receiving) megabytes of
 //! counters recorded under the wrong hash functions.
 //!
-//! Version 2 sessions additionally exchange three fixed control
-//! messages: the agent's `HFSH` hello advertising its codecs, the
-//! collector's `HFSA` accept naming the chosen one, and per-interval
+//! Every node sends version-2 frames only. Its sessions additionally
+//! exchange three fixed control messages: the sender's `HFSH` hello
+//! offering codec v2, the receiver's `HFSA` accept, and per-interval
 //! `HFKA` acks that gate the sender's delta chain (see
-//! [`crate::codec_v2`]). A v1 peer never sends or expects any of them.
+//! [`crate::codec_v2`]). Receivers still decode version-1 frames from
+//! legacy senders, which never send or expect any of them.
 
 use crate::codec::{self, CodecError};
-use crate::codec_v2::{self, ChainStore};
+use crate::codec_v2::ChainStore;
 use hifind::IntervalSnapshot;
 use std::io::Read;
 
 /// Frame magic: HiFIND Snapshot, format 1.
 pub const MAGIC: [u8; 4] = *b"HFS1";
 
-/// Current protocol version.
+/// Protocol version of legacy frames carrying dense codec-v1 payloads.
+/// Receivers still accept it; no node sends it any more.
 pub const PROTOCOL_VERSION: u16 = 1;
 
 /// Protocol version carrying codec-v2 payloads.
@@ -150,7 +152,8 @@ impl std::fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} (speak {PROTOCOL_VERSION})"
+                    "unsupported protocol version {v} \
+                     (this build accepts versions {PROTOCOL_VERSION} and {PROTOCOL_VERSION_2})"
                 )
             }
             WireError::ReservedBytes(v) => {
@@ -233,8 +236,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Encodes `snapshot` as one complete frame (header + payload) from
-/// `router_id` for `interval`.
+/// Encodes `snapshot` as one complete legacy version-1 frame (header +
+/// dense [`crate::codec`] payload) from `router_id` for `interval`. No
+/// node sends these; they stand in for legacy senders and cost
+/// comparisons.
 ///
 /// # Errors
 ///
@@ -473,20 +478,7 @@ pub fn parse_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<FrameH
 /// Every corruption mode maps to a distinct [`WireError`] variant; no
 /// input panics.
 pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<IntervalSnapshot, WireError> {
-    let expected = header.payload_len_usize()?;
-    if payload.len() != expected {
-        return Err(WireError::TruncatedFrame {
-            expected,
-            got: payload.len(),
-        });
-    }
-    let got = crc32(payload);
-    if got != header.crc32 {
-        return Err(WireError::CrcMismatch {
-            expected: header.crc32,
-            got,
-        });
-    }
+    check_payload(header, payload)?;
     let snapshot = codec::decode_snapshot(payload)?;
     if snapshot.fingerprint != header.fingerprint {
         return Err(WireError::FingerprintMismatch {
@@ -540,33 +532,6 @@ pub fn decode_payload_v2(
         });
     }
     Ok((decoded.snapshot, decoded.was_delta))
-}
-
-/// Re-encodes a complete v2 **keyframe** frame as a v1 frame with the
-/// same header identity — how a backlog entry captured under a v2
-/// session is shipped after renegotiating down to v1.
-///
-/// # Errors
-///
-/// Propagates header/payload validation errors; a delta frame (which
-/// callers never hold — backlogs retain standalone forms only) fails
-/// with a typed [`CodecError::DeltaShapeMismatch`].
-pub fn transcode_frame_v2_to_v1(frame: &[u8]) -> Result<Vec<u8>, WireError> {
-    if frame.len() < HEADER_LEN {
-        return Err(WireError::TruncatedFrame {
-            expected: HEADER_LEN,
-            got: frame.len(),
-        });
-    }
-    let mut header_bytes = [0u8; HEADER_LEN];
-    header_bytes.copy_from_slice(&frame[..HEADER_LEN]);
-    let header = parse_header(&header_bytes, DEFAULT_MAX_PAYLOAD)?;
-    if header.version != PROTOCOL_VERSION_2 {
-        return Ok(frame.to_vec());
-    }
-    check_payload(&header, &frame[HEADER_LEN..])?;
-    let snapshot = codec_v2::decode_keyframe(&frame[HEADER_LEN..])?;
-    encode_frame(header.router_id, header.interval, &snapshot)
 }
 
 /// Reads one frame from a blocking stream.
@@ -708,10 +673,12 @@ mod tests {
         ));
         let mut frame = encode_frame(1, 0, &snap).unwrap();
         frame[4] = 99;
-        assert!(matches!(
-            read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).unwrap_err(),
-            WireError::UnsupportedVersion(99)
-        ));
+        let err = read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).unwrap_err();
+        assert!(matches!(err, WireError::UnsupportedVersion(99)));
+        assert_eq!(
+            err.to_string(),
+            "unsupported protocol version 99 (this build accepts versions 1 and 2)"
+        );
     }
 
     #[test]
@@ -814,22 +781,6 @@ mod tests {
         let mut bad = ack;
         bad[0] = b'X';
         assert!(parse_ack(&bad).is_err());
-    }
-
-    #[test]
-    fn transcoding_a_v2_keyframe_down_to_v1_preserves_the_snapshot() {
-        let snap = snapshot(14);
-        let payload = crate::codec_v2::encode_keyframe(&snap);
-        let v2 = encode_frame_v2(5, 9, snap.fingerprint, &payload).unwrap();
-        let v1 = transcode_frame_v2_to_v1(&v2).unwrap();
-        let (header, back) = read_frame(&mut &v1[..], DEFAULT_MAX_PAYLOAD)
-            .unwrap()
-            .unwrap();
-        assert_eq!(header.version, PROTOCOL_VERSION);
-        assert_eq!((header.router_id, header.interval), (5, 9));
-        assert_eq!(back, snap);
-        // A frame already in v1 passes through unchanged.
-        assert_eq!(transcode_frame_v2_to_v1(&v1).unwrap(), v1);
     }
 
     #[test]

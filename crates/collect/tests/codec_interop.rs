@@ -1,18 +1,23 @@
-//! Cross-version interoperability matrix for the wire codecs.
+//! Legacy v1 input into v2 receivers.
 //!
-//! The v2 rollout story only works if every pairing in the fleet keeps
-//! collecting during the upgrade window: v1-pinned agents against a v2
-//! collector, v2 agents against a collector that never learned the
-//! hello, mixed fleets, and agents resumed from a checkpoint written by
-//! the other codec generation. Each test here is one cell of that
-//! matrix, over real loopback TCP.
+//! Every node sends codec v2. Receivers still decode the bare v1 frames
+//! of legacy agents (which never send a hello) and the v1-tagged backlog
+//! frames of old agent checkpoints. Each test here pins one of those
+//! paths over real loopback TCP, plus the rule that replaced the old v1
+//! fallback: an upstream that never answers the hello costs retries,
+//! never a downgrade.
 
 use hifind::report::Phase;
-use hifind::{HiFind, HiFindConfig};
-use hifind_collect::wire::{CODEC_V1, CODEC_V2};
-use hifind_collect::{AgentConfig, Collector, CollectorConfig, RouterAgent};
+use hifind::{HiFind, HiFindConfig, SketchRecorder};
+use hifind_collect::wire::{self, CODEC_V1, CODEC_V2};
+use hifind_collect::{
+    AgentCheckpoint, AgentConfig, BacklogFrame, Collector, CollectorConfig, RouterAgent,
+};
 use hifind_flow::{Ip4, Packet, Trace};
-use std::net::TcpListener;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// A compact five-interval trace: two benign intervals establish the
@@ -72,53 +77,49 @@ fn alert_identities(log: &hifind::report::AlertLog, phase: Phase) -> Vec<AlertId
     ids
 }
 
-/// An address that refuses connections: bind, read the port, drop the
-/// listener.
-fn dead_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    drop(listener);
-    addr
-}
-
-/// An agent config that fails fast against an unreachable collector.
-fn impatient(router_id: u32, codecs: Vec<u8>) -> AgentConfig {
-    let mut acfg = AgentConfig::new(router_id);
-    acfg.max_attempts = 1;
-    acfg.initial_backoff = Duration::from_millis(1);
-    acfg.io_timeout = Duration::from_millis(200);
-    acfg.codecs = codecs;
-    acfg
+/// A legacy v1 agent: one connection, no hello, one bare v1 frame per
+/// interval. `before_interval` runs ahead of each window (a fleet
+/// barrier, say).
+fn legacy_v1_sender(
+    addr: &str,
+    cfg: &HiFindConfig,
+    router_id: u32,
+    windows: &[Vec<Packet>],
+    mut before_interval: impl FnMut(),
+) {
+    let mut recorder = SketchRecorder::new(cfg).expect("config");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    for (interval, window) in windows.iter().enumerate() {
+        before_interval();
+        for p in window {
+            recorder.record(p);
+        }
+        let frame = wire::encode_frame(router_id, interval as u64, &recorder.take_snapshot())
+            .expect("frame encodes");
+        stream.write_all(&frame).expect("write frame");
+    }
+    // Half-close and wait for the collector's EOF, so no frame can be
+    // lost to a reset.
+    stream.shutdown(Shutdown::Write).expect("shutdown");
+    let _ = stream.read_to_end(&mut Vec::new());
 }
 
 /// A legacy agent that never heard of v2 ships plain v1 frames into a
-/// v2-capable collector, which must count and decode them unchanged.
+/// v2 collector, which must count and decode them unchanged.
 #[test]
 fn v1_pinned_agent_interops_with_v2_collector() {
     let cfg = HiFindConfig::small(60);
     let trace = flood_trace(&cfg);
     let handle = Collector::bind("127.0.0.1:0", cfg, CollectorConfig::new(1), None).expect("bind");
     let addr = handle.local_addr().to_string();
-    let mut acfg = AgentConfig::new(0);
-    acfg.codecs = vec![CODEC_V1];
-    let mut agent = RouterAgent::new(addr, &cfg, acfg).expect("config");
-    for window in windows_of(
-        &trace.iter().copied().collect::<Vec<_>>(),
-        cfg.interval_ms,
-        5,
-    ) {
-        for p in &window {
-            agent.record(p);
-        }
-        agent.end_interval();
-    }
-    let stats = agent.finish();
-    assert_eq!(stats.frames_shipped, 5);
-    assert_eq!(
-        stats.frames_v2_keyframes, 0,
-        "a pinned agent never speaks v2"
+    let packets: Vec<Packet> = trace.iter().copied().collect();
+    legacy_v1_sender(
+        &addr,
+        &cfg,
+        0,
+        &windows_of(&packets, cfg.interval_ms, 5),
+        || {},
     );
-    assert_eq!(stats.frames_v2_deltas, 0);
     let report = handle.wait().expect("collector threads");
     assert_eq!(report.frames_received, 5);
     assert_eq!(report.frames_codec_v1, 5);
@@ -130,50 +131,6 @@ fn v1_pinned_agent_interops_with_v2_collector() {
             .count(Phase::Final, hifind::report::AlertKind::SynFlooding)
             >= 1,
         "legacy framing must still detect the flood"
-    );
-}
-
-/// A v2 agent dialing a collector that only accepts v1 gets no answer to
-/// its hello; the accept timeout must downgrade the session to v1 and
-/// every interval must still arrive.
-#[test]
-fn v2_agent_falls_back_against_v1_only_collector() {
-    let cfg = HiFindConfig::small(61);
-    let trace = flood_trace(&cfg);
-    let mut ccfg = CollectorConfig::new(1);
-    ccfg.codecs = vec![CODEC_V1];
-    let handle = Collector::bind("127.0.0.1:0", cfg, ccfg, None).expect("bind");
-    let addr = handle.local_addr().to_string();
-    // Short io_timeout bounds the one-time hello stall (the accept wait
-    // is min(hello deadline, io_timeout)).
-    let mut acfg = AgentConfig::new(0);
-    acfg.io_timeout = Duration::from_millis(400);
-    let mut agent = RouterAgent::new(addr, &cfg, acfg).expect("config");
-    for window in windows_of(
-        &trace.iter().copied().collect::<Vec<_>>(),
-        cfg.interval_ms,
-        5,
-    ) {
-        for p in &window {
-            agent.record(p);
-        }
-        agent.end_interval();
-    }
-    let stats = agent.finish();
-    assert_eq!(stats.frames_shipped, 5, "fallback must not lose intervals");
-    assert_eq!(
-        stats.frames_v2_deltas, 0,
-        "no acks ever arrive on a v1 session"
-    );
-    let report = handle.wait().expect("collector threads");
-    assert_eq!(report.frames_received, 5);
-    assert_eq!(report.frames_codec_v1, 5, "everything downgraded to v1");
-    assert_eq!(report.frames_rejected, 0);
-    assert!(
-        report
-            .log
-            .count(Phase::Final, hifind::report::AlertKind::SynFlooding)
-            >= 1
     );
 }
 
@@ -230,7 +187,7 @@ fn v2_session_reaches_delta_steady_state() {
     );
 }
 
-/// A mixed fleet — one pinned-v1 agent, two v2 agents — against one v2
+/// A mixed fleet — one legacy v1 sender, two v2 agents — against one
 /// collector produces detection identical to a single router that saw
 /// all traffic, while the collector counts each codec separately.
 #[test]
@@ -251,20 +208,23 @@ fn mixed_codec_fleet_matches_single_router_detection() {
     for (i, p) in trace.iter().enumerate() {
         parts[i % 3].push(*p);
     }
-    let tick = std::sync::Arc::new(std::sync::Barrier::new(3));
+    let tick = Arc::new(Barrier::new(3));
     let threads: Vec<_> = parts
         .into_iter()
         .enumerate()
         .map(|(id, part)| {
             let windows = windows_of(&part, cfg.interval_ms, 5);
             let addr = addr.clone();
-            let tick = std::sync::Arc::clone(&tick);
+            let tick = Arc::clone(&tick);
             std::thread::spawn(move || {
-                let mut acfg = AgentConfig::new(id as u32);
                 if id == 0 {
-                    acfg.codecs = vec![CODEC_V1];
+                    legacy_v1_sender(&addr, &cfg, 0, &windows, || {
+                        tick.wait();
+                    });
+                    return;
                 }
-                let mut agent = RouterAgent::new(addr, &cfg, acfg).expect("config");
+                let mut agent =
+                    RouterAgent::new(addr, &cfg, AgentConfig::new(id as u32)).expect("config");
                 for window in &windows {
                     tick.wait();
                     for p in window {
@@ -272,21 +232,21 @@ fn mixed_codec_fleet_matches_single_router_detection() {
                     }
                     agent.end_interval();
                 }
-                agent.finish()
+                let stats = agent.finish();
+                assert_eq!(stats.frames_shipped, 5);
+                assert_eq!(stats.frames_dropped, 0);
             })
         })
         .collect();
     for t in threads {
-        let stats = t.join().expect("agent thread");
-        assert_eq!(stats.frames_shipped, 5);
-        assert_eq!(stats.frames_dropped, 0);
+        t.join().expect("sender thread");
     }
     let report = handle.wait().expect("collector threads");
     assert_eq!(report.frames_received, 15);
     assert_eq!(report.frames_rejected, 0);
     assert_eq!(
         report.frames_codec_v1, 5,
-        "exactly the pinned agent's share"
+        "exactly the legacy sender's share"
     );
     assert_eq!(
         report.frames_v2_keyframes + report.frames_v2_deltas,
@@ -303,18 +263,18 @@ fn mixed_codec_fleet_matches_single_router_detection() {
     assert!(!alert_identities(&single_log, Phase::Raw).is_empty());
 }
 
-/// Checkpoints written on one side of the codec upgrade must replay on
-/// the other: a v1 agent's backlog resumed by a v2-capable binary ships
-/// into a v2 session untouched, and a v2 agent's backlog resumed by a
-/// v1-pinned binary is transcoded down — no interval is lost either way.
+/// A checkpoint written by a legacy agent holds v1-tagged frames. The
+/// resumed agent ships them verbatim into its v2 session, then carries
+/// on in v2 on the same connection.
 #[test]
-fn checkpoint_resume_crosses_codec_generations_both_ways() {
+fn legacy_v1_checkpoint_backlog_ships_verbatim() {
     let cfg = HiFindConfig::small(64);
     let victim: Ip4 = [129, 105, 0, 1].into();
-    let record_three = |agent: &mut RouterAgent| {
-        for iv in 0..3u64 {
+    let mut recorder = SketchRecorder::new(&cfg).expect("config");
+    let backlog = (0..3u64)
+        .map(|iv| {
             for i in 0..25u32 {
-                agent.record(&Packet::syn(
+                recorder.record(&Packet::syn(
                     iv,
                     Ip4::new(0x0909_0900 + i),
                     4000,
@@ -322,17 +282,19 @@ fn checkpoint_resume_crosses_codec_generations_both_ways() {
                     80,
                 ));
             }
-            agent.end_interval();
-        }
+            let snapshot = recorder.take_snapshot();
+            BacklogFrame {
+                codec: CODEC_V1,
+                frame: wire::encode_frame(0, iv, &snapshot).expect("frame encodes"),
+            }
+        })
+        .collect();
+    let ckpt = AgentCheckpoint {
+        fingerprint: cfg.fingerprint(),
+        router_id: 0,
+        interval: 3,
+        backlog,
     };
-
-    // Upgrade: backlog written by a v1-pinned agent, resumed v2-capable.
-    let mut old =
-        RouterAgent::new(dead_addr(), &cfg, impatient(0, vec![CODEC_V1])).expect("config");
-    record_three(&mut old);
-    assert_eq!(old.backlog_len(), 3, "nothing shipped to a dead collector");
-    let ckpt = old.checkpoint();
-    assert!(ckpt.backlog.iter().all(|f| f.codec == CODEC_V1));
     let handle = Collector::bind("127.0.0.1:0", cfg, CollectorConfig::new(1), None).expect("bind");
     let mut resumed = RouterAgent::resume(
         handle.local_addr().to_string(),
@@ -342,36 +304,80 @@ fn checkpoint_resume_crosses_codec_generations_both_ways() {
     )
     .expect("resume");
     resumed.flush();
+    resumed.end_interval();
     let stats = resumed.finish();
-    assert_eq!(stats.frames_shipped, 3);
-    assert_eq!(stats.frames_transcoded, 0, "v1 frames ship verbatim");
+    assert_eq!(stats.frames_shipped, 4);
+    assert_eq!(
+        stats.frames_v2_keyframes, 1,
+        "only the fresh interval is v2"
+    );
     let report = handle.wait().expect("collector threads");
-    assert_eq!(report.frames_received, 3, "{report:?}");
-    assert_eq!(report.frames_codec_v1, 3);
+    assert_eq!(report.frames_received, 4, "{report:?}");
+    assert_eq!(report.frames_codec_v1, 3, "the backlog ships verbatim");
+    assert_eq!(report.frames_v2_keyframes, 1);
     assert_eq!(report.frames_rejected, 0);
+}
 
-    // Downgrade: backlog written by a v2 agent, resumed v1-pinned against
-    // a v1-only collector — every frame must be transcoded, not dropped.
-    let mut newer = RouterAgent::new(dead_addr(), &cfg, impatient(1, vec![CODEC_V2, CODEC_V1]))
-        .expect("config");
-    record_three(&mut newer);
-    assert_eq!(newer.backlog_len(), 3);
-    let ckpt = newer.checkpoint();
-    assert!(ckpt.backlog.iter().all(|f| f.codec == CODEC_V2));
-    let mut ccfg = CollectorConfig::new(1);
-    ccfg.codecs = vec![CODEC_V1];
-    let handle = Collector::bind("127.0.0.1:0", cfg, ccfg, None).expect("bind");
-    let mut acfg = AgentConfig::new(1);
-    acfg.codecs = vec![CODEC_V1];
-    let mut resumed =
-        RouterAgent::resume(handle.local_addr().to_string(), &cfg, acfg, &ckpt).expect("resume");
-    resumed.flush();
-    let stats = resumed.finish();
-    assert_eq!(stats.frames_shipped, 3);
-    assert_eq!(stats.frames_transcoded, 3, "v2 backlog rewritten as v1");
-    assert_eq!(stats.frames_dropped, 0);
-    let report = handle.wait().expect("collector threads");
-    assert_eq!(report.frames_received, 3);
-    assert_eq!(report.frames_codec_v1, 3);
-    assert_eq!(report.frames_rejected, 0);
+/// An upstream that takes the hello and never answers costs failed,
+/// backed-off connect attempts with the backlog kept. It never causes a
+/// downgrade: no connection carries anything but the hello.
+#[test]
+fn unanswered_hello_is_a_failed_attempt_not_a_downgrade() {
+    let cfg = HiFindConfig::small(65);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    listener.set_nonblocking(true).expect("nonblocking");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let mute = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut connections = Vec::new();
+            loop {
+                match listener.accept() {
+                    Ok((mut stream, _)) => {
+                        stream.set_nonblocking(false).expect("blocking");
+                        stream
+                            .set_read_timeout(Some(Duration::from_secs(10)))
+                            .expect("timeout");
+                        let mut bytes = Vec::new();
+                        let _ = stream.read_to_end(&mut bytes);
+                        connections.push(bytes);
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        if stop.load(Ordering::SeqCst) {
+                            return connections;
+                        }
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    Err(e) => panic!("accept failed: {e}"),
+                }
+            }
+        })
+    };
+    let mut acfg = AgentConfig::new(0);
+    acfg.max_attempts = 2;
+    acfg.initial_backoff = Duration::from_millis(10);
+    acfg.io_timeout = Duration::from_millis(300);
+    let mut agent = RouterAgent::new(addr, &cfg, acfg).expect("config");
+    agent.record(&Packet::syn(
+        0,
+        [9, 9, 9, 1].into(),
+        4000,
+        [129, 105, 0, 1].into(),
+        80,
+    ));
+    let report = agent.end_interval();
+    assert_eq!(report.shipped, 0);
+    assert!(agent.stats().send_failures >= 1, "{:?}", agent.stats());
+    assert_eq!(agent.backlog_len(), 1, "the interval waits for a real peer");
+    drop(agent);
+    stop.store(true, Ordering::SeqCst);
+    let connections = mute.join().expect("listener thread");
+    assert!(!connections.is_empty());
+    for bytes in &connections {
+        assert_eq!(bytes.len(), 13, "one hello and nothing else: {bytes:02x?}");
+        assert_eq!(&bytes[..4], b"HFSH");
+        assert_eq!(wire::parse_hello(bytes).expect("hello"), vec![CODEC_V2]);
+        assert!(!bytes.windows(4).any(|w| w == wire::MAGIC));
+    }
 }
