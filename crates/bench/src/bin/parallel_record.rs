@@ -2,9 +2,9 @@
 //! to `results/BENCH_parallel_record.json`.
 //!
 //! For every kernel this CPU can run (scalar always, AVX2 when CPUID says
-//! so) the bench measures the serial [`SketchRecorder`] — batched
-//! `record_all` path and the old per-packet protocol — against
-//! [`ParallelRecorder`] at 1, 2, 4 and 8 workers on the same synthetic
+//! so) the bench measures the serial [`SketchRecorder`] (`record_all`, the
+//! one batched record path) against [`ParallelRecorder`] at 1, 2, 4 and 8
+//! workers on the same synthetic
 //! SYN/SYN-ACK mix (best-of interleaved passes, each including the
 //! interval-close drain/merge). Interval closes are taken through
 //! [`ParallelRecorder::end_interval_with_stats`], so each row carries the
@@ -80,9 +80,6 @@ struct KernelReport {
     /// Batched record loop alone (no interval close) — the headline
     /// record-path number.
     serial_record_only_pps: f64,
-    /// Per-packet `record()` loop alone — the PR 4 measurement protocol,
-    /// kept for like-for-like comparison with the old baseline.
-    serial_per_packet_pps: f64,
     /// `serial_record_only_pps / baseline_pr4_serial_record_only_pps`.
     speedup_vs_pr4: f64,
     parallel: Vec<ParallelPoint>,
@@ -128,18 +125,6 @@ fn serial_pass(rec: &mut SketchRecorder, pkts: &[Packet]) -> (f64, f64) {
         pkts.len() as f64 / (end - start).as_secs_f64(),
         pkts.len() as f64 / (record_done - start).as_secs_f64(),
     )
-}
-
-/// Record-only throughput of the per-packet `record()` loop — the PR 4
-/// measurement protocol (snapshot taken afterwards, untimed, to reset).
-fn serial_per_packet_pass(rec: &mut SketchRecorder, pkts: &[Packet]) -> f64 {
-    let start = Instant::now();
-    for p in pkts {
-        rec.record(std::hint::black_box(p));
-    }
-    let pps = pkts.len() as f64 / start.elapsed().as_secs_f64();
-    let _ = rec.take_snapshot();
-    pps
 }
 
 /// One timed parallel pass; returns (pps, merge breakdown of the close).
@@ -207,7 +192,6 @@ fn bench_kernel(
 
     let mut serial_pps = 0.0f64;
     let mut serial_record_only_pps = 0.0f64;
-    let mut serial_per_packet_pps = 0.0f64;
     struct Best {
         pps: f64,
         stats: hifind::parallel::MergeStats,
@@ -225,8 +209,6 @@ fn bench_kernel(
         let (with_close, record_only) = serial_pass(&mut serial, pkts);
         serial_pps = serial_pps.max(with_close);
         serial_record_only_pps = serial_record_only_pps.max(record_only);
-        serial_per_packet_pps =
-            serial_per_packet_pps.max(serial_per_packet_pass(&mut serial, pkts));
         for (i, rec) in sharded.iter_mut().enumerate() {
             let (pps, stats, merge_ms) = parallel_pass(rec, pkts);
             if pps > best[i].pps {
@@ -244,12 +226,11 @@ fn bench_kernel(
 
     println!(
         "serial:      {:>7.2}M packets/s with interval close; batched record \
-         loop alone {:.2}M ({:.2}x PR 4 scalar {:.2}M; per-packet loop {:.2}M)",
+         loop alone {:.2}M ({:.2}x the pre-SIMD scalar baseline {:.2}M)",
         serial_pps / 1e6,
         serial_record_only_pps / 1e6,
         serial_record_only_pps / PR4_SERIAL_RECORD_ONLY_PPS,
         PR4_SERIAL_RECORD_ONLY_PPS / 1e6,
-        serial_per_packet_pps / 1e6,
     );
     let parallel: Vec<ParallelPoint> = WORKER_COUNTS
         .iter()
@@ -288,7 +269,6 @@ fn bench_kernel(
         kernel: name.to_string(),
         serial_pps,
         serial_record_only_pps,
-        serial_per_packet_pps,
         speedup_vs_pr4: serial_record_only_pps / PR4_SERIAL_RECORD_ONLY_PPS,
         parallel,
     })

@@ -1,10 +1,11 @@
 //! Telemetry record-path overhead: instrumented vs. uninstrumented
 //! recording throughput, written to `results/BENCH_telemetry_overhead.json`.
 //!
-//! The `telemetry` feature adds a branch and a 1-in-64 sampled latency
-//! observation to [`hifind::HiFind::record`]; the budget is < 5% of
-//! recording throughput (enforced by a test in `src/overhead.rs`). This
-//! binary records the measured numbers so regressions show up as a diff.
+//! The `telemetry` feature adds a branch and one amortized latency
+//! observation per 256 packets to [`hifind::HiFind::record`]; the budget
+//! is < 5% of recording throughput (enforced by a test in
+//! `src/overhead.rs`). This binary records the measured numbers so
+//! regressions show up as a diff.
 //!
 //! The whole measurement runs with the idle operator plane alive — an
 //! embedded HTTP server nobody scrapes, an open structured event log,

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p hifind-bench --bin throughput`
 
-use hifind::{HiFind, HiFindConfig, SketchRecorder};
+use hifind::{HiFind, HiFindConfig, RunReport, SketchRecorder};
 use hifind_bench::harness::{scale, section, seed, write_json};
 use hifind_flow::rng::SplitMix64;
 use hifind_sketch::{ReversibleSketch, RsConfig};
@@ -82,7 +82,9 @@ fn main() {
     // RunReport times each pipeline phase internally, so the harness reads
     // the numbers off the report instead of stopwatching end_interval().
     let mut ids = HiFind::new(cfg).expect("paper config");
-    let (_, report) = ids.run_trace_with_report(&trace);
+    let mut report = RunReport::new();
+    ids.run_trace_with(&trace, 0, Some(&mut report))
+        .expect("in-thread recording cannot fail");
     let total = &report.phase_latency.total;
     let avg = total.mean_ns() as f64 / 1e9;
     let max = total.max_ns as f64 / 1e9;
@@ -107,7 +109,9 @@ fn main() {
     // concurrent anomalies.
     let compressed = Scenario::time_compressed(&trace, 10);
     let mut ids = HiFind::new(cfg).expect("paper config");
-    let (_, creport) = ids.run_trace_with_report(&compressed);
+    let mut creport = RunReport::new();
+    ids.run_trace_with(&compressed, 0, Some(&mut creport))
+        .expect("in-thread recording cannot fail");
     let cavg = creport.phase_latency.total.mean_ns() as f64 / 1e9;
     let cmax = creport.phase_latency.total.max_ns as f64 / 1e9;
     println!("stress (trace time-compressed ×10): avg {cavg:.3} s, max {cmax:.3} s per interval");

@@ -317,7 +317,7 @@ impl HiFind {
         })
     }
 
-    /// Publishes live metrics (packet counts, sampled record latency,
+    /// Publishes live metrics (packet counts, amortized record latency,
     /// phase latencies, alert counters, sketch-health gauges) into
     /// `registry` from now on.
     ///
@@ -350,28 +350,35 @@ impl HiFind {
     /// Records one packet (the per-packet hot path).
     #[inline]
     pub fn record(&mut self, packet: &hifind_flow::Packet) {
-        #[cfg(feature = "telemetry")]
-        if let Some(t) = &mut self.telemetry {
-            t.record_packet(&mut self.recorder, packet);
-            return;
-        }
-        self.recorder.record(packet);
+        self.record_into(None, packet);
     }
 
-    /// Records a slice of packets through the batched SIMD path
-    /// ([`SketchRecorder::record_all`]), bit-identical to per-packet
-    /// [`HiFind::record`]. With live telemetry attached it falls back to
-    /// the instrumented per-packet path, since that path is what meters
-    /// packets into the registry.
+    /// Records a slice of packets, one [`HiFind::record`] each.
     pub fn record_all(&mut self, packets: &[hifind_flow::Packet]) {
-        #[cfg(feature = "telemetry")]
-        if self.telemetry.is_some() {
-            for p in packets {
-                self.record(p);
-            }
-            return;
+        for p in packets {
+            self.record(p);
         }
-        self.recorder.record_all(packets);
+    }
+
+    /// The one record path: every packet the pipeline records passes
+    /// here, into its own recorder or into `sharded`, so attached
+    /// telemetry meters every route alike.
+    #[inline]
+    fn record_into(
+        &mut self,
+        sharded: Option<&mut ParallelRecorder>,
+        packet: &hifind_flow::Packet,
+    ) {
+        let recorder = &mut self.recorder;
+        let record = move || match sharded {
+            Some(plane) => plane.record(packet),
+            None => recorder.record(packet),
+        };
+        #[cfg(feature = "telemetry")]
+        if let Some(t) = &mut self.telemetry {
+            return t.record_packet(record);
+        }
+        record();
     }
 
     /// Ends the current interval: snapshots the sketches and runs the
@@ -385,13 +392,19 @@ impl HiFind {
     /// [`crate::RunReport::record_interval`]).
     pub fn end_interval_with_snapshot(&mut self) -> (IntervalOutcome, IntervalSnapshot) {
         let snapshot = self.recorder.take_snapshot();
-        let outcome = self.core.process_snapshot(&snapshot);
+        (self.detect(&snapshot), snapshot)
+    }
+
+    /// Runs detection on one interval's snapshot and publishes the
+    /// outcome to attached telemetry.
+    fn detect(&mut self, snapshot: &IntervalSnapshot) -> IntervalOutcome {
+        let outcome = self.core.process_snapshot(snapshot);
         #[cfg(feature = "telemetry")]
         if let Some(t) = &mut self.telemetry {
             let threshold = self.core.config().interval_threshold();
-            t.publish_interval(&outcome, &snapshot, threshold);
+            t.publish_interval(&outcome, snapshot, threshold);
         }
-        (outcome, snapshot)
+        outcome
     }
 
     /// Records a packet in *streaming mode*: interval boundaries are
@@ -417,7 +430,7 @@ impl HiFind {
             }
             Some(_) => {}
         }
-        self.recorder.record(packet);
+        self.record(packet);
         outcomes
     }
 
@@ -426,105 +439,74 @@ impl HiFind {
         self.stream_window_start.take().map(|_| self.end_interval())
     }
 
-    /// Convenience: replays a whole trace with the configured interval
-    /// width and returns the final alert log.
+    /// Replays a whole trace with the configured interval width on this
+    /// thread and returns the final alert log:
+    /// [`HiFind::run_trace_with`] with no workers and no report.
     pub fn run_trace(&mut self, trace: &Trace) -> AlertLog {
-        let interval_ms = self.core.config().interval_ms;
-        for window in trace.intervals(interval_ms) {
-            self.record_all(window.packets);
-            self.end_interval();
-        }
+        // With no workers there is no shard to lose: this cannot fail.
+        let _ = self.run_trace_with(trace, 0, None);
         self.core.log().clone()
     }
 
-    /// Like [`HiFind::run_trace`], but records each interval through a
-    /// sharded [`ParallelRecorder`] with `n_workers` worker threads.
+    /// Replays a whole trace with the configured interval width and
+    /// returns the final alert log, adding one record per interval to
+    /// `report` (phase latencies, alert counts by phase, sketch health —
+    /// what `hifind detect --metrics-json` writes) when one is given.
     ///
-    /// Sketch linearity makes the merged shard snapshots bit-identical to
-    /// the serial recorder's, so the returned [`AlertLog`] matches
-    /// [`HiFind::run_trace`] exactly; see `docs/PARALLEL_RECORD.md`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParallelError`] if the recorder cannot be built or a
-    /// worker thread dies mid-run; the detection core keeps whatever
-    /// intervals completed before the failure.
-    pub fn run_trace_parallel(
-        &mut self,
-        trace: &Trace,
-        n_workers: usize,
-    ) -> Result<AlertLog, ParallelError> {
-        self.run_trace_parallel_inner(trace, n_workers, None)
-            .map(|()| self.core.log().clone())
-    }
-
-    /// Like [`HiFind::run_trace_with_report`], on the parallel record
-    /// plane. See [`HiFind::run_trace_parallel`].
+    /// `workers == 0` records on this thread through the pipeline's own
+    /// recorder, as [`HiFind::record`] does. `workers > 0` records every
+    /// interval through a sharded [`ParallelRecorder`] with that many
+    /// worker threads, built fresh for this call and joined before it
+    /// returns: it starts from empty sketches and an empty active-service
+    /// filter, and the pipeline's own recorder is neither read nor
+    /// written. Sketch linearity makes the merged shard snapshots
+    /// bit-identical to the serial recorder's, so on a fresh pipeline both
+    /// settings return the same [`AlertLog`]; see `docs/PARALLEL_RECORD.md`.
     ///
     /// # Errors
     ///
-    /// Returns [`ParallelError`] on recorder build or worker failure.
-    pub fn run_trace_parallel_with_report(
+    /// Returns [`ParallelError`] if the sharded recorder cannot be built
+    /// or a worker thread dies mid-run; the detection core keeps whatever
+    /// intervals completed before the failure. `workers == 0` never fails.
+    pub fn run_trace_with(
         &mut self,
         trace: &Trace,
-        n_workers: usize,
-    ) -> Result<(AlertLog, crate::RunReport), ParallelError> {
-        let mut report = crate::RunReport::new();
-        report.sketch_memory_bytes = self.recorder.memory_bytes();
-        self.run_trace_parallel_inner(trace, n_workers, Some(&mut report))?;
-        Ok((self.core.log().clone(), report))
-    }
-
-    /// Shared driver for the parallel trace runners: shards every interval
-    /// across the workers, merges, and feeds the detection core.
-    fn run_trace_parallel_inner(
-        &mut self,
-        trace: &Trace,
-        n_workers: usize,
+        workers: usize,
         mut report: Option<&mut crate::RunReport>,
-    ) -> Result<(), ParallelError> {
+    ) -> Result<AlertLog, ParallelError> {
         let interval_ms = self.core.config().interval_ms;
         let threshold = self.core.config().interval_threshold();
-        let mut recorder = ParallelRecorder::new(self.core.config(), n_workers)?;
+        if let Some(r) = report.as_deref_mut() {
+            r.sketch_memory_bytes = self.recorder.memory_bytes();
+        }
+        let mut sharded = match workers {
+            0 => None,
+            n => Some(ParallelRecorder::new(self.core.config(), n)?),
+        };
         #[cfg(feature = "telemetry")]
-        if let Some(t) = &self.telemetry {
+        if let (Some(plane), Some(t)) = (&mut sharded, &self.telemetry) {
             // Shard/merge gauges live in the same registry as the pipeline
-            // metrics; a name clash leaves the recorder uninstrumented but
+            // metrics; a name clash leaves the plane uninstrumented but
             // fully functional.
-            let _ = recorder.attach_telemetry(t.registry());
+            let _ = plane.attach_telemetry(t.registry());
         }
         for window in trace.intervals(interval_ms) {
             for p in window.packets {
-                recorder.record(p);
+                self.record_into(sharded.as_mut(), p);
             }
-            let snapshot = recorder.end_interval()?;
-            let outcome = self.core.process_snapshot(&snapshot);
+            let snapshot = match &mut sharded {
+                Some(plane) => plane.end_interval()?,
+                None => self.recorder.take_snapshot(),
+            };
+            let outcome = self.detect(&snapshot);
             if let Some(r) = report.as_deref_mut() {
                 r.record_interval(&outcome, &snapshot, threshold);
             }
-            #[cfg(feature = "telemetry")]
-            if let Some(t) = &mut self.telemetry {
-                t.publish_interval(&outcome, &snapshot, threshold);
-            }
         }
-        recorder.finish()
-    }
-
-    /// Like [`HiFind::run_trace`], but also builds the machine-readable
-    /// [`crate::RunReport`] (per-interval phase latencies, alert counts by
-    /// phase, sketch health) that `hifind detect --metrics-json` and the
-    /// bench harness both consume.
-    pub fn run_trace_with_report(&mut self, trace: &Trace) -> (AlertLog, crate::RunReport) {
-        let interval_ms = self.core.config().interval_ms;
-        let threshold = self.core.config().interval_threshold();
-        let mut report = crate::RunReport::new();
-        report.sketch_memory_bytes = self.recorder.memory_bytes();
-        for window in trace.intervals(interval_ms) {
-            self.record_all(window.packets);
-            let (outcome, snapshot) = self.end_interval_with_snapshot();
-            report.record_interval(&outcome, &snapshot, threshold);
+        if let Some(plane) = sharded {
+            plane.finish()?;
         }
-        (self.core.log().clone(), report)
+        Ok(self.core.log().clone())
     }
 
     /// The deduplicated alert log.

@@ -9,12 +9,13 @@
 //! into one pass: pack the `{SIP,Dport}`, `{DIP,Dport}` and `{SIP,DIP}`
 //! keys once, compute each key's seed-independent
 //! [`PairwiseHasher::premix`] once (plus the two 2D y-keys), and feed
-//! every sketch's `update_premixed` entry point from the plan.
+//! every sketch's batched entry point (`update_batch` /
+//! `update_batch_premixed`) from a [`PlanBatch`] of plans.
 //!
 //! What the plan deliberately does *not* share: mangled words (each
-//! reversible sketch manglees with its own secret seed, so the mangled key
+//! reversible sketch mangles with its own secret seed, so the mangled key
 //! is private per sketch — its byte decomposition is hoisted inside
-//! `ReversibleSketch::update_premixed` instead) and the active-service
+//! `ReversibleSketch::update_batch` instead) and the active-service
 //! Bloom digests (structurally different multiply-rotate hashing on a
 //! cold branch). Counter *memory* accesses are unchanged — the plan cuts
 //! redundant ALU hash work, not the paper's per-packet access budget.
@@ -100,16 +101,16 @@ impl HashPlan {
 ///
 /// The per-packet [`HashPlan`] keeps hash work single-pass; the batch goes
 /// one step further and lays each shared digest out as its own contiguous
-/// column, so [`crate::SketchRecorder::record_batch`] can hand every sketch
-/// a `&[u64]` premix slice and let the dispatched
+/// column, so the [`crate::SketchRecorder`] can hand every sketch a `&[u64]`
+/// premix slice and let the dispatched
 /// [`hifind_sketch::SketchKernel`] finish bucket indices four packets at a
 /// time. SYN-only columns (the OS sketch input) and SYN/ACK-only columns
 /// (the active-service Bloom keys) are split out at push time, so the batch
 /// consumers never re-branch on `is_syn`.
 ///
 /// Column order within the batch is packet arrival order, which keeps the
-/// batched path bit-identical to per-packet recording: each sketch sees the
-/// same update sequence it would have seen packet-by-packet.
+/// batched scatter bit-identical to per-key `update` calls: each sketch
+/// sees the same update sequence it would have seen packet-by-packet.
 #[derive(Clone, Debug, Default)]
 pub struct PlanBatch {
     /// `#SYN − #SYN/ACK` per packet (every value sketch's delta).

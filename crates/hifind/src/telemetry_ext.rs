@@ -1,29 +1,28 @@
 //! Live telemetry bridge (enabled by the `telemetry` feature).
 //!
 //! Publishes pipeline activity into a [`hifind_telemetry::Registry`]:
-//! sampled hot-path record timings, per-phase latency histograms, alert
+//! amortized hot-path record timings, per-phase latency histograms, alert
 //! counters by phase, and sketch-health gauges. Attach one to a pipeline
 //! with [`crate::HiFind::attach_telemetry`]; snapshot the registry for
 //! JSON or Prometheus output.
 //!
-//! The hot path is protected two ways: packet counts accumulate in a plain
-//! local integer and flush to the shared atomic counter once per sample
-//! window (and at interval end), and record timing is *sampled* — only one
-//! packet in [`RECORD_SAMPLE_MASK`]` + 1` pays for two `Instant::now`
-//! calls. Both keep the `telemetry`-enabled recorder within the <5%
-//! overhead budget the bench suite asserts.
+//! The hot path pays one predictable branch per packet. Packets are counted
+//! in windows of `RECORD_BATCH` (256) offered packets: a plain local
+//! integer flushes to the shared atomic counter once per window (and at
+//! interval end), and each full window observes one *amortized* record
+//! latency — window wall time ÷ packets, one `Instant::now` per window. A
+//! single packet cannot be timed honestly on the buffered record path: it
+//! costs either a push into the pending batch or a whole batch scatter.
+//! Both keep the `telemetry`-enabled recorder within the <5% overhead
+//! budget the bench suite asserts.
 
 use crate::pipeline::IntervalOutcome;
-use crate::recorder::{IntervalSnapshot, SketchRecorder};
+use crate::recorder::{IntervalSnapshot, RECORD_BATCH};
 use crate::run_report::snapshot_health;
-use hifind_flow::Packet;
 use hifind_sketch::health::register_health_gauges;
 use hifind_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Registry, TelemetryError};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Sample one in `MASK + 1` packets for record-path timing.
-pub const RECORD_SAMPLE_MASK: u64 = 63;
 
 /// Handles into a registry for every pipeline metric.
 ///
@@ -44,8 +43,10 @@ pub struct PipelineTelemetry {
     alerts_classified_total: Arc<Counter>,
     alerts_final_total: Arc<Counter>,
     syn_count_gauge: Arc<Gauge>,
-    seq: u64,
-    // Packets counted locally but not yet flushed to `packets_total`.
+    // Start of the current timing window; `None` until the first packet
+    // after attaching or after an interval close.
+    window_start: Option<Instant>,
+    // Packets offered in the current window, not yet in `packets_total`.
     pending_packets: u64,
     // Failed best-effort metric publications (name/kind clashes with
     // metrics someone else put in the shared registry). Monitoring must
@@ -79,7 +80,8 @@ impl PipelineTelemetry {
                 .counter("hifind_packets_total", "Packets offered to the recorder")?,
             record_seconds: h(
                 "hifind_record_seconds",
-                "Sampled per-packet record latency (1/64 packets)",
+                "Per-packet record latency, amortized over each window of 256 \
+                 offered packets (window wall time / packets)",
                 &record_buckets,
             )?,
             forecast_seconds: h(
@@ -117,7 +119,7 @@ impl PipelineTelemetry {
             syn_count_gauge: registry
                 .gauge("hifind_interval_syns", "SYNs recorded in the last interval")?,
             registry,
-            seq: 0,
+            window_start: None,
             pending_packets: 0,
             publish_errors: 0,
         })
@@ -128,22 +130,30 @@ impl PipelineTelemetry {
         &self.registry
     }
 
-    /// Records one packet through `recorder`, counting it and sampling the
-    /// record latency.
+    /// Meters one offered packet around `record`, the call that records
+    /// it: counts it and, once per window of `RECORD_BATCH` packets,
+    /// observes the window's amortized per-packet latency.
     #[inline]
-    pub fn record_packet(&mut self, recorder: &mut SketchRecorder, packet: &Packet) {
-        self.seq = self.seq.wrapping_add(1);
-        self.pending_packets += 1;
-        if self.seq & RECORD_SAMPLE_MASK == 0 {
-            // Cold branch: flush the batched count and time this packet.
-            self.packets_total
-                .add(std::mem::take(&mut self.pending_packets));
-            let start = Instant::now();
-            recorder.record(packet);
-            self.record_seconds.observe_duration(start.elapsed());
-        } else {
-            recorder.record(packet);
+    pub fn record_packet(&mut self, record: impl FnOnce()) {
+        if self.window_start.is_none() {
+            self.window_start = Some(Instant::now());
         }
+        record();
+        self.pending_packets += 1;
+        if self.pending_packets >= RECORD_BATCH as u64 {
+            self.close_window();
+        }
+    }
+
+    #[cold]
+    fn close_window(&mut self) {
+        let now = Instant::now();
+        if let Some(start) = self.window_start.replace(now) {
+            let per_packet = (now - start).as_secs_f64() / self.pending_packets as f64;
+            self.record_seconds.observe(per_packet);
+        }
+        self.packets_total
+            .add(std::mem::take(&mut self.pending_packets));
     }
 
     /// Publishes one finished interval: phase latencies, alert counters,
@@ -154,8 +164,11 @@ impl PipelineTelemetry {
         snapshot: &IntervalSnapshot,
         saturation_threshold: i64,
     ) {
+        // The partial window is counted but not timed: its clock ran
+        // through the interval close as well.
         self.packets_total
             .add(std::mem::take(&mut self.pending_packets));
+        self.window_start = None;
         let ns = &outcome.phase_ns;
         self.forecast_seconds.observe(ns.forecast as f64 / 1e9);
         self.detect_seconds.observe(ns.detect as f64 / 1e9);
@@ -197,8 +210,10 @@ mod tests {
         let mut ids = HiFind::new(HiFindConfig::small(3)).unwrap();
         ids.attach_telemetry(registry.clone()).unwrap();
         let victim: Ip4 = [129, 105, 0, 1].into();
+        // Two full timing windows and a partial one per interval.
+        let per_interval = 2 * RECORD_BATCH as u32 + 88;
         for iv in 0..3u64 {
-            for i in 0..200u32 {
+            for i in 0..per_interval {
                 ids.record(&Packet::syn(
                     iv,
                     Ip4::new(0x5000_0000 + i),
@@ -217,17 +232,16 @@ mod tests {
         };
         assert_eq!(
             get("hifind_packets_total"),
-            MetricValue::Counter { value: 600 }
+            MetricValue::Counter { value: 1800 }
         );
         assert_eq!(
             get("hifind_intervals_total"),
             MetricValue::Counter { value: 3 }
         );
         match get("hifind_record_seconds") {
-            MetricValue::Histogram(h) => {
-                // 600 packets sampled 1-in-64.
-                assert!(h.count >= 600 / 64, "sampled {} record timings", h.count)
-            }
+            // One amortized value per full window; partial windows at an
+            // interval close are counted but not timed.
+            MetricValue::Histogram(h) => assert_eq!(h.count, 6),
             other => panic!("expected histogram, got {other:?}"),
         }
         match get("hifind_interval_seconds") {
@@ -245,7 +259,44 @@ mod tests {
         }
         // And the whole thing renders to Prometheus text.
         let text = snap.to_prometheus_text();
-        assert!(text.contains("hifind_packets_total 600"));
+        assert!(text.contains("hifind_packets_total 1800"));
         assert!(text.contains("hifind_record_seconds_bucket"));
+    }
+
+    #[test]
+    fn streaming_and_sharded_routes_are_metered() {
+        // Every route into the record plane passes the one metered record
+        // path: streaming mode and the sharded trace runner alike.
+        let config = HiFindConfig::small(3);
+        let mut trace = hifind_flow::Trace::new();
+        for i in 0..1500u32 {
+            let ts = u64::from(i) * 3 * config.interval_ms / 1500;
+            let c = Ip4::new(0x5000_0000 + i);
+            trace.push(Packet::syn(ts, c, 2000, [129, 105, 0, 1].into(), 80));
+        }
+        let n = trace.len() as u64;
+        let packets_total =
+            |registry: &Registry| registry.snapshot().get("hifind_packets_total").cloned();
+
+        let streamed = Registry::new();
+        let mut ids = HiFind::new(config).unwrap();
+        ids.attach_telemetry(streamed.clone()).unwrap();
+        for p in trace.iter() {
+            ids.record_streaming(p);
+        }
+        ids.finish_stream();
+        assert_eq!(
+            packets_total(&streamed),
+            Some(MetricValue::Counter { value: n })
+        );
+
+        let sharded = Registry::new();
+        let mut ids = HiFind::new(config).unwrap();
+        ids.attach_telemetry(sharded.clone()).unwrap();
+        ids.run_trace_with(&trace, 2, None).unwrap();
+        assert_eq!(
+            packets_total(&sharded),
+            Some(MetricValue::Counter { value: n })
+        );
     }
 }

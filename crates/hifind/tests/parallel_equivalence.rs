@@ -1,5 +1,5 @@
 //! Property-based equivalence between the serial and sharded record
-//! planes: for arbitrary traces and worker counts, `run_trace_parallel`
+//! planes: for arbitrary traces and worker counts, `run_trace_with(n)`
 //! must produce byte-identical interval snapshots and the same alert log
 //! as `run_trace` — sketch linearity promises it, these tests hold it to
 //! that promise.
@@ -67,7 +67,7 @@ fn assert_logs_equal(serial: &hifind::AlertLog, parallel: &hifind::AlertLog) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `run_trace_parallel(n)` yields the same alert log as `run_trace`
+    /// `run_trace_with(n)` yields the same alert log as `run_trace`
     /// for arbitrary traces and every interesting worker count (including
     /// a count that does not divide the batch flow evenly).
     #[test]
@@ -81,7 +81,7 @@ proptest! {
         let mut serial = HiFind::new(cfg).unwrap();
         let serial_log = serial.run_trace(&trace);
         let mut parallel = HiFind::new(cfg).unwrap();
-        let parallel_log = parallel.run_trace_parallel(&trace, workers).unwrap();
+        let parallel_log = parallel.run_trace_with(&trace, workers, None).unwrap();
         assert_logs_equal(&serial_log, &parallel_log);
         prop_assert_eq!(
             serial.intervals_processed(),
@@ -120,7 +120,7 @@ fn empty_trace_matches_serial() {
         let mut serial = HiFind::new(cfg).unwrap();
         let serial_log = serial.run_trace(&trace);
         let mut parallel = HiFind::new(cfg).unwrap();
-        let parallel_log = parallel.run_trace_parallel(&trace, workers).unwrap();
+        let parallel_log = parallel.run_trace_with(&trace, workers, None).unwrap();
         assert_logs_equal(&serial_log, &parallel_log);
     }
 }
@@ -140,7 +140,7 @@ fn one_packet_trace_matches_serial() {
         let mut serial = HiFind::new(cfg).unwrap();
         let serial_log = serial.run_trace(&trace);
         let mut parallel = HiFind::new(cfg).unwrap();
-        let parallel_log = parallel.run_trace_parallel(&trace, workers).unwrap();
+        let parallel_log = parallel.run_trace_with(&trace, workers, None).unwrap();
         assert_logs_equal(&serial_log, &parallel_log);
         assert_eq!(serial.intervals_processed(), parallel.intervals_processed());
     }

@@ -279,25 +279,10 @@ fn detect(args: &Args) -> Result<(), String> {
     let mut ids = HiFind::new(cfg).map_err(|e| e.to_string())?;
 
     // Telemetry is collected whenever someone will consume it.
-    let want_report = metrics_json.is_some() || args.has("stats");
-    let (log, report) = match (workers, want_report) {
-        (0, false) => (ids.run_trace(&trace), None),
-        (0, true) => {
-            let (log, r) = ids.run_trace_with_report(&trace);
-            (log, Some(r))
-        }
-        (w, false) => (
-            ids.run_trace_parallel(&trace, w)
-                .map_err(|e| e.to_string())?,
-            None,
-        ),
-        (w, true) => {
-            let (log, r) = ids
-                .run_trace_parallel_with_report(&trace, w)
-                .map_err(|e| e.to_string())?;
-            (log, Some(r))
-        }
-    };
+    let mut report = (metrics_json.is_some() || args.has("stats")).then(hifind::RunReport::new);
+    let log = ids
+        .run_trace_with(&trace, workers, report.as_mut())
+        .map_err(|e| e.to_string())?;
 
     if args.has("phases") {
         println!("{:<18}{:>6}{:>10}{:>8}", "type", "raw", "after-2D", "final");
