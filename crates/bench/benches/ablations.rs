@@ -1,5 +1,9 @@
-//! Performance ablations over design choices (DESIGN.md §8): modular vs
-//! plain hashing, mangling on/off, stage count, and combine cost.
+//! What do the design choices of DESIGN.md §8 cost on the hot path —
+//! modular vs. plain hashing, mangling on/off, and the stage count? The
+//! end-to-end benchmark runs only the chosen design, so only these
+//! ablations answer it.
+//!
+//! COMBINE cost is the benchmark's `sketch.combine_ms` row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hifind_flow::rng::SplitMix64;
@@ -82,32 +86,5 @@ fn bench_stage_count(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_combine(c: &mut Criterion) {
-    // Per-interval COMBINE cost at the aggregation site (3 routers).
-    let mut group = c.benchmark_group("combine");
-    let sketches: Vec<ReversibleSketch> = (0..3)
-        .map(|i| {
-            let mut rs = ReversibleSketch::new(RsConfig::paper_48bit(7)).unwrap();
-            let mut rng = SplitMix64::new(8 + i);
-            for _ in 0..50_000 {
-                rs.update(rng.next_u64() & ((1 << 48) - 1), 1);
-            }
-            rs
-        })
-        .collect();
-    group.bench_function("three_routers_48bit", |b| {
-        b.iter(|| {
-            let terms: Vec<(f64, &ReversibleSketch)> = sketches.iter().map(|s| (1.0, s)).collect();
-            black_box(ReversibleSketch::combine(&terms).unwrap().total())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_hash_families,
-    bench_stage_count,
-    bench_combine
-);
+criterion_group!(benches, bench_hash_families, bench_stage_count);
 criterion_main!(benches);

@@ -1,6 +1,7 @@
-//! Hierarchical aggregation tier: fan-in throughput and per-tier merge
-//! latency for flat vs 2-tier vs 3-tier trees at several fan-out
-//! settings.
+//! How do fan-in throughput and per-tier COMBINE latency change from a
+//! flat collector to 2- and 3-tier aggregation trees over 64 agents, at
+//! fan-out 4, 8 and 16 (ROADMAP item 1b)? The end-to-end benchmark stops
+//! at two agents and one aggregator, so only this bin answers it.
 //!
 //! The same 64-agent per-packet split of one trace is replayed over real
 //! loopback TCP through three topologies:
@@ -17,7 +18,7 @@
 //! Run: `cargo run --release -p hifind-bench --bin hierarchy [-- --quick]`
 
 use hifind::{HiFind, HiFindConfig};
-use hifind_bench::harness::{section, seed, write_json};
+use hifind_bench::harness::{section, seed, write_json, Provenance};
 use hifind_collect::{
     AgentConfig, Aggregator, AggregatorConfig, AggregatorHandle, Collector, CollectorConfig,
     RouterAgent,
@@ -72,14 +73,7 @@ struct TopologyResult {
 
 #[derive(Serialize)]
 struct HierarchyBench {
-    quick: bool,
-    /// Sketch kernel every COMBINE in this process dispatched to
-    /// (`hifind_sketch::simd::kernel()`), so the tier latencies are
-    /// attributable to a code path.
-    kernel: String,
-    /// ISA CPUID detection reported, independent of any
-    /// `HIFIND_FORCE_KERNEL` override.
-    detected_isa: String,
+    provenance: Provenance,
     agents: usize,
     fan_outs: Vec<usize>,
     results: Vec<TopologyResult>,
@@ -87,6 +81,7 @@ struct HierarchyBench {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let provenance = Provenance::collect(quick);
     let scale = std::env::var("HIFIND_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -133,9 +128,7 @@ fn main() {
     write_json(
         "BENCH_hierarchy",
         &HierarchyBench {
-            quick,
-            kernel: hifind_sketch::simd::kernel().isa().name().to_string(),
-            detected_isa: hifind_sketch::simd::detect_isa().name().to_string(),
+            provenance,
             agents: AGENTS,
             fan_outs: FAN_OUTS.to_vec(),
             results,

@@ -1,5 +1,7 @@
-//! Sharded vs. serial record-plane throughput per sketch kernel, written
-//! to `results/BENCH_parallel_record.json`.
+//! How does the record plane scale across cores? The end-to-end benchmark
+//! pins one core, so only this bin answers it: sharded vs. serial
+//! record-plane throughput per sketch kernel, written to
+//! `results/BENCH_parallel_record.json`.
 //!
 //! For every kernel this CPU can run (scalar always, AVX2 when CPUID says
 //! so) the bench measures the serial [`SketchRecorder`] (`record_all`, the
@@ -17,33 +19,21 @@
 //! Run: `cargo run --release -p hifind-bench --bin parallel_record`
 //! (`-- --quick` shrinks the workload for CI smoke).
 //!
-//! Thread-parallel scaling only shows on multi-core hardware; the JSON
-//! records `machine_parallelism` so a single-core result (where sharding
-//! adds channel overhead and no concurrency) is not misread as a
-//! regression.
+//! Thread-parallel scaling only shows on multi-core hardware; the JSON's
+//! `provenance` records `machine_parallelism` so a single-core result
+//! (where sharding adds channel overhead and no concurrency) is not
+//! misread as a regression. Speedups are only ever against the same run's
+//! serial row.
 
 use hifind::parallel::ParallelRecorder;
 use hifind::{HiFindConfig, SketchRecorder};
-use hifind_bench::harness::{section, write_json};
+use hifind_bench::harness::{section, write_json, Provenance};
 use hifind_bench::overhead::synthetic_packets;
 use hifind_flow::Packet;
-use hifind_sketch::simd::{detect_isa, kernel_for, set_kernel, Isa};
+use hifind_sketch::simd::{kernel_for, set_kernel, Isa};
 use serde::Serialize;
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// Serial recording throughput measured at the commit before the sharded
-/// record plane and the single-pass hash plan landed (same machine, same
-/// workload: 500k packets, seed 6, `HiFindConfig::paper(9)`, best of 5).
-/// Kept in the JSON so the speedup columns are meaningful without
-/// checking out the old commit.
-const PRE_PR_SERIAL_PPS: f64 = 1_188_384.86;
-
-/// Serial record-only throughput and 8-worker merge wall time measured at
-/// the PR 4 commit (scalar per-packet recording, pairwise merges) — the
-/// baselines the SIMD acceptance criteria compare against.
-const PR4_SERIAL_RECORD_ONLY_PPS: f64 = 1_670_725.35;
-const PR4_MERGE_MS_8_WORKERS: f64 = 226.59;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -80,32 +70,14 @@ struct KernelReport {
     /// Batched record loop alone (no interval close) — the headline
     /// record-path number.
     serial_record_only_pps: f64,
-    /// `serial_record_only_pps / baseline_pr4_serial_record_only_pps`.
-    speedup_vs_pr4: f64,
     parallel: Vec<ParallelPoint>,
 }
 
 #[derive(Clone, Debug, Serialize)]
 struct ParallelRecordReport {
+    provenance: Provenance,
     packets: usize,
     runs: usize,
-    quick: bool,
-    /// `std::thread::available_parallelism()` on the measuring machine —
-    /// with 1, worker threads time-slice one core and sharding can only
-    /// add overhead; the speedups below are machine-bound, not a property
-    /// of the implementation.
-    machine_parallelism: usize,
-    /// ISA CPUID detection reported on this machine.
-    detected_isa: String,
-    /// Kernel the process would dispatch to by default (env override or
-    /// CPUID); each `kernels` row says which kernel it actually ran.
-    default_kernel: String,
-    /// Serial throughput measured before the hash-plan change landed (see
-    /// [`PRE_PR_SERIAL_PPS`]).
-    baseline_pre_pr_serial_pps: f64,
-    /// PR 4 scalar baselines the SIMD work is measured against.
-    baseline_pr4_serial_record_only_pps: f64,
-    baseline_pr4_merge_ms_8_workers: f64,
     /// One entry per kernel this machine can run.
     kernels: Vec<KernelReport>,
     /// Whether the sharded/serial snapshot cross-check ran and matched
@@ -226,11 +198,9 @@ fn bench_kernel(
 
     println!(
         "serial:      {:>7.2}M packets/s with interval close; batched record \
-         loop alone {:.2}M ({:.2}x the pre-SIMD scalar baseline {:.2}M)",
+         loop alone {:.2}M",
         serial_pps / 1e6,
         serial_record_only_pps / 1e6,
-        serial_record_only_pps / PR4_SERIAL_RECORD_ONLY_PPS,
-        PR4_SERIAL_RECORD_ONLY_PPS / 1e6,
     );
     let parallel: Vec<ParallelPoint> = WORKER_COUNTS
         .iter()
@@ -269,7 +239,6 @@ fn bench_kernel(
         kernel: name.to_string(),
         serial_pps,
         serial_record_only_pps,
-        speedup_vs_pr4: serial_record_only_pps / PR4_SERIAL_RECORD_ONLY_PPS,
         parallel,
     })
 }
@@ -277,18 +246,16 @@ fn bench_kernel(
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
     let (packets, runs) = if quick { (100_000, 2) } else { (500_000, 5) };
-    let machine_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let provenance = Provenance::collect(quick);
     let cfg = HiFindConfig::paper(9);
     let pkts = synthetic_packets(packets, 6);
 
     section("parallel record plane: serial vs sharded throughput, per kernel");
-    println!("machine parallelism: {machine_parallelism} core(s)");
-    let default_kernel = hifind_sketch::simd::kernel().isa();
     println!(
-        "kernels: detected_isa={} default={}",
-        detect_isa().name(),
-        default_kernel.name()
+        "machine parallelism: {} core(s); {}",
+        provenance.machine_parallelism, provenance.sketch_kernel
     );
+    let default_kernel = hifind_sketch::simd::kernel().isa();
 
     // Scalar first (always runnable), then AVX2 when the CPU has it. In
     // quick mode only the default kernel runs, keeping the CI smoke short.
@@ -312,15 +279,9 @@ fn main() -> ExitCode {
     set_kernel(default_kernel);
 
     let report = ParallelRecordReport {
+        provenance,
         packets,
         runs,
-        quick,
-        machine_parallelism,
-        detected_isa: detect_isa().name().to_string(),
-        default_kernel: default_kernel.name().to_string(),
-        baseline_pre_pr_serial_pps: PRE_PR_SERIAL_PPS,
-        baseline_pr4_serial_record_only_pps: PR4_SERIAL_RECORD_ONLY_PPS,
-        baseline_pr4_merge_ms_8_workers: PR4_MERGE_MS_8_WORKERS,
         kernels,
         divergence_checked: true,
     };

@@ -1,5 +1,7 @@
-//! Telemetry record-path overhead: instrumented vs. uninstrumented
-//! recording throughput, written to `results/BENCH_telemetry_overhead.json`.
+//! What does the `telemetry` feature cost the record path? The
+//! end-to-end benchmark never builds the feature, so only this bin
+//! answers it: instrumented vs. uninstrumented recording throughput,
+//! written to `results/BENCH_telemetry_overhead.json`.
 //!
 //! The `telemetry` feature adds a branch and one amortized latency
 //! observation per 256 packets to [`hifind::HiFind::record`]; the budget
@@ -16,10 +18,18 @@
 //!
 //! Without `--features telemetry` only the baseline side is measured.
 
-use hifind_bench::harness::{section, write_json};
-use hifind_bench::overhead::measure_overhead;
+use hifind_bench::harness::{section, write_json, Provenance};
+use hifind_bench::overhead::{measure_overhead, OverheadReport};
+use serde::Serialize;
+
+#[derive(Serialize)]
+struct TelemetryOverheadBench {
+    provenance: Provenance,
+    overhead: OverheadReport,
+}
 
 fn main() {
+    let provenance = Provenance::collect(false);
     section("telemetry overhead on the record path");
     let report = measure_overhead(500_000, 5);
     println!(
@@ -52,5 +62,11 @@ fn main() {
     } else {
         println!("instrumented: not compiled (re-run with --features telemetry)");
     }
-    write_json("BENCH_telemetry_overhead", &report);
+    write_json(
+        "BENCH_telemetry_overhead",
+        &TelemetryOverheadBench {
+            provenance,
+            overhead: report,
+        },
+    );
 }

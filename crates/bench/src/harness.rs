@@ -1,4 +1,5 @@
-//! Shared utilities for the table/figure binaries.
+//! Shared utilities for the table/figure binaries and the perf bins'
+//! provenance header.
 
 use hifind::report::{Alert, AlertKind};
 use hifind_flow::{Ip4, SegmentKind, Trace};
@@ -52,6 +53,71 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
             }
         }
         Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
+    }
+}
+
+/// Where a perf measurement came from, written as the `provenance` object
+/// of every `results/BENCH_*.json`. The fields carry the names the
+/// end-to-end benchmark (`benchmark/src/host.rs`) uses, so a bench JSON
+/// and a ledger run can be set side by side.
+#[derive(Clone, Debug, Serialize)]
+pub struct Provenance {
+    /// Commit of the checkout (`git rev-parse HEAD`), `unknown` outside a
+    /// git checkout.
+    pub git_sha: String,
+    /// `rustc --version`.
+    pub rustc: String,
+    /// Kernel release.
+    pub kernel: String,
+    /// CPUs online.
+    pub nproc: usize,
+    /// CPUs this process may use (`std::thread::available_parallelism`).
+    pub machine_parallelism: usize,
+    /// cgroup v2 `cpu.max`.
+    pub cgroup_cpu_max: String,
+    /// Selected sketch kernel, detected ISA and any forced override.
+    pub sketch_kernel: String,
+    /// Whether the bench ran its shrunken `--quick` workload.
+    pub quick: bool,
+}
+
+/// Stdout of `program args...` run from the workspace root, trimmed;
+/// `None` if it cannot start or fails.
+fn command_output(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program)
+        .args(args)
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())?;
+    Some(String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+fn read_trimmed(path: &str) -> Option<String> {
+    std::fs::read_to_string(path)
+        .ok()
+        .map(|s| s.trim().to_string())
+}
+
+impl Provenance {
+    /// Collects the provenance of this process.
+    pub fn collect(quick: bool) -> Provenance {
+        let unknown = || "unknown".to_string();
+        let nproc = read_trimmed("/proc/stat").map_or(0, |stat| {
+            stat.lines()
+                .filter(|l| l.starts_with("cpu") && !l.starts_with("cpu "))
+                .count()
+        });
+        Provenance {
+            git_sha: command_output("git", &["rev-parse", "HEAD"]).unwrap_or_else(unknown),
+            rustc: command_output("rustc", &["--version"]).unwrap_or_else(unknown),
+            kernel: read_trimmed("/proc/sys/kernel/osrelease").unwrap_or_else(unknown),
+            nproc,
+            machine_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cgroup_cpu_max: read_trimmed("/sys/fs/cgroup/cpu.max").unwrap_or_else(unknown),
+            sketch_kernel: hifind_sketch::simd::kernel_info_string(),
+            quick,
+        }
     }
 }
 
@@ -221,5 +287,40 @@ mod tests {
         assert_eq!(h[0], ("1".into(), 2));
         assert_eq!(h[3], ("5-8".into(), 1));
         assert_eq!(h[7], (">512".into(), 1));
+    }
+
+    /// Every checked-in perf JSON says where its numbers came from.
+    #[test]
+    fn bench_jsons_carry_provenance() {
+        let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
+        let mut checked = 0;
+        for entry in std::fs::read_dir(dir).expect("results/ exists") {
+            let path = entry.expect("readable entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable JSON");
+            let json: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+            let provenance = json
+                .get("provenance")
+                .unwrap_or_else(|| panic!("{name} has no provenance object"));
+            for field in ["git_sha", "kernel", "sketch_kernel"] {
+                let value = provenance.get(field).and_then(serde_json::Value::as_str);
+                assert!(
+                    value.is_some_and(|v| !v.is_empty()),
+                    "{name}: provenance.{field} missing or empty"
+                );
+            }
+            assert!(
+                matches!(
+                    provenance.get("machine_parallelism"),
+                    Some(serde_json::Value::UInt(n)) if *n >= 1
+                ),
+                "{name}: provenance.machine_parallelism missing or zero"
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "no results/BENCH_*.json found");
     }
 }

@@ -65,8 +65,8 @@ impl IdlePlane {
     }
 }
 
-/// A synthetic SYN/SYN-ACK mix sized for throughput measurement (the same
-/// shape `benches/recording.rs` uses).
+/// A synthetic SYN/SYN-ACK mix sized for throughput measurement (this
+/// module and `parallel_record` record the same shape).
 pub fn synthetic_packets(n: usize, seed: u64) -> Vec<Packet> {
     let mut rng = SplitMix64::new(seed);
     (0..n)

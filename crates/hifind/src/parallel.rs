@@ -210,8 +210,8 @@ impl ParallelRecorder {
 
     /// [`ParallelRecorder::new`] with an explicit batch size (smaller
     /// batches shrink the interval-tail flush at the cost of more channel
-    /// synchronization; exposed for benches and tests).
-    pub fn with_batch_size(
+    /// synchronization; the in-crate tests use tiny batches).
+    pub(crate) fn with_batch_size(
         cfg: &HiFindConfig,
         workers: usize,
         batch_size: usize,

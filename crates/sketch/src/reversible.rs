@@ -354,8 +354,8 @@ impl ReversibleSketch {
     /// INFERENCE over the sketch's own counters: recover all keys whose
     /// value is at least `threshold`.
     pub fn infer(&self, threshold: i64, opts: &InferOptions) -> InferenceResult {
-        let verifier_grid = self.verifier.as_ref().map(|v| v.grid().clone());
-        self.infer_grid(&self.grid, verifier_grid.as_ref(), threshold, opts)
+        let verifier_grid = self.verifier.as_ref().map(KarySketch::grid);
+        self.infer_grid(&self.grid, verifier_grid, threshold, opts)
     }
 
     /// INFERENCE over an external grid (typically the forecast-error grid)
