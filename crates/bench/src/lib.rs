@@ -3,14 +3,20 @@
 //! recorded results).
 //!
 //! Each `src/bin/table*.rs` / `src/bin/figure*.rs` binary regenerates one
-//! table or figure; the Criterion benches under `benches/` cover the
-//! performance results of §5.5. This library holds what they share:
+//! table or figure. Per-layer performance (§5.5.3) is the end-to-end
+//! benchmark's (`benchmark/`, `--trace 1`); what it cannot answer is left
+//! here, each file opening with its question: the perf bins
+//! `multi_router`, `hierarchy`, `parallel_record` and
+//! `telemetry_overhead`, whose `results/BENCH_*.json` carry a
+//! [`harness::Provenance`] header, and the Criterion benches under
+//! `benches/` (INFERENCE vs heavy-key count; hash and stage ablations).
+//! This library holds what they share:
 //!
 //! * [`exact::ExactHiFind`] — the paper's "non-sketch" method: the same
 //!   three-step detection algorithm over exact per-key tables (§5.2,
 //!   Table 9).
-//! * [`harness`] — scenario scaling, alert/truth set algebra, and table
-//!   printing helpers.
+//! * [`harness`] — scenario scaling, alert/truth set algebra, table
+//!   printing helpers, and the perf bins' provenance header.
 //! * [`overhead`] — instrumented-vs-uninstrumented recording throughput
 //!   (the `telemetry` feature's < 5% record-path budget).
 
