@@ -535,11 +535,7 @@ pub fn decode_core_checkpoint(bytes: &[u8]) -> Result<CoreCheckpoint, Checkpoint
     let raw_alerts = decode_alert_list(&mut r, "raw_alerts")?;
     let classified_alerts = decode_alert_list(&mut r, "classified_alerts")?;
     let final_alerts = decode_alert_list(&mut r, "final_alerts")?;
-    if r.position() != payload.len() {
-        return Err(CheckpointError::Payload(CodecError::TrailingBytes {
-            extra: payload.len() - r.position(),
-        }));
-    }
+    r.finish()?;
     Ok(CoreCheckpoint {
         fingerprint,
         interval,
@@ -606,23 +602,13 @@ pub fn decode_agent_checkpoint(bytes: &[u8]) -> Result<AgentCheckpoint, Checkpoi
         let len = r.uvarint("backlog.frame")?;
         let len = r.counted("backlog.frame", len, MAX_FRAME_BYTES)?;
         let start = r.position();
-        let end = start.checked_add(len).filter(|&e| e <= payload.len());
-        let Some(end) = end else {
-            return Err(CheckpointError::Payload(CodecError::Truncated {
-                at: "backlog.frame",
-            }));
-        };
+        r.skip(len, "backlog.frame")?;
         backlog.push(BacklogFrame {
             codec,
-            frame: payload[start..end].to_vec(),
+            frame: payload[start..r.position()].to_vec(),
         });
-        r.skip(len, "backlog.frame")?;
     }
-    if r.position() != payload.len() {
-        return Err(CheckpointError::Payload(CodecError::TrailingBytes {
-            extra: payload.len() - r.position(),
-        }));
-    }
+    r.finish()?;
     Ok(AgentCheckpoint {
         fingerprint,
         router_id,

@@ -16,7 +16,7 @@ use crate::wire;
 use crate::CollectError;
 use hifind::pipeline::DetectionCore;
 use hifind::report::AlertLog;
-use hifind::HiFindConfig;
+use hifind::{HiFindConfig, SnapshotShape};
 use hifind_telemetry::Registry;
 use serde::Serialize;
 use std::net::ToSocketAddrs;
@@ -165,7 +165,7 @@ impl Collector {
         node::spawn(
             addr,
             ("collector", 0),
-            cfg.fingerprint(),
+            SnapshotShape::of_config(&cfg)?,
             collector_cfg,
             start_interval,
             DetectSink(core),
@@ -224,12 +224,26 @@ impl Sink for DetectSink {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::agent::{AgentConfig, RouterAgent};
+    use crate::codec_v2;
+    use hifind::SketchRecorder;
     use hifind_flow::Packet;
+    use std::io::Write;
     use std::net::TcpStream;
     use std::time::Instant;
+
+    /// A CRC-valid v2 keyframe that carries `cfg`'s fingerprint, in its
+    /// header and its payload, around grids of another shape.
+    pub(crate) fn forged_shape_frame(cfg: &HiFindConfig, router_id: u32, interval: u64) -> Vec<u8> {
+        let mut forged = *cfg;
+        forged.rs48.stages = 5;
+        let mut snap = SketchRecorder::new(&forged).unwrap().take_snapshot();
+        snap.fingerprint = cfg.fingerprint();
+        let payload = codec_v2::encode_keyframe(&snap);
+        wire::encode_frame_v2(router_id, interval, cfg.fingerprint(), &payload).unwrap()
+    }
 
     fn local_collector(
         cfg: HiFindConfig,
@@ -280,6 +294,36 @@ mod tests {
         assert_eq!(report.frames_received, 0);
         assert_eq!(report.frames_rejected, 1);
         assert!(report.routers_seen.is_empty());
+    }
+
+    /// Regression: a forged-shape frame used to become an interval's
+    /// pending sum and kill the node thread once detection met its grids.
+    #[test]
+    fn forged_shape_frame_is_rejected_not_fatal() {
+        let cfg = HiFindConfig::small(16);
+        let mut ccfg = CollectorConfig::new(1);
+        ccfg.linger = Duration::from_secs(60);
+        let handle = local_collector(cfg, ccfg, None);
+        let addr = handle.local_addr();
+        let mut agent = RouterAgent::new(addr.to_string(), &cfg, AgentConfig::new(1)).unwrap();
+        agent.end_interval();
+        let mut forger = TcpStream::connect(addr).expect("connect");
+        forger
+            .write_all(&forged_shape_frame(&cfg, 9, 1))
+            .expect("send");
+        drop(forger);
+        // The forged frame reaches the node before the honest one.
+        std::thread::sleep(Duration::from_millis(200));
+        agent.end_interval();
+        agent.finish();
+        std::thread::sleep(Duration::from_millis(200));
+        let report = handle
+            .stop()
+            .expect("a forged frame must not kill the node");
+        assert_eq!(report.frames_rejected, 1);
+        assert_eq!(report.frames_received, 2);
+        assert_eq!(report.routers_seen, vec![1]);
+        assert_eq!(report.complete_intervals, 2);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! thread is ever spawned per connection, so a node holding hundreds of
 //! downstream agents costs one engine thread, not hundreds of stacks.
 //!
-//! Decoded frames flow to the consumer (the tier node thread)
-//! over a bounded channel. A consumer that falls behind backpressures
-//! the engine: events it cannot `try_send` park in a small pending queue
-//! and every connection that has produced data frames leaves the poll
-//! set until the queue drains, so backpressure lands on TCP instead of
-//! collector memory. Crucially the engine thread itself never blocks —
-//! the control plane (accepting connections, answering codec hellos,
-//! flushing interval acks) stays live however far behind detection runs.
+//! Frames are validated whole (against the node's own configuration
+//! too), parsed into runs, and handed over a bounded channel to the
+//! consumer (the tier node thread), which adds them into its sums. A
+//! consumer that falls behind backpressures the engine: events it cannot
+//! `try_send` park in a small pending queue and every connection that
+//! has produced data frames leaves the poll set until the queue drains,
+//! so backpressure lands on TCP instead of collector memory. Crucially
+//! the engine thread itself never blocks — the control plane (accepting
+//! connections, answering codec hellos, flushing interval acks) stays
+//! live however far behind detection runs.
 //! An agent reconnecting into a backpressured collector still gets its
 //! hello answered instead of timing out into retry loops.
 //!
@@ -26,10 +28,10 @@
 //! wakeup pipe, which the poll set always watches, so `stop()` never
 //! waits out an accept or read timeout tick.
 
-use crate::codec_v2::ChainStore;
+use crate::codec_v2::{ChainStore, FrameRuns};
 use crate::wire::{self, FrameHeader, WireError, HEADER_LEN};
 use crate::CollectError;
-use hifind::IntervalSnapshot;
+use hifind::SnapshotShape;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -43,27 +45,27 @@ use std::time::{Duration, Instant};
 pub(crate) enum Event {
     /// A downstream node connected.
     Connected,
-    /// A validated, decoded snapshot frame.
-    Frame {
-        /// Sender id from the frame header.
-        router_id: u32,
-        /// Interval index from the frame header.
-        interval: u64,
-        /// The decoded snapshot (boxed: ~1 KB of inline sketch headers).
-        snapshot: Box<IntervalSnapshot>,
-        /// Header + payload size on the wire.
-        frame_bytes: u64,
-        /// Which codec the payload arrived in.
-        codec: u8,
-        /// Whether a v2 payload was a delta (false for keyframes and v1).
-        delta: bool,
-        /// Time spent decoding the payload (through the chain store for v2).
-        decode: Duration,
-    },
-    /// A frame failed wire validation and was discarded.
-    Rejected(WireError),
+    /// A validated snapshot frame, parsed into runs.
+    Frame(Box<Received>),
+    /// A frame failed wire validation and was discarded; with the time
+    /// spent validating its payload when its framing held.
+    Rejected(WireError, Option<Duration>),
     /// A downstream node disconnected (or its stream turned fatal).
     Disconnected,
+}
+
+/// A validated frame as the engine hands it on: the sender id and
+/// interval from its header, its payload parsed into runs, its header +
+/// payload size on the wire, its codec, whether a v2 payload was a delta,
+/// and the time spent validating and parsing it.
+pub(crate) struct Received {
+    pub router_id: u32,
+    pub interval: u64,
+    pub frame: FrameRuns,
+    pub frame_bytes: u64,
+    pub codec: u8,
+    pub delta: bool,
+    pub decode: Duration,
 }
 
 /// Engine policy knobs.
@@ -73,6 +75,8 @@ pub(crate) struct EngineConfig {
     /// Poll timeout: the worst-case latency of noticing the shutdown
     /// flag if the wakeup byte is ever lost (belt and braces).
     pub tick: Duration,
+    /// The node's own snapshot shapes, which every frame must have.
+    pub shape: Arc<SnapshotShape>,
 }
 
 /// A typed per-connection frame state machine: bytes accumulate in one
@@ -82,6 +86,7 @@ pub(crate) struct FrameAssembler {
     buf: Vec<u8>,
     state: FrameState,
     max_payload: u32,
+    shape: Arc<SnapshotShape>,
 }
 
 /// Where the assembler stands in the current frame.
@@ -97,37 +102,24 @@ pub(crate) enum Step {
     /// Not enough buffered bytes to advance; read more.
     Need,
     /// A complete, validated frame.
-    Frame {
-        /// Sender id from the frame header.
-        router_id: u32,
-        /// Interval index from the frame header.
-        interval: u64,
-        /// The decoded snapshot.
-        snapshot: Box<IntervalSnapshot>,
-        /// Header + payload size on the wire.
-        frame_bytes: u64,
-        /// Which codec the payload arrived in.
-        codec: u8,
-        /// Whether a v2 payload was a delta.
-        delta: bool,
-        /// Time spent decoding the payload.
-        decode: Duration,
-    },
+    Frame(Box<Received>),
     /// The peer's hello, which offered codec v2.
     Hello,
-    /// The framing was intact (lengths checked out) but the payload was
-    /// bad; this frame is skipped, the connection survives.
-    Skip(WireError),
+    /// The framing was intact (lengths checked out) but the payload,
+    /// validated in the given time, was bad; this frame is skipped, the
+    /// connection survives.
+    Skip(WireError, Duration),
     /// Framing itself is lost; the connection must be dropped.
     Fatal(WireError),
 }
 
 impl FrameAssembler {
-    pub(crate) fn new(max_payload: u32) -> Self {
+    pub(crate) fn new(max_payload: u32, shape: Arc<SnapshotShape>) -> Self {
         FrameAssembler {
             buf: Vec::new(),
             state: FrameState::Header,
             max_payload,
+            shape,
         }
     }
 
@@ -215,25 +207,21 @@ impl FrameAssembler {
         }
         let payload = &self.buf[HEADER_LEN..frame_len];
         let decode_start = Instant::now();
-        let decoded = if header.version == wire::PROTOCOL_VERSION_2 {
-            wire::decode_payload_v2(&header, payload, chains)
-        } else {
-            wire::decode_payload(&header, payload).map(|snapshot| (snapshot, false))
-        };
+        let parsed = wire::parse_payload(&header, payload, chains, Some(&self.shape));
         let decode = decode_start.elapsed();
         self.buf.drain(..frame_len);
         self.state = FrameState::Header;
-        match decoded {
-            Ok((snapshot, delta)) => Step::Frame {
+        match parsed {
+            Ok((frame, delta)) => Step::Frame(Box::new(Received {
                 router_id: header.router_id,
                 interval: header.interval,
-                snapshot: Box::new(snapshot),
+                frame,
                 frame_bytes: u64::try_from(frame_len).unwrap_or(u64::MAX),
                 codec: header.codec,
                 delta,
                 decode,
-            },
-            Err(e) => Step::Skip(e),
+            })),
+            Err(e) => Step::Skip(e, decode),
         }
     }
 }
@@ -638,7 +626,7 @@ fn run(
                         }
                         conns.push(Conn {
                             stream,
-                            assembler: FrameAssembler::new(cfg.max_payload),
+                            assembler: FrameAssembler::new(cfg.max_payload, Arc::clone(&cfg.shape)),
                             open: true,
                             negotiated: false,
                             out: Vec::new(),
@@ -697,7 +685,7 @@ enum Drain {
 /// Decodes whatever complete frames sit in `conn`'s assembler, emitting
 /// their events, until the buffer runs dry, the framing turns fatal, or
 /// (with a cap) `cap` data events have been emitted. Hellos are answered
-/// and decoded v2 frames acked via the connection's out-buffer; neither
+/// and validated v2 frames acked via the connection's out-buffer; neither
 /// counts against the cap. Returns the data events emitted and why the
 /// pass stopped.
 fn drain_steps(
@@ -718,40 +706,23 @@ fn drain_steps(
                 conn.negotiated = true;
                 conn.queue(&wire::encode_accept(wire::CODEC_V2));
             }
-            Step::Frame {
-                router_id,
-                interval,
-                snapshot,
-                frame_bytes,
-                codec,
-                delta,
-                decode,
-            } => {
+            Step::Frame(received) => {
                 conn.greeted = true;
                 // Acks exist solely to unlock the sender's delta chain;
                 // a v1 frame on a v2 session (a replayed pre-upgrade
                 // backlog) needs none.
-                if conn.negotiated && codec == wire::CODEC_V2 {
-                    conn.queue(&wire::encode_ack(interval));
+                if conn.negotiated && received.codec == wire::CODEC_V2 {
+                    conn.queue(&wire::encode_ack(received.interval));
                 }
-                let event = Event::Frame {
-                    router_id,
-                    interval,
-                    snapshot,
-                    frame_bytes,
-                    codec,
-                    delta,
-                    decode,
-                };
-                if !emit(tx, pending, event) {
+                if !emit(tx, pending, Event::Frame(received)) {
                     return (emitted, Drain::Exit);
                 }
                 emitted += 1;
             }
             // Framing intact, payload bad: skip the frame.
-            Step::Skip(e) => {
+            Step::Skip(e, decode) => {
                 conn.greeted = true;
-                if !emit(tx, pending, Event::Rejected(e)) {
+                if !emit(tx, pending, Event::Rejected(e, Some(decode))) {
                     return (emitted, Drain::Exit);
                 }
                 emitted += 1;
@@ -759,7 +730,7 @@ fn drain_steps(
             // Framing lost: drop the connection.
             Step::Fatal(e) => {
                 conn.greeted = true;
-                if !emit(tx, pending, Event::Rejected(e)) {
+                if !emit(tx, pending, Event::Rejected(e, None)) {
                     return (emitted, Drain::Exit);
                 }
                 return (emitted, Drain::Fatal);
@@ -853,6 +824,11 @@ mod tests {
     use super::*;
     use hifind::{HiFindConfig, SketchRecorder};
 
+    /// The shapes of the nodes these tests feed: `small(3)`'s.
+    fn shape() -> Arc<SnapshotShape> {
+        Arc::new(SnapshotShape::of_config(&HiFindConfig::small(3)).unwrap())
+    }
+
     fn sample_frame() -> (Vec<u8>, u64) {
         let cfg = HiFindConfig::small(3);
         let mut rec = SketchRecorder::new(&cfg).unwrap();
@@ -868,7 +844,7 @@ mod tests {
         let mut doubled = frame.clone();
         doubled.extend_from_slice(&frame);
         for chunk_size in [1, 7, 36, 37, 1024] {
-            let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
+            let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
             let mut chains = ChainStore::new();
             let mut frames = 0;
             for chunk in doubled.chunks(chunk_size) {
@@ -876,18 +852,13 @@ mod tests {
                 loop {
                     match asm.step(&mut chains) {
                         Step::Need => break,
-                        Step::Frame {
-                            router_id,
-                            interval,
-                            frame_bytes,
-                            ..
-                        } => {
-                            assert_eq!(router_id, 9);
-                            assert_eq!(interval, 4);
-                            assert_eq!(frame_bytes, frame_len);
+                        Step::Frame(r) => {
+                            assert_eq!(r.router_id, 9);
+                            assert_eq!(r.interval, 4);
+                            assert_eq!(r.frame_bytes, frame_len);
                             frames += 1;
                         }
-                        Step::Skip(e) | Step::Fatal(e) => panic!("unexpected rejection: {e}"),
+                        Step::Skip(e, _) | Step::Fatal(e) => panic!("unexpected rejection: {e}"),
                         Step::Hello => panic!("no hello was sent"),
                     }
                 }
@@ -900,7 +871,7 @@ mod tests {
     fn assembler_rejects_bad_magic_fatally() {
         let (mut frame, _) = sample_frame();
         frame[0] = b'X';
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
         let mut chains = ChainStore::new();
         asm.extend(&frame);
         assert!(matches!(
@@ -916,11 +887,11 @@ mod tests {
         let last = corrupted.len() - 1;
         corrupted[last] ^= 0xFF; // flip a payload byte: CRC mismatch
         corrupted.extend_from_slice(&frame); // a good frame follows
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
         let mut chains = ChainStore::new();
         asm.extend(&corrupted);
-        assert!(matches!(asm.step(&mut chains), Step::Skip(_)));
-        assert!(matches!(asm.step(&mut chains), Step::Frame { .. }));
+        assert!(matches!(asm.step(&mut chains), Step::Skip(..)));
+        assert!(matches!(asm.step(&mut chains), Step::Frame(_)));
         assert!(matches!(asm.step(&mut chains), Step::Need));
     }
 
@@ -930,7 +901,7 @@ mod tests {
     #[test]
     fn hello_is_recognized_only_when_v2_is_enabled() {
         let hello = wire::encode_hello(&[wire::CODEC_V2]);
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
         let mut chains = ChainStore::new();
         for &b in &hello[..hello.len() - 1] {
             asm.extend(&[b]);
@@ -942,10 +913,7 @@ mod tests {
         asm.extend(&frame);
         assert!(matches!(
             asm.step(&mut chains),
-            Step::Frame {
-                codec: wire::CODEC_V1,
-                ..
-            }
+            Step::Frame(r) if r.codec == wire::CODEC_V1
         ));
         let cfg = HiFindConfig::small(3);
         let snap = SketchRecorder::new(&cfg).unwrap().take_snapshot();
@@ -953,14 +921,10 @@ mod tests {
         asm.extend(&wire::encode_frame_v2(9, 4, snap.fingerprint, &payload).unwrap());
         assert!(matches!(
             asm.step(&mut chains),
-            Step::Frame {
-                codec: wire::CODEC_V2,
-                delta: false,
-                ..
-            }
+            Step::Frame(r) if r.codec == wire::CODEC_V2 && !r.delta
         ));
 
-        let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
+        let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
         v1_only.extend(&wire::encode_hello(&[wire::CODEC_V1]));
         assert!(matches!(
             v1_only.step(&mut chains),
@@ -982,6 +946,7 @@ mod tests {
                 // A tick long enough that only the waker can explain a
                 // fast exit.
                 tick: Duration::from_secs(5),
+                shape: shape(),
             },
         )
         .unwrap();

@@ -12,15 +12,17 @@
 //! * **engine** (one thread, [`crate::engine`]) — a readiness-driven poll
 //!   loop over the listener, a wakeup pipe, and every downstream
 //!   connection; per-connection buffers and frame state machines slice
-//!   out complete frames, validate them ([`crate::wire`]), and forward
-//!   decoded snapshots over a bounded channel — TCP backpressure, not
+//!   out complete frames, validate them whole against the node's own
+//!   configuration ([`crate::wire`]), and forward them parsed into runs
+//!   over a bounded channel — TCP backpressure, not
 //!   unbounded queueing, absorbs a child that outpaces its parent. No
 //!   thread is spawned per connection, so fan-in scales to hundreds of
 //!   children per node.
 //! * **node** — owns the [`IntervalAligner`] and the sink. Frames for the
-//!   same interval are combined *incrementally on arrival* (one
-//!   accumulated snapshot per pending interval, never a list), so node
-//!   memory is bounded by the reorder window, not by child count. Sink
+//!   same interval are combined *incrementally on arrival*: each frame's
+//!   runs are added straight into one accumulated snapshot per pending
+//!   interval (never a list, and no snapshot per frame), so node memory
+//!   is bounded by the reorder window, not by child count. Sink
 //!   calls and observer hooks run inline on this thread.
 //!
 //! # Graceful degradation
@@ -37,10 +39,10 @@ use crate::align::{AlignPolicy, Flush, FlushKind, IntervalAligner, OfferOutcome}
 use crate::checkpoint::CheckpointError;
 use crate::codec::CodecError;
 use crate::collector::{CollectionReport, CollectorConfig};
-use crate::engine::{EngineConfig, EngineHandle, Event, PollEngine};
+use crate::engine::{EngineConfig, EngineHandle, Event, PollEngine, Received};
 use crate::wire::{self, WireError};
 use crate::CollectError;
-use hifind::IntervalSnapshot;
+use hifind::SnapshotShape;
 use hifind_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Registry, TelemetryError};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
@@ -137,12 +139,12 @@ impl TierTelemetry {
             )?,
             decode_seconds: registry.histogram(
                 "hifind_collect_decode_seconds",
-                "Latency of decoding one child frame's snapshot payload",
+                "Latency of validating one child frame and parsing its payload into runs",
                 exponential_buckets(1e-6, 4.0, 11),
             )?,
             combine_seconds: registry.histogram(
                 "hifind_collect_combine_seconds",
-                "Latency of combining one router snapshot into its interval",
+                "Latency of adding one child frame's runs into its interval's sum",
                 exponential_buckets(1e-6, 4.0, 11),
             )?,
             checkpoint_written: registry.counter(
@@ -165,7 +167,8 @@ impl TierTelemetry {
     }
 }
 
-/// Binds `addr` and starts the engine and node threads of one tier node.
+/// Binds `addr` and starts the engine and node threads of one tier node,
+/// which accepts only frames of `shape` (its own configuration's).
 /// `role` and `node_id` only label its log lines; `start_interval` is
 /// where `sink` resumed (0 for a fresh start).
 ///
@@ -175,7 +178,7 @@ impl TierTelemetry {
 pub(crate) fn spawn<S: Sink>(
     addr: impl ToSocketAddrs,
     (role, node_id): (&'static str, u32),
-    fingerprint: u64,
+    shape: SnapshotShape,
     cfg: CollectorConfig,
     start_interval: u64,
     sink: S,
@@ -196,6 +199,7 @@ pub(crate) fn spawn<S: Sink>(
         EngineConfig {
             max_payload: cfg.max_payload_bytes,
             tick: Duration::from_millis(50),
+            shape: Arc::new(shape.clone()),
         },
     )?;
     let mut counted = CollectionReport::default();
@@ -208,13 +212,13 @@ pub(crate) fn spawn<S: Sink>(
     }
     let node = Node {
         log_prefix: format!("[hifind-tier {role} {node_id}]"),
-        fingerprint,
         aligner: IntervalAligner::new(
             AlignPolicy {
                 expected: cfg.expected_routers,
                 straggler_deadline: cfg.straggler_deadline,
                 reorder_window: cfg.reorder_window,
             },
+            shape,
             start_interval,
         ),
         cfg,
@@ -291,7 +295,6 @@ impl<R> TierHandle<R> {
 struct Node<S> {
     log_prefix: String,
     cfg: CollectorConfig,
-    fingerprint: u64,
     aligner: IntervalAligner,
     sink: S,
     counted: CollectionReport,
@@ -387,21 +390,13 @@ impl<S: Sink> Node<S> {
                     self.last_disconnect = Some(Instant::now());
                 }
             }
-            Event::Rejected(err) => self.reject(&err),
-            Event::Frame {
-                router_id,
-                interval,
-                snapshot,
-                frame_bytes,
-                codec,
-                delta,
-                decode,
-            } => {
-                // Paid by the engine for every decoded frame, whatever
-                // COMBINE then makes of it.
-                self.telemetry.decode_seconds.observe_duration(decode);
-                self.handle_frame(router_id, interval, *snapshot, frame_bytes, codec, delta);
+            Event::Rejected(err, decode) => {
+                if let Some(decode) = decode {
+                    self.telemetry.decode_seconds.observe_duration(decode);
+                }
+                self.reject(&err);
             }
+            Event::Frame(received) => self.handle_frame(&received),
         }
         self.telemetry
             .routers_connected
@@ -420,49 +415,28 @@ impl<S: Sink> Node<S> {
         }
     }
 
-    fn handle_frame(
-        &mut self,
-        child_id: u32,
-        interval: u64,
-        snapshot: IntervalSnapshot,
-        frame_bytes: u64,
-        codec: u8,
-        delta: bool,
-    ) {
-        if snapshot.fingerprint != self.fingerprint {
-            // A child recording under different seeds or shapes: its
-            // counters are meaningless here. COMBINE is gated on the
-            // config fingerprint at every tier, not just the root.
-            self.reject(&WireError::FingerprintMismatch {
-                header: self.fingerprint,
-                payload: snapshot.fingerprint,
-            });
-            return;
-        }
+    fn handle_frame(&mut self, r: &Received) {
+        // Paid by the engine for every frame, whatever COMBINE makes of it.
+        self.telemetry.decode_seconds.observe_duration(r.decode);
+        // The engine refused frames of another configuration's fingerprint
+        // or shapes: COMBINE is gated at every tier, not just the root.
         let combine_start = Instant::now();
         let (c, t) = (&mut self.counted, &self.telemetry);
-        match self.aligner.offer(child_id, interval, snapshot) {
+        match self.aligner.offer(r.router_id, r.interval, &r.frame) {
             OfferOutcome::Accepted => {
                 c.frames_received += 1;
                 t.frames_received.inc();
-                c.bytes_received += frame_bytes;
-                t.bytes_received.add(frame_bytes);
-                match (codec, delta) {
-                    (wire::CODEC_V2, true) => {
-                        c.frames_v2_deltas += 1;
-                        t.frames_v2_deltas.inc();
-                    }
-                    (wire::CODEC_V2, false) => {
-                        c.frames_v2_keyframes += 1;
-                        t.frames_v2_keyframes.inc();
-                    }
-                    _ => {
-                        c.frames_codec_v1 += 1;
-                        t.frames_codec_v1.inc();
-                    }
-                }
-                if !c.routers_seen.contains(&child_id) {
-                    c.routers_seen.push(child_id);
+                c.bytes_received += r.frame_bytes;
+                t.bytes_received.add(r.frame_bytes);
+                let (count, metric) = match (r.codec, r.delta) {
+                    (wire::CODEC_V2, true) => (&mut c.frames_v2_deltas, &t.frames_v2_deltas),
+                    (wire::CODEC_V2, false) => (&mut c.frames_v2_keyframes, &t.frames_v2_keyframes),
+                    _ => (&mut c.frames_codec_v1, &t.frames_codec_v1),
+                };
+                *count += 1;
+                metric.inc();
+                if !c.routers_seen.contains(&r.router_id) {
+                    c.routers_seen.push(r.router_id);
                 }
                 t.combine_seconds.observe_duration(combine_start.elapsed());
             }
@@ -470,12 +444,13 @@ impl<S: Sink> Node<S> {
                 c.frames_late += 1;
                 t.frames_late.inc();
             }
-            // Unreachable given the fingerprint gate, but a typed
+            // Unreachable given the engine's shape gate, but a typed
             // rejection beats a poisoned aggregate.
-            OfferOutcome::CombineFailed => self.reject(&WireError::Codec(CodecError::Grid {
-                which: "combine",
-                detail: "snapshot shape disagrees with the interval's pending sum".into(),
-            })),
+            OfferOutcome::CombineFailed => {
+                self.reject(&WireError::Codec(CodecError::ShapeMismatch {
+                    at: "pending sum",
+                }))
+            }
         }
     }
 

@@ -451,8 +451,8 @@ fn play(role: Role, script: &[Step]) -> (Shared, Vec<(String, u64)>, Arc<Told>) 
     };
     drop(connections);
     upstream.stop().unwrap();
-    // Every scripted frame decodes (a mis-seeded one is turned away only
-    // after, by the fingerprint gate), and every decode is timed once.
+    // Every scripted frame is validated (a mis-seeded one is turned away
+    // by the fingerprint gate), and every validation is timed once.
     let decodes = registry
         .snapshot()
         .metrics

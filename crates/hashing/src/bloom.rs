@@ -94,7 +94,7 @@ impl BloomFilter {
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a |= b;
         }
-        self.inserted += other.inserted;
+        self.inserted = self.inserted.wrapping_add(other.inserted);
     }
 
     /// Clears the filter.

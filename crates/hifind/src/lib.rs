@@ -88,7 +88,7 @@ pub use parallel::{MergeStats, ParallelError, ParallelRecorder};
 pub use pipeline::{CoreCheckpoint, DetectionCore, HiFind, IntervalOutcome};
 pub use plan::{HashPlan, PlanBatch};
 pub use postprocess::{correlate_block_scans, BlockScanReport};
-pub use recorder::{IntervalSnapshot, SketchRecorder};
+pub use recorder::{IntervalSnapshot, SketchRecorder, SnapshotShape};
 pub use report::{Alert, AlertKind, AlertLog, Phase};
 pub use run_report::{IntervalReport, PhaseAlertCounts, PhaseNanos, RunReport};
 
