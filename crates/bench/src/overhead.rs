@@ -41,9 +41,7 @@ impl IdlePlane {
             std::process::id()
         ));
         let events = EventLog::open(&events_path, cfg.fingerprint()).ok()?;
-        let history = Arc::new(
-            HistoryStore::open(HistoryConfig::in_memory(4), cfg.fingerprint(), None).ok()?,
-        );
+        let history = Arc::new(HistoryStore::open(HistoryConfig::in_memory(4), cfg, None).ok()?);
         let hub = Arc::new(ObsvHub::new(*cfg, history, Some(events)));
         let server = HttpServer::bind(
             "127.0.0.1:0",

@@ -35,14 +35,14 @@ pub const AGENT_MAGIC: [u8; 4] = *b"HFA1";
 /// same container framing as checkpoints).
 pub const HISTORY_MAGIC: [u8; 4] = *b"HFH1";
 
-/// Checkpoint container format version written by core checkpoints and
-/// history segments (and by pre-v2 agent checkpoints).
+/// Checkpoint container format version written by core checkpoints (and
+/// by pre-v2 agent checkpoints and history segments).
 pub const CHECKPOINT_VERSION: u16 = 1;
 
-/// Container version of agent checkpoints whose backlog entries carry a
-/// wire-codec tag ([`wire::CODEC_V1`] / [`wire::CODEC_V2`]). Version-1
-/// agent files still decode — every untagged frame is a v1 frame, which
-/// is all a pre-upgrade agent could have queued.
+/// Container version of history segments (codec-v2 keyframes) and of agent
+/// checkpoints whose backlog entries carry a wire-codec tag ([`wire::CODEC_V1`]
+/// / [`wire::CODEC_V2`]). Version-1 agent files still decode — every untagged
+/// frame is a v1 frame, which is all a pre-upgrade agent could have queued.
 pub const CHECKPOINT_VERSION_2: u16 = 2;
 
 /// Container header: magic(4) + version(2) + reserved(2) + fingerprint(8)

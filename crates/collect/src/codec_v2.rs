@@ -434,6 +434,11 @@ impl FrameRuns {
         Err(CodecError::ShapeMismatch { at })
     }
 
+    /// `[syn_count, syn_ack_count, fin_rst_count]`; no grid is sized.
+    pub fn counts(&self) -> [u64; 3] {
+        self.counts
+    }
+
     /// The snapshot this frame decodes to.
     pub fn into_snapshot(self) -> IntervalSnapshot {
         let grids = self.grids.map(GridRuns::into_grid);
@@ -607,6 +612,21 @@ pub(crate) fn parse(
 /// fed here fails with [`CodecError::DeltaShapeMismatch`] at `flags`.
 pub fn decode_keyframe(payload: &[u8]) -> Result<IntervalSnapshot, CodecError> {
     Ok(parse(payload, None, None)?.into_snapshot())
+}
+
+/// Parses a standalone v2 keyframe recorded under `shape`: fingerprint,
+/// grid dimensions and Bloom geometry are all checked.
+///
+/// # Errors
+///
+/// As [`decode_keyframe`], plus [`CodecError::ShapeMismatch`] for any
+/// shape or fingerprint other than `shape`'s.
+pub fn parse_keyframe(payload: &[u8], shape: &SnapshotShape) -> Result<FrameRuns, CodecError> {
+    let frame = parse(payload, None, Some(shape))?;
+    if frame.fingerprint != shape.fingerprint {
+        return Err(CodecError::ShapeMismatch { at: "fingerprint" });
+    }
+    Ok(frame)
 }
 
 /// Parses a v2 delta payload by applying its residuals onto `base`.

@@ -444,7 +444,7 @@ fn run_tier<R: serde::Serialize>(
     if http_addr.is_some() || history_dir.is_some() || args.has("event-log") {
         let hcfg = history_dir.map_or_else(HistoryConfig::default, HistoryConfig::with_dir);
         let history = Arc::new(
-            HistoryStore::open(hcfg, cfg.fingerprint(), registry.as_ref())
+            HistoryStore::open(hcfg, &cfg, registry.as_ref())
                 .map_err(|e| format!("cannot open history store: {e}"))?,
         );
         let events = match args.get("event-log") {
@@ -647,7 +647,7 @@ fn agent(args: &Args) -> Result<(), String> {
         // The agent side only emits transition events; a minimal
         // in-memory history satisfies the hub without archiving.
         let history = Arc::new(
-            HistoryStore::open(HistoryConfig::in_memory(1), cfg.fingerprint(), None)
+            HistoryStore::open(HistoryConfig::in_memory(1), &cfg, None)
                 .map_err(|e| format!("cannot set up event log: {e}"))?,
         );
         agent.set_observer(Arc::new(

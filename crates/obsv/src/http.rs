@@ -476,7 +476,9 @@ fn intervals(request: &Request, state: &ApiState) -> Result<Response, HttpError>
 }
 
 fn sketch_health_route(state: &ApiState) -> Result<Response, HttpError> {
-    let Some((interval, snapshot)) = state.hub.history().latest() else {
+    let latest = state.hub.history().latest();
+    let latest = latest.map_err(|e| HttpError::Internal(format!("history read failed: {e}")))?;
+    let Some((interval, snapshot)) = latest else {
         return Err(HttpError::Unavailable(
             "no interval archived yet".to_string(),
         ));

@@ -3,10 +3,11 @@
 //! structured event log, and a live alert mirror the HTTP API serves.
 //!
 //! The hub runs inline on collector/agent threads, so every callback is
-//! bounded work: a ring append (amortised one segment write per
-//! [`crate::HistoryConfig::segment_intervals`] intervals), one JSONL
-//! line, and a few map insertions. Failures are counted and swallowed —
-//! observability must never take the detector down.
+//! bounded work: one keyframe encode and ring append (amortised one
+//! segment write per [`crate::HistoryConfig::segment_intervals`]
+//! intervals), one JSONL line, and a few map insertions. Failures are
+//! counted and swallowed — observability must never take the detector
+//! down.
 
 use crate::events::EventLog;
 use crate::history::{HistoryError, HistoryStore};
@@ -93,6 +94,18 @@ impl ObsvHub {
         self.alerts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Counts one closed (or forwarded) interval and archives its sum.
+    fn archive(&self, interval: u64, snapshot: &IntervalSnapshot) {
+        // relaxed-ok: independent monotone cells; readers tolerate skew
+        self.last_interval.store(interval, Ordering::Relaxed);
+        // relaxed-ok: same as above
+        self.intervals_closed.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = self.history.append(interval, snapshot) {
+            // Already counted in hifind_history_spill_errors_total.
+            eprintln!("[hifind-obsv] history append failed: {e}");
+        }
+    }
+
     fn emit(&self, record: crate::events::EventRecord) {
         if let Some(log) = &self.events {
             log.emit(&record);
@@ -125,14 +138,7 @@ impl CollectObserver for ObsvHub {
         contributors: usize,
         expected: usize,
     ) {
-        // relaxed-ok: independent monotone cells; readers tolerate skew
-        self.last_interval.store(interval, Ordering::Relaxed);
-        // relaxed-ok: same as above
-        self.intervals_closed.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.history.append(interval, snapshot) {
-            // Already counted in hifind_history_spill_errors_total.
-            eprintln!("[hifind-obsv] history append failed: {e}");
-        }
+        self.archive(interval, snapshot);
         // Mirror the outcome into the live alert log and derive
         // raise/suppress events from what was new this interval.
         let mut raised = Vec::new();
@@ -218,15 +224,9 @@ impl CollectObserver for ObsvHub {
         contributors: usize,
         expected: usize,
     ) {
-        // relaxed-ok: independent monotone cells; readers tolerate skew
-        self.last_interval.store(interval, Ordering::Relaxed);
-        // relaxed-ok: same as above
-        self.intervals_closed.fetch_add(1, Ordering::Relaxed);
         // Archive the forwarded sum, so a mid-tier node's /api/intervals
         // and /api/replay see its subtree exactly as the upstream does.
-        if let Err(e) = self.history.append(interval, snapshot) {
-            eprintln!("[hifind-obsv] history append failed: {e}");
-        }
+        self.archive(interval, snapshot);
         let mut rec = self.record("snapshot_forwarded", interval);
         rec.router_id = Some(node_id);
         rec.routers = Some(u64::try_from(contributors).unwrap_or(u64::MAX));
@@ -266,24 +266,14 @@ pub struct ReplayOverrides {
 impl ReplayOverrides {
     /// Applies the overrides to a copy of `cfg`.
     pub fn apply(&self, mut cfg: HiFindConfig) -> HiFindConfig {
-        if let Some(v) = self.threshold_per_sec {
-            cfg.threshold_per_sec = v;
-        }
-        if let Some(v) = self.ewma_alpha {
-            cfg.ewma_alpha = v;
-        }
-        if let Some(v) = self.flood_persist_intervals {
-            cfg.flood_persist_intervals = v;
-        }
-        if let Some(v) = self.flood_syn_ratio {
-            cfg.flood_syn_ratio = v;
-        }
-        if let Some(v) = self.classify_top_p {
-            cfg.classify_top_p = v;
-        }
-        if let Some(v) = self.classify_phi {
-            cfg.classify_phi = v;
-        }
+        cfg.threshold_per_sec = self.threshold_per_sec.unwrap_or(cfg.threshold_per_sec);
+        cfg.ewma_alpha = self.ewma_alpha.unwrap_or(cfg.ewma_alpha);
+        cfg.flood_persist_intervals = self
+            .flood_persist_intervals
+            .unwrap_or(cfg.flood_persist_intervals);
+        cfg.flood_syn_ratio = self.flood_syn_ratio.unwrap_or(cfg.flood_syn_ratio);
+        cfg.classify_top_p = self.classify_top_p.unwrap_or(cfg.classify_top_p);
+        cfg.classify_phi = self.classify_phi.unwrap_or(cfg.classify_phi);
         cfg
     }
 }
@@ -324,24 +314,21 @@ pub fn replay_window(
 ) -> Result<ReplayOutput, ReplayError> {
     let cfg = overrides.apply(cfg);
     let mut core = DetectionCore::new(cfg)?;
-    let snapshots = history.snapshots(from, to)?;
-    let mut by_interval = snapshots.into_iter().peekable();
+    let mut records = history.records(from, to)?.into_iter().peekable();
     let mut replayed = 0u64;
     let mut gaps = 0u64;
     for interval in from..=to {
-        // Snapshots are ascending; skip any below the cursor (cannot
-        // happen after dedup, but never trust an iterator twice).
-        while by_interval.peek().is_some_and(|(iv, _)| *iv < interval) {
-            by_interval.next();
-        }
-        if by_interval.peek().is_some_and(|(iv, _)| *iv == interval) {
-            if let Some((_, snapshot)) = by_interval.next() {
-                core.process_snapshot(&snapshot);
+        // Records are ascending, deduplicated and inside the window.
+        // At most one decoded snapshot is alive at a time.
+        match records.next_if(|(iv, _)| *iv == interval) {
+            Some((_, keyframe)) => {
+                core.process_snapshot(&history.decode(&keyframe)?);
                 replayed += 1;
             }
-        } else {
-            core.process_gap();
-            gaps += 1;
+            None => {
+                core.process_gap();
+                gaps += 1;
+            }
         }
     }
     Ok(ReplayOutput {

@@ -7,11 +7,20 @@
 //! live alert log bit for bit — and again with a far stricter threshold,
 //! which must provably change the alert set. The query endpoints and the
 //! JSONL event log are checked along the way.
+//!
+//! An ignored release-only test bounds the retained form's size at the
+//! paper's configuration:
+//! `cargo test --release -p hifind-obsv --test replay -- --ignored`.
 
 use hifind::pipeline::DetectionCore;
+use hifind::run_report::snapshot_health;
 use hifind::{HiFindConfig, SketchRecorder};
 use hifind_collect::CollectObserver;
-use hifind_obsv::{ApiState, EventLog, HistoryConfig, HistoryStore, HttpServer, ObsvHub};
+use hifind_obsv::{
+    replay_window, ApiState, EventLog, HistoryConfig, HistoryStore, HttpServer, ObsvHub,
+    ReplayOverrides,
+};
+use hifind_telemetry::registry::MetricValue;
 use hifind_telemetry::Registry;
 use hifind_trafficgen::presets;
 use serde::{Serialize, Value};
@@ -86,9 +95,7 @@ fn archived_window_replays_bit_identical_and_stricter_threshold_changes_alerts()
     // retention never evicts the earliest segments out from under us.
     hcfg.max_warm_bytes = 1 << 30;
     let registry = Registry::new();
-    let history = Arc::new(
-        HistoryStore::open(hcfg, cfg.fingerprint(), Some(&registry)).expect("open history"),
-    );
+    let history = Arc::new(HistoryStore::open(hcfg, &cfg, Some(&registry)).expect("open history"));
     let events = EventLog::open(&event_path, cfg.fingerprint()).expect("open event log");
     let hub = Arc::new(ObsvHub::new(cfg, Arc::clone(&history), Some(events)));
 
@@ -97,6 +104,10 @@ fn archived_window_replays_bit_identical_and_stricter_threshold_changes_alerts()
     let mut recorder = SketchRecorder::new(&cfg).expect("recorder");
     let mut core = DetectionCore::new(cfg).expect("core");
     let mut last_interval = 0;
+    // Each interval's packet counters, and the last interval's snapshot,
+    // pin the two read paths that decode less than a whole window.
+    let mut live_counts = Vec::new();
+    let mut last_snapshot = None;
     for window in trace.intervals(cfg.interval_ms) {
         for p in window.packets {
             recorder.record(p);
@@ -105,6 +116,15 @@ fn archived_window_replays_bit_identical_and_stricter_threshold_changes_alerts()
         let outcome = core.process_snapshot(&snapshot);
         hub.interval_closed(window.index, &snapshot, &outcome, 1, 1);
         last_interval = window.index;
+        live_counts.push((
+            window.index,
+            [
+                snapshot.syn_count,
+                snapshot.syn_ack_count,
+                snapshot.fin_rst_count,
+            ],
+        ));
+        last_snapshot = Some(snapshot);
     }
     let live = core.log().clone();
     assert!(
@@ -184,6 +204,18 @@ fn archived_window_replays_bit_identical_and_stricter_threshold_changes_alerts()
             .any(|s| s.get("tier").and_then(Value::as_str) == Some("hot")),
         "latest intervals stay in the hot ring"
     );
+    // Every summary's counters are the live snapshot's, whichever tier
+    // the record was read from.
+    assert_eq!(summaries.len(), live_counts.len());
+    for (summary, (interval, counts)) in summaries.iter().zip(&live_counts) {
+        assert_eq!(summary.get("interval"), Some(&Value::UInt(*interval)));
+        let got = ["syn_count", "syn_ack_count", "fin_rst_count"].map(|k| summary.get(k).cloned());
+        assert_eq!(
+            got,
+            counts.map(|c| Some(Value::UInt(c))),
+            "interval {interval}: {summary:?}"
+        );
+    }
 
     // Sketch health of the latest archived interval: all six grids.
     let health = get_json(&addr, "/api/sketch-health");
@@ -193,6 +225,13 @@ fn archived_window_replays_bit_identical_and_stricter_threshold_changes_alerts()
         6,
         "one health entry per named grid: {health:?}"
     );
+    // ... and exactly the live snapshot's health, through the same JSON.
+    let last_snapshot = last_snapshot.expect("at least one interval");
+    let expected = snapshot_health(&last_snapshot, cfg.interval_threshold()).to_value();
+    let expected: Value =
+        serde_json::from_str(&serde_json::to_string(&expected).expect("serialize health"))
+            .expect("health JSON parses");
+    assert_eq!(health.get("sketches"), Some(&expected));
 
     // Liveness and scrape endpoints.
     let healthz = get_json(&addr, "/healthz");
@@ -240,5 +279,83 @@ fn archived_window_replays_bit_identical_and_stricter_threshold_changes_alerts()
         "every record carries schema version and fingerprint"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn gauge(registry: &Registry, name: &str) -> i64 {
+    match registry.snapshot().get(name) {
+        Some(MetricValue::Gauge { value }) => *value,
+        other => panic!("{name} is not a gauge: {other:?}"),
+    }
+}
+
+/// The paper's configuration on campus-fleet's traffic mix
+/// (`nu_like(2026)` at 0.3 scale, 52 one-minute intervals). A decoded
+/// snapshot is 26.5 MiB here, so a ring of decoded snapshots or a warm
+/// tier of dense v1 blobs (3.59 MB per interval) would blow both bounds.
+#[test]
+#[ignore = "release-only paper-config fixture; CI runs it with --ignored"]
+fn paper_config_history_keeps_keyframes_and_replays_bit_identical() {
+    let seed = 2026;
+    let cfg = HiFindConfig::paper(seed);
+    let (trace, _) = presets::nu_like(seed).scaled(0.3).generate();
+    let dir = std::env::temp_dir().join(format!("hifind-obsv-paper-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The `--http` default: a 64-interval ring that holds the whole run.
+    let hot_registry = Registry::new();
+    let hot = HistoryStore::open(HistoryConfig::default(), &cfg, Some(&hot_registry))
+        .expect("open hot store");
+    // A one-interval ring: every other interval goes to warm segments.
+    let mut hcfg = HistoryConfig::with_dir(&dir);
+    hcfg.hot_capacity = 1;
+    hcfg.max_warm_bytes = 1 << 30;
+    let warm_registry = Registry::new();
+    let warm = HistoryStore::open(hcfg, &cfg, Some(&warm_registry)).expect("open warm store");
+
+    let mut recorder = SketchRecorder::new(&cfg).expect("recorder");
+    let mut core = DetectionCore::new(cfg).expect("core");
+    let mut intervals = 0u64;
+    for window in trace.intervals(cfg.interval_ms) {
+        for p in window.packets {
+            recorder.record(p);
+        }
+        let snapshot = recorder.take_snapshot();
+        core.process_snapshot(&snapshot);
+        hot.append(window.index, &snapshot).expect("hot append");
+        warm.append(window.index, &snapshot).expect("warm append");
+        assert_eq!(window.index, intervals, "intervals are contiguous");
+        intervals += 1;
+    }
+    warm.flush().expect("flush");
+    let live = core.log().to_value();
+    assert_eq!(intervals, 52);
+    assert!(
+        seq_len(live.get("raw")) > 0,
+        "trace must trigger detection for bit-identity to mean anything"
+    );
+
+    let hot_bytes = gauge(&hot_registry, "hifind_history_hot_bytes");
+    assert_eq!(gauge(&hot_registry, "hifind_history_hot_len"), 52);
+    assert!(
+        hot_bytes <= 20_000_000,
+        "52 intervals take {hot_bytes} bytes in the hot ring"
+    );
+    let warm_bytes = gauge(&warm_registry, "hifind_history_warm_bytes");
+    let per_interval = warm_bytes / i64::try_from(intervals - 1).unwrap();
+    assert!(
+        per_interval <= 359_000,
+        "warm segments take {per_interval} bytes per interval"
+    );
+
+    let replay = replay_window(cfg, &warm, 0, intervals - 1, &ReplayOverrides::default())
+        .expect("replay across warm segments and the hot ring");
+    assert_eq!(replay.intervals_replayed, intervals);
+    assert_eq!(replay.gaps, 0);
+    assert_eq!(
+        replay.alerts.to_value(),
+        live,
+        "replay must reproduce the live alert log bit for bit"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
