@@ -118,8 +118,6 @@ pub struct AggregatorReport {
     pub frames_late: u64,
     /// Child frames rejected for wire/codec/fingerprint violations.
     pub frames_rejected: u64,
-    /// Accepted child frames that arrived in the legacy v1 codec.
-    pub frames_codec_v1: u64,
     /// Accepted v2 keyframes from children.
     pub frames_v2_keyframes: u64,
     /// Accepted v2 delta frames from children.
@@ -291,7 +289,6 @@ impl Sink for ForwardSink {
             frames_received: c.frames_received,
             frames_late: c.frames_late,
             frames_rejected: c.frames_rejected,
-            frames_codec_v1: c.frames_codec_v1,
             frames_v2_keyframes: c.frames_v2_keyframes,
             frames_v2_deltas: c.frames_v2_deltas,
             bytes_received: c.bytes_received,
@@ -417,6 +414,49 @@ mod tests {
         assert_eq!(root_report.frames_received, 1);
         assert_eq!(root_report.frames_rejected, 0);
         assert_eq!(root_report.complete_intervals, 1);
+    }
+
+    /// Codec v1 is retired at interior tiers too: a version-1 frame is
+    /// one typed, counted rejection that drops its connection, and the
+    /// aggregator keeps summing and forwarding its other children's frames.
+    #[test]
+    fn version_1_frame_at_an_aggregator_is_rejected_not_summed() {
+        use crate::collector::tests::{send_version_1_frame, Rejections};
+        let cfg = HiFindConfig::small(25);
+        let mut root_cfg = CollectorConfig::new(1);
+        root_cfg.linger = Duration::from_secs(60);
+        let root = Collector::bind("127.0.0.1:0", cfg, root_cfg, None).expect("bind root");
+        let rejections = Arc::new(Rejections::default());
+        let mut agg_cfg = AggregatorConfig::new(7, 1);
+        agg_cfg.linger = Duration::from_secs(60);
+        agg_cfg.observer = Some(Arc::clone(&rejections) as Arc<dyn CollectObserver>);
+        let agg = Aggregator::bind(
+            "127.0.0.1:0",
+            root.local_addr().to_string(),
+            cfg,
+            agg_cfg,
+            None,
+        )
+        .expect("bind aggregator");
+        let agg_addr = agg.local_addr();
+        let mut honest = RouterAgent::new(agg_addr.to_string(), &cfg, AgentConfig::new(1)).unwrap();
+        honest.end_interval();
+        send_version_1_frame(&cfg, agg_addr, 1);
+        honest.end_interval();
+        honest.finish();
+        std::thread::sleep(Duration::from_millis(300));
+        let report = agg
+            .stop()
+            .expect("a version-1 frame must not kill the node");
+        assert_eq!(*rejections.0.lock().unwrap(), ["UnsupportedVersion(1)"]);
+        assert_eq!(report.frames_rejected, 1);
+        assert_eq!(report.frames_received, 2);
+        assert_eq!(report.children_seen, vec![1]);
+        assert_eq!(report.intervals_forwarded, 2);
+        std::thread::sleep(Duration::from_millis(200));
+        let root_report = root.stop().expect("collector threads");
+        assert_eq!(root_report.frames_received, 2);
+        assert_eq!(root_report.frames_rejected, 0);
     }
 
     /// A mis-seeded child at an interior tier is rejected with a typed,

@@ -14,7 +14,6 @@
 //! directory), so a crash mid-write leaves the previous checkpoint intact.
 
 use crate::codec::{len_u64, put_u64, put_uvarint, unzigzag, zigzag, Reader};
-use crate::ship::BacklogFrame;
 use crate::wire::{self, crc32};
 use crate::CodecError;
 use hifind::fp_filter::FloodStreak;
@@ -35,14 +34,14 @@ pub const AGENT_MAGIC: [u8; 4] = *b"HFA1";
 /// same container framing as checkpoints).
 pub const HISTORY_MAGIC: [u8; 4] = *b"HFH1";
 
-/// Checkpoint container format version written by core checkpoints (and
-/// by pre-v2 agent checkpoints and history segments).
+/// Container version of core (`HFC1`) checkpoints, the only container
+/// still at version 1.
 pub const CHECKPOINT_VERSION: u16 = 1;
 
 /// Container version of history segments (codec-v2 keyframes) and of agent
-/// checkpoints whose backlog entries carry a wire-codec tag ([`wire::CODEC_V1`]
-/// / [`wire::CODEC_V2`]). Version-1 agent files still decode — every untagged
-/// frame is a v1 frame, which is all a pre-upgrade agent could have queued.
+/// checkpoints, whose backlog entries each carry a codec tag byte that must
+/// be [`wire::CODEC_V2`]. A version-1 agent or history file is rejected as
+/// [`CheckpointError::Version`].
 pub const CHECKPOINT_VERSION_2: u16 = 2;
 
 /// Container header: magic(4) + version(2) + reserved(2) + fingerprint(8)
@@ -161,9 +160,9 @@ pub struct AgentCheckpoint {
     pub router_id: u32,
     /// Intervals ended so far (the next frame's interval index).
     pub interval: u64,
-    /// Backlogged wire frames (standalone, never deltas), oldest first,
-    /// each tagged with the codec its bytes are encoded in.
-    pub backlog: Vec<BacklogFrame>,
+    /// Backlogged wire frames (complete standalone v2 frames, never
+    /// deltas), oldest first.
+    pub backlog: Vec<Vec<u8>>,
 }
 
 impl AgentCheckpoint {
@@ -195,8 +194,8 @@ impl AgentCheckpoint {
     }
 }
 
-/// Wraps an encoded payload in the version-1 CRC-checked container shared
-/// by checkpoints and history segments.
+/// Wraps an encoded payload in the version-1 CRC-checked container of core
+/// checkpoints.
 pub fn encode_container(magic: [u8; 4], fingerprint: u64, payload: &[u8]) -> Vec<u8> {
     encode_container_versioned(magic, CHECKPOINT_VERSION, fingerprint, payload)
 }
@@ -548,16 +547,16 @@ pub fn decode_core_checkpoint(bytes: &[u8]) -> Result<CoreCheckpoint, Checkpoint
 }
 
 /// Serializes an [`AgentCheckpoint`] into its on-disk byte form (a
-/// version-2 container; each backlog entry is codec-tagged).
+/// version-2 container; each backlog entry is tagged [`wire::CODEC_V2`]).
 pub fn encode_agent_checkpoint(ckpt: &AgentCheckpoint) -> Vec<u8> {
     let mut payload = Vec::with_capacity(1 << 10);
     put_uvarint(&mut payload, u64::from(ckpt.router_id));
     put_uvarint(&mut payload, ckpt.interval);
     put_uvarint(&mut payload, len_u64(ckpt.backlog.len()));
-    for entry in &ckpt.backlog {
-        payload.push(entry.codec);
-        put_uvarint(&mut payload, len_u64(entry.frame.len()));
-        payload.extend_from_slice(&entry.frame);
+    for frame in &ckpt.backlog {
+        payload.push(wire::CODEC_V2);
+        put_uvarint(&mut payload, len_u64(frame.len()));
+        payload.extend_from_slice(frame);
     }
     encode_container_versioned(
         AGENT_MAGIC,
@@ -567,16 +566,18 @@ pub fn encode_agent_checkpoint(ckpt: &AgentCheckpoint) -> Vec<u8> {
     )
 }
 
-/// Parses bytes produced by [`encode_agent_checkpoint`], or by a
-/// pre-upgrade agent (version-1 container; every frame is then tagged
-/// [`wire::CODEC_V1`], the only codec such an agent could ship).
+/// Parses bytes produced by [`encode_agent_checkpoint`].
 ///
 /// # Errors
 ///
 /// Returns a [`CheckpointError`] naming the first container or payload
-/// violation; never panics on malformed input.
+/// violation — a version-1 container or a backlog tag other than
+/// [`wire::CODEC_V2`] included; never panics on malformed input.
 pub fn decode_agent_checkpoint(bytes: &[u8]) -> Result<AgentCheckpoint, CheckpointError> {
     let (version, fingerprint, payload) = decode_container_versioned(AGENT_MAGIC, bytes)?;
+    if version != CHECKPOINT_VERSION_2 {
+        return Err(CheckpointError::Version(version));
+    }
     let mut r = Reader::new(payload);
     let router_id = decode_u32_field(&mut r, "router_id")?;
     let interval = r.uvarint("interval")?;
@@ -584,29 +585,20 @@ pub fn decode_agent_checkpoint(bytes: &[u8]) -> Result<AgentCheckpoint, Checkpoi
     let n_frames = r.counted("backlog", n_frames, MAX_BACKLOG_FRAMES)?;
     let mut backlog = Vec::with_capacity(n_frames);
     for _ in 0..n_frames {
-        let codec = if version >= CHECKPOINT_VERSION_2 {
-            // One raw byte, as written: a varint spelling such as
-            // `0x81 0x00` is an unknown tag, never a valid 1.
-            match r.u8("backlog.codec")? {
-                c @ (wire::CODEC_V1 | wire::CODEC_V2) => c,
-                tag => {
-                    return Err(CheckpointError::Invalid {
-                        at: "backlog.codec",
-                        detail: format!("unknown codec tag {tag}"),
-                    })
-                }
-            }
-        } else {
-            wire::CODEC_V1
-        };
+        // One raw byte, as written: a varint spelling such as `0x82 0x00`
+        // is an unknown tag, never a valid 2.
+        let tag = r.u8("backlog.codec")?;
+        if tag != wire::CODEC_V2 {
+            return Err(CheckpointError::Invalid {
+                at: "backlog.codec",
+                detail: format!("unsupported codec tag {tag}"),
+            });
+        }
         let len = r.uvarint("backlog.frame")?;
         let len = r.counted("backlog.frame", len, MAX_FRAME_BYTES)?;
         let start = r.position();
         r.skip(len, "backlog.frame")?;
-        backlog.push(BacklogFrame {
-            codec,
-            frame: payload[start..r.position()].to_vec(),
-        });
+        backlog.push(payload[start..r.position()].to_vec());
     }
     r.finish()?;
     Ok(AgentCheckpoint {
@@ -809,71 +801,62 @@ mod tests {
             fingerprint: 0xFEED,
             router_id: 7,
             interval: 42,
-            backlog: vec![
-                BacklogFrame {
-                    codec: wire::CODEC_V1,
-                    frame: vec![1, 2, 3],
-                },
-                BacklogFrame {
-                    codec: wire::CODEC_V2,
-                    frame: vec![],
-                },
-                BacklogFrame {
-                    codec: wire::CODEC_V2,
-                    frame: vec![0xFF; 300],
-                },
-            ],
+            backlog: vec![vec![1, 2, 3], vec![], vec![0xFF; 300]],
         };
         let bytes = encode_agent_checkpoint(&ckpt);
         assert_eq!(decode_agent_checkpoint(&bytes).unwrap(), ckpt);
     }
 
-    #[test]
-    fn legacy_version_1_agent_checkpoint_decodes_with_v1_tags() {
-        // Hand-built version-1 layout: untagged frames, exactly what a
-        // pre-upgrade agent wrote to disk before being restarted onto
-        // this build (the resume-across-upgrade regression).
-        let frames: [&[u8]; 2] = [&[9, 9, 9], &[0xAB; 40]];
-        let mut payload = Vec::new();
-        put_uvarint(&mut payload, 7); // router_id
-        put_uvarint(&mut payload, 42); // interval
-        put_uvarint(&mut payload, 2); // backlog count
-        for f in frames {
-            put_uvarint(&mut payload, len_u64(f.len()));
-            payload.extend_from_slice(f);
-        }
-        let bytes = encode_container(AGENT_MAGIC, 0xFEED, &payload);
-        let ckpt = decode_agent_checkpoint(&bytes).unwrap();
-        assert_eq!(ckpt.router_id, 7);
-        assert_eq!(ckpt.interval, 42);
-        assert_eq!(ckpt.backlog.len(), 2);
-        for (entry, raw) in ckpt.backlog.iter().zip(frames) {
-            assert_eq!(entry.codec, wire::CODEC_V1);
-            assert_eq!(entry.frame, raw);
-        }
-    }
-
-    #[test]
-    fn unknown_backlog_codec_tag_is_rejected() {
-        let ckpt = AgentCheckpoint {
-            fingerprint: 1,
-            router_id: 1,
-            interval: 1,
-            backlog: vec![BacklogFrame {
-                codec: 9,
-                frame: vec![1],
-            }],
-        };
-        // A tag is one raw byte: the varint spelling `0x81 0x00` of 1 is
-        // tag 0x81, not a v1 frame.
+    /// An agent payload (router 1, interval 1) of one backlog entry: the
+    /// raw `tag` bytes, then a one-byte frame.
+    fn agent_payload(tag: &[u8]) -> Vec<u8> {
         let mut payload = Vec::new();
         put_uvarint(&mut payload, 1); // router_id
         put_uvarint(&mut payload, 1); // interval
         put_uvarint(&mut payload, 1); // backlog count
-        payload.extend_from_slice(&[0x81, 0x00, 1, 1]); // tag, frame length, frame
-        let non_canonical =
-            encode_container_versioned(AGENT_MAGIC, CHECKPOINT_VERSION_2, 1, &payload);
-        for bytes in [encode_agent_checkpoint(&ckpt), non_canonical] {
+        payload.extend_from_slice(tag);
+        payload.extend_from_slice(&[1, 1]); // frame length, frame
+        payload
+    }
+
+    /// Codec v1 is retired from agent checkpoints: a version-1 container
+    /// (untagged dense frames) and a version-2 entry tagged `1` are both
+    /// typed errors, never a backlog to re-ship.
+    #[test]
+    fn legacy_v1_agent_checkpoints_are_typed_errors() {
+        let mut payload = Vec::new();
+        put_uvarint(&mut payload, 7); // router_id
+        put_uvarint(&mut payload, 42); // interval
+        put_uvarint(&mut payload, 1); // backlog count
+        put_uvarint(&mut payload, 3); // frame length
+        payload.extend_from_slice(&[9, 9, 9]);
+        let version_1 = encode_container(AGENT_MAGIC, 0xFEED, &payload);
+        assert!(matches!(
+            decode_agent_checkpoint(&version_1),
+            Err(CheckpointError::Version(1))
+        ));
+        let tagged_v1 =
+            encode_container_versioned(AGENT_MAGIC, CHECKPOINT_VERSION_2, 1, &agent_payload(&[1]));
+        assert!(matches!(
+            decode_agent_checkpoint(&tagged_v1),
+            Err(CheckpointError::Invalid {
+                at: "backlog.codec",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn unknown_backlog_codec_tag_is_rejected() {
+        // A tag is one raw byte: the varint spelling `0x82 0x00` of 2 is
+        // tag 0x82, not a v2 frame.
+        for tag in [&[9u8][..], &[0x82, 0x00]] {
+            let bytes = encode_container_versioned(
+                AGENT_MAGIC,
+                CHECKPOINT_VERSION_2,
+                1,
+                &agent_payload(tag),
+            );
             assert!(matches!(
                 decode_agent_checkpoint(&bytes),
                 Err(CheckpointError::Invalid {

@@ -1,4 +1,8 @@
-//! Compact binary encoding of [`IntervalSnapshot`].
+//! Compact binary encoding of [`IntervalSnapshot`] — the dense codec v1.
+//!
+//! No node sends or accepts it (the wire and agent checkpoints carry only
+//! [`crate::codec_v2`]); it stays a library format, the dense baseline
+//! that encoded sizes are measured against.
 //!
 //! Sketch grids are overwhelmingly zero outside attack hot spots, so
 //! counters are written as zig-zag LEB128 varints: a zero bucket costs one
@@ -10,8 +14,8 @@
 //! declared sizes are capped before allocation, and all failures are typed
 //! [`CodecError`]s — malformed bytes can never panic or exhaust memory.
 
-use crate::codec_v2::{self, FrameRuns, GridRuns};
-use hifind::{IntervalSnapshot, SnapshotShape};
+use crate::codec_v2::{self, GridRuns};
+use hifind::IntervalSnapshot;
 use hifind_sketch::CounterGrid;
 
 /// Upper bound on `stages × buckets` of a single decoded grid (16 Mi
@@ -241,8 +245,7 @@ fn encode_grid(out: &mut Vec<u8>, grid: &CounterGrid) {
     }
 }
 
-/// Serializes a snapshot into the payload format (no frame header; see
-/// [`crate::wire::encode_frame`] for the full frame).
+/// Serializes a snapshot into the dense payload format.
 pub fn encode_snapshot(snap: &IntervalSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 << 16);
     put_u64(&mut out, snap.fingerprint);
@@ -272,22 +275,13 @@ pub fn encode_snapshot(snap: &IntervalSnapshot) -> Vec<u8> {
 /// Returns a [`CodecError`] describing the first structural violation;
 /// never panics on malformed input.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<IntervalSnapshot, CodecError> {
-    Ok(parse_snapshot(bytes, None)?.into_snapshot())
-}
-
-/// Checks a whole v1 payload — against the receiver's `shape`, when
-/// given — and parses it into one dense run per stage, the form a
-/// receiving tier adds into its pending sum.
-pub(crate) fn parse_snapshot(
-    bytes: &[u8],
-    shape: Option<&SnapshotShape>,
-) -> Result<FrameRuns, CodecError> {
     let dense = GridRuns::read_dense;
-    codec_v2::parse_body(Reader::new(bytes), shape, dense, |r, words, _| {
+    let frame = codec_v2::parse_body(Reader::new(bytes), None, dense, |r, words, _| {
         let inserted = r.uvarint("bloom_inserted")?;
         let bits: Result<_, _> = (0..words).map(|_| r.u64("bloom_words")).collect();
         Ok((bits?, inserted))
-    })
+    })?;
+    Ok(frame.into_snapshot())
 }
 
 #[cfg(test)]

@@ -117,8 +117,6 @@ pub struct CollectionReport {
     pub frames_rejected: u64,
     /// Payload + header bytes of valid frames.
     pub bytes_received: u64,
-    /// Valid frames that arrived in the dense v1 codec.
-    pub frames_codec_v1: u64,
     /// Valid v2 keyframes.
     pub frames_v2_keyframes: u64,
     /// Valid v2 delta frames.
@@ -228,10 +226,12 @@ pub(crate) mod tests {
     use super::*;
     use crate::agent::{AgentConfig, RouterAgent};
     use crate::codec_v2;
+    use crate::wire::WireError;
     use hifind::SketchRecorder;
     use hifind_flow::Packet;
-    use std::io::Write;
-    use std::net::TcpStream;
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::Mutex;
     use std::time::Instant;
 
     /// A CRC-valid v2 keyframe that carries `cfg`'s fingerprint, in its
@@ -243,6 +243,54 @@ pub(crate) mod tests {
         snap.fingerprint = cfg.fingerprint();
         let payload = codec_v2::encode_keyframe(&snap);
         wire::encode_frame_v2(router_id, interval, cfg.fingerprint(), &payload).unwrap()
+    }
+
+    /// A frame of the retired protocol version 1, built by hand: the
+    /// version-1 header around `cfg`'s empty snapshot in the dense codec.
+    pub(crate) fn version_1_frame(cfg: &HiFindConfig, router_id: u32, interval: u64) -> Vec<u8> {
+        let snap = SketchRecorder::new(cfg).unwrap().take_snapshot();
+        let payload = crate::codec::encode_snapshot(&snap);
+        let mut frame = wire::MAGIC.to_vec();
+        frame.extend_from_slice(&1u16.to_le_bytes()); // version
+        frame.extend_from_slice(&[0, 0]); // reserved
+        frame.extend_from_slice(&router_id.to_le_bytes());
+        frame.extend_from_slice(&interval.to_le_bytes());
+        frame.extend_from_slice(&snap.fingerprint.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&wire::crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    /// Sends a version-1 frame to the node at `addr` and waits for the
+    /// node to drop the connection, which must answer nothing.
+    pub(crate) fn send_version_1_frame(cfg: &HiFindConfig, addr: SocketAddr, interval: u64) {
+        let mut legacy = TcpStream::connect(addr).expect("connect");
+        legacy
+            .write_all(&version_1_frame(cfg, 9, interval))
+            .expect("send");
+        legacy
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut answer = Vec::new();
+        if let Err(e) = legacy.read_to_end(&mut answer) {
+            // A reset is a drop too; only a timeout means the node kept it.
+            assert!(
+                !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "the node kept a version-1 connection open"
+            );
+        }
+        assert!(answer.is_empty(), "a version-1 sender is never answered");
+    }
+
+    /// Every rejection a node reports, as its `Debug` form.
+    #[derive(Default)]
+    pub(crate) struct Rejections(pub(crate) Mutex<Vec<String>>);
+
+    impl CollectObserver for Rejections {
+        fn frame_rejected(&self, error: &WireError) {
+            self.0.lock().unwrap().push(format!("{error:?}"));
+        }
     }
 
     fn local_collector(
@@ -320,6 +368,34 @@ pub(crate) mod tests {
         let report = handle
             .stop()
             .expect("a forged frame must not kill the node");
+        assert_eq!(report.frames_rejected, 1);
+        assert_eq!(report.frames_received, 2);
+        assert_eq!(report.routers_seen, vec![1]);
+        assert_eq!(report.complete_intervals, 2);
+    }
+
+    /// Codec v1 is retired from every receiving tier: a version-1 frame
+    /// is one typed, counted rejection that drops its connection, and the
+    /// collector keeps summing v2 frames from its other connections.
+    #[test]
+    fn version_1_frame_is_rejected_and_the_collector_keeps_summing() {
+        let cfg = HiFindConfig::small(17);
+        let rejections = Arc::new(Rejections::default());
+        let mut ccfg = CollectorConfig::new(1);
+        ccfg.linger = Duration::from_secs(60);
+        ccfg.observer = Some(Arc::clone(&rejections) as Arc<dyn CollectObserver>);
+        let handle = local_collector(cfg, ccfg, None);
+        let addr = handle.local_addr();
+        let mut agent = RouterAgent::new(addr.to_string(), &cfg, AgentConfig::new(1)).unwrap();
+        agent.end_interval();
+        send_version_1_frame(&cfg, addr, 1);
+        agent.end_interval();
+        agent.finish();
+        std::thread::sleep(Duration::from_millis(200));
+        let report = handle
+            .stop()
+            .expect("a version-1 frame must not kill the node");
+        assert_eq!(*rejections.0.lock().unwrap(), ["UnsupportedVersion(1)"]);
         assert_eq!(report.frames_rejected, 1);
         assert_eq!(report.frames_received, 2);
         assert_eq!(report.routers_seen, vec![1]);

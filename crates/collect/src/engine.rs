@@ -21,8 +21,10 @@
 //! An agent reconnecting into a backpressured collector still gets its
 //! hello answered instead of timing out into retry loops.
 //!
-//! Every connection speaks codec v2 after a hello, or sends bare legacy
-//! v1 frames without one; both decode on the same connection state.
+//! Every frame is codec v2. A connection that opened with a hello is
+//! acked per frame; one that sent no hello is still decoded, never acked.
+//! A version-1 frame header is a lost framing: it is rejected and its
+//! connection dropped.
 //!
 //! Shutdown is prompt: [`EngineHandle::wake`] writes one byte into the
 //! wakeup pipe, which the poll set always watches, so `stop()` never
@@ -56,14 +58,13 @@ pub(crate) enum Event {
 
 /// A validated frame as the engine hands it on: the sender id and
 /// interval from its header, its payload parsed into runs, its header +
-/// payload size on the wire, its codec, whether a v2 payload was a delta,
-/// and the time spent validating and parsing it.
+/// payload size on the wire, whether the payload was a delta, and the
+/// time spent validating and parsing it.
 pub(crate) struct Received {
     pub router_id: u32,
     pub interval: u64,
     pub frame: FrameRuns,
     pub frame_bytes: u64,
-    pub codec: u8,
     pub delta: bool,
     pub decode: Duration,
 }
@@ -217,7 +218,6 @@ impl FrameAssembler {
                 interval: header.interval,
                 frame,
                 frame_bytes: u64::try_from(frame_len).unwrap_or(u64::MAX),
-                codec: header.codec,
                 delta,
                 decode,
             })),
@@ -345,7 +345,7 @@ struct Conn {
     stream: TcpStream,
     assembler: FrameAssembler,
     open: bool,
-    /// The peer's hello was accepted (never, for a legacy v1 peer).
+    /// The peer's hello was accepted.
     negotiated: bool,
     /// Bytes queued for the peer (accept + acks), written opportunistically
     /// with nonblocking writes so the engine never stalls on a peer.
@@ -708,10 +708,9 @@ fn drain_steps(
             }
             Step::Frame(received) => {
                 conn.greeted = true;
-                // Acks exist solely to unlock the sender's delta chain;
-                // a v1 frame on a v2 session (a replayed pre-upgrade
-                // backlog) needs none.
-                if conn.negotiated && received.codec == wire::CODEC_V2 {
+                // Acks exist solely to unlock the sender's delta chain,
+                // which only a peer that sent a hello keeps.
+                if conn.negotiated {
                     conn.queue(&wire::encode_ack(received.interval));
                 }
                 if !emit(tx, pending, Event::Frame(received)) {
@@ -833,7 +832,8 @@ mod tests {
         let cfg = HiFindConfig::small(3);
         let mut rec = SketchRecorder::new(&cfg).unwrap();
         let snap = rec.take_snapshot();
-        let frame = wire::encode_frame(9, 4, &snap).unwrap();
+        let payload = crate::codec_v2::encode_keyframe(&snap);
+        let frame = wire::encode_frame_v2(9, 4, snap.fingerprint, &payload).unwrap();
         let len = frame.len() as u64;
         (frame, len)
     }
@@ -896,8 +896,9 @@ mod tests {
     }
 
     /// A hello arriving in arbitrary fragments is recognized when it
-    /// offers v2, and legacy v1 and v2 frames both parse after it. A
-    /// hello offering no v2 is a typed, fatal control error.
+    /// offers v2, and v2 frames parse after it; a version-1 frame is a
+    /// fatal framing loss. A hello offering no v2 is a typed, fatal
+    /// control error.
     #[test]
     fn hello_is_recognized_only_when_v2_is_enabled() {
         let hello = wire::encode_hello(&[wire::CODEC_V2]);
@@ -911,21 +912,16 @@ mod tests {
         assert!(matches!(asm.step(&mut chains), Step::Hello));
         let (frame, _) = sample_frame();
         asm.extend(&frame);
-        assert!(matches!(
-            asm.step(&mut chains),
-            Step::Frame(r) if r.codec == wire::CODEC_V1
-        ));
+        assert!(matches!(asm.step(&mut chains), Step::Frame(r) if !r.delta));
         let cfg = HiFindConfig::small(3);
-        let snap = SketchRecorder::new(&cfg).unwrap().take_snapshot();
-        let payload = crate::codec_v2::encode_keyframe(&snap);
-        asm.extend(&wire::encode_frame_v2(9, 4, snap.fingerprint, &payload).unwrap());
+        asm.extend(&crate::collector::tests::version_1_frame(&cfg, 9, 5));
         assert!(matches!(
             asm.step(&mut chains),
-            Step::Frame(r) if r.codec == wire::CODEC_V2 && !r.delta
+            Step::Fatal(WireError::UnsupportedVersion(1))
         ));
 
         let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
-        v1_only.extend(&wire::encode_hello(&[wire::CODEC_V1]));
+        v1_only.extend(&wire::encode_hello(&[1]));
         assert!(matches!(
             v1_only.step(&mut chains),
             Step::Fatal(WireError::BadControl { .. })

@@ -7,14 +7,15 @@
 //! one router had seen all traffic. The core crates prove that property
 //! in-process; this crate makes it *networked*:
 //!
-//! * [`codec`] — a compact binary encoding of [`hifind::IntervalSnapshot`]
-//!   (zig-zag varint counters; mostly-zero sketch grids shrink by an order
-//!   of magnitude versus their in-memory size). Receivers still decode it
-//!   from legacy senders; no node sends it.
-//! * [`codec_v2`] — the sparse/delta encoding every node sends.
+//! * [`codec_v2`] — the sparse/delta encoding of
+//!   [`hifind::IntervalSnapshot`], the one codec on the wire and in
+//!   agent checkpoints.
+//! * [`codec`] — the dense v1 encoding (zig-zag varint counters), kept
+//!   only as a library: no node sends or accepts it.
 //! * [`wire`] — versioned, length-prefixed, CRC-checked framing with the
 //!   record-plane configuration fingerprint in every header, so a
 //!   mis-seeded router is rejected before its counters can poison the sum.
+//!   A version-1 frame is rejected like any other framing loss.
 //! * `node` (crate-private) — the one tier node every receiving tier
 //!   runs: an event-driven connection engine (one poll thread for all
 //!   sockets, no thread per connection) accepts N downstream nodes, and
@@ -77,8 +78,8 @@ pub use collector::{
 pub use faults::{FaultPlan, FaultProxy, FaultStats};
 pub use node::TierHandle;
 pub use observer::CollectObserver;
-pub use ship::{BacklogFrame, ShipConfig, Shipper};
-pub use wire::{FrameHeader, WireError, HEADER_LEN, PROTOCOL_VERSION};
+pub use ship::{ShipConfig, Shipper};
+pub use wire::{FrameHeader, WireError, HEADER_LEN};
 
 /// Any failure in the collection subsystem.
 #[derive(Debug)]

@@ -40,7 +40,7 @@ use crate::checkpoint::CheckpointError;
 use crate::codec::CodecError;
 use crate::collector::{CollectionReport, CollectorConfig};
 use crate::engine::{EngineConfig, EngineHandle, Event, PollEngine, Received};
-use crate::wire::{self, WireError};
+use crate::wire::WireError;
 use crate::CollectError;
 use hifind::SnapshotShape;
 use hifind_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Registry, TelemetryError};
@@ -87,7 +87,6 @@ struct TierTelemetry {
     frames_rejected: Arc<Counter>,
     straggler_slots: Arc<Counter>,
     bytes_received: Arc<Counter>,
-    frames_codec_v1: Arc<Counter>,
     frames_v2_keyframes: Arc<Counter>,
     frames_v2_deltas: Arc<Counter>,
     decode_seconds: Arc<Histogram>,
@@ -124,10 +123,6 @@ impl TierTelemetry {
             bytes_received: registry.counter(
                 "hifind_collect_bytes_received_total",
                 "Bytes of valid frames received",
-            )?,
-            frames_codec_v1: registry.counter(
-                "hifind_collect_frames_codec_v1_total",
-                "Valid frames received in the dense v1 codec",
             )?,
             frames_v2_keyframes: registry.counter(
                 "hifind_collect_frames_v2_keyframes_total",
@@ -428,10 +423,10 @@ impl<S: Sink> Node<S> {
                 t.frames_received.inc();
                 c.bytes_received += r.frame_bytes;
                 t.bytes_received.add(r.frame_bytes);
-                let (count, metric) = match (r.codec, r.delta) {
-                    (wire::CODEC_V2, true) => (&mut c.frames_v2_deltas, &t.frames_v2_deltas),
-                    (wire::CODEC_V2, false) => (&mut c.frames_v2_keyframes, &t.frames_v2_keyframes),
-                    _ => (&mut c.frames_codec_v1, &t.frames_codec_v1),
+                let (count, metric) = if r.delta {
+                    (&mut c.frames_v2_deltas, &t.frames_v2_deltas)
+                } else {
+                    (&mut c.frames_v2_keyframes, &t.frames_v2_keyframes)
                 };
                 *count += 1;
                 metric.inc();

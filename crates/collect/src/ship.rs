@@ -11,9 +11,8 @@
 //! connection opens with a hello offering [`wire::CODEC_V2`] and waits up
 //! to `io_timeout` for the upstream's accept. An upstream that does not
 //! accept costs a failed connect attempt — counted, backed off, and the
-//! backlog kept — never a downgrade. Backlog frames restored from an old
-//! checkpoint may still be v1; they ship verbatim, since every receiver
-//! decodes legacy v1 frames.
+//! backlog kept — never a downgrade. Backlog frames restored from a
+//! checkpoint are standalone v2 keyframes and ship verbatim.
 //!
 //! The upstream acks each interval it decodes; those acks gate the delta
 //! chain: a snapshot is shipped as residuals only against a baseline the
@@ -63,21 +62,8 @@ impl Default for ShipConfig {
     }
 }
 
-/// One checkpointable backlog frame: the bytes to (re)ship plus the
-/// codec they are encoded in.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BacklogFrame {
-    /// [`wire::CODEC_V2`], or [`wire::CODEC_V1`] for a frame restored
-    /// from a legacy agent's checkpoint.
-    pub codec: u8,
-    /// A complete standalone frame (header + payload, never a delta).
-    pub frame: Vec<u8>,
-}
-
 /// A queued frame awaiting shipment.
 struct Entry {
-    /// Codec of `frame` as queued.
-    codec: u8,
     /// The frame to write on the current connection.
     frame: Vec<u8>,
     /// For delta frames: the standalone keyframe twin that replaces
@@ -220,11 +206,7 @@ impl Shipper {
             self.stats.frames_v2_keyframes += 1;
             None
         };
-        Some(Entry {
-            codec: wire::CODEC_V2,
-            frame,
-            standalone,
-        })
+        Some(Entry { frame, standalone })
     }
 
     /// Queues `entry`, evicting the oldest on overflow (fresher intervals
@@ -411,25 +393,21 @@ impl Shipper {
         self.backlog.len()
     }
 
-    /// The still-unshipped frames in checkpointable form: standalone
-    /// (never delta), tagged with their codec.
-    pub fn backlog_frames(&self) -> Vec<BacklogFrame> {
+    /// The still-unshipped frames in checkpointable form: complete
+    /// standalone frames (header + payload, never a delta).
+    pub fn backlog_frames(&self) -> Vec<Vec<u8>> {
         self.backlog
             .iter()
-            .map(|entry| BacklogFrame {
-                codec: entry.codec,
-                frame: entry.standalone_frame().clone(),
-            })
+            .map(|entry| entry.standalone_frame().clone())
             .collect()
     }
 
     /// Replaces the backlog with checkpointed frames.
-    pub fn restore_backlog(&mut self, frames: &[BacklogFrame]) {
+    pub fn restore_backlog(&mut self, frames: &[Vec<u8>]) {
         self.backlog = frames
             .iter()
-            .map(|f| Entry {
-                codec: f.codec,
-                frame: f.frame.clone(),
+            .map(|frame| Entry {
+                frame: frame.clone(),
                 standalone: None,
             })
             .collect();

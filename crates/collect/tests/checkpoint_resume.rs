@@ -6,16 +6,21 @@
 //! test drives that through the *serialized* checkpoint (container
 //! header, CRC, varint payload), not just the in-memory state, so the
 //! codec itself is inside the proved loop. A second test restarts a real
-//! TCP collector mid-stream, and a third checks a multi-interval outage
-//! raises nothing spurious once traffic returns.
+//! TCP collector mid-stream, a third checks a multi-interval outage
+//! raises nothing spurious once traffic returns, and a fourth resumes a
+//! router agent from a serialized checkpoint that still owes frames.
 
 use hifind::pipeline::DetectionCore;
 use hifind::report::Phase;
 use hifind::{HiFind, HiFindConfig, IntervalSnapshot, SketchRecorder};
 use hifind_collect::checkpoint::{
-    decode_core_checkpoint, encode_core_checkpoint, read_core_checkpoint,
+    decode_agent_checkpoint, decode_core_checkpoint, encode_agent_checkpoint,
+    encode_core_checkpoint, read_core_checkpoint,
 };
-use hifind_collect::{AgentConfig, CheckpointPolicy, Collector, CollectorConfig, RouterAgent};
+use hifind_collect::{
+    codec_v2, wire, AgentCheckpoint, AgentConfig, CheckpointPolicy, Collector, CollectorConfig,
+    RouterAgent,
+};
 use hifind_flow::{Ip4, Packet, Trace};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -267,7 +272,10 @@ fn outage_gap_raises_no_spurious_alerts() {
     use std::io::Write as _;
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
     for iv in [0u64, 1, 2, 6, 7, 8] {
-        let frame = hifind_collect::wire::encode_frame(0, iv, &steady()).expect("frame encodes");
+        let snapshot = steady();
+        let keyframe = hifind_collect::codec_v2::encode_keyframe(&snapshot);
+        let frame = hifind_collect::wire::encode_frame_v2(0, iv, snapshot.fingerprint, &keyframe)
+            .expect("frame encodes");
         stream.write_all(&frame).expect("ship");
     }
     drop(stream);
@@ -283,4 +291,48 @@ fn outage_gap_raises_no_spurious_alerts() {
         "steady traffic across an outage must stay silent: {:?}",
         report.log
     );
+}
+
+/// A resumed agent ships the keyframes its serialized checkpoint still
+/// owed verbatim, then carries on with fresh intervals on the same
+/// session.
+#[test]
+fn resumed_agent_ships_its_checkpointed_backlog_verbatim() {
+    let cfg = HiFindConfig::small(64);
+    let victim: Ip4 = [129, 105, 0, 1].into();
+    let mut recorder = SketchRecorder::new(&cfg).expect("config");
+    let backlog = (0..3u64)
+        .map(|iv| {
+            for i in 0..25u32 {
+                let src = Ip4::new(0x0909_0900 + i);
+                recorder.record(&Packet::syn(iv, src, 4000, victim, 80));
+            }
+            let snapshot = recorder.take_snapshot();
+            let keyframe = codec_v2::encode_keyframe(&snapshot);
+            wire::encode_frame_v2(0, iv, snapshot.fingerprint, &keyframe).expect("frame encodes")
+        })
+        .collect();
+    let ckpt = AgentCheckpoint {
+        fingerprint: cfg.fingerprint(),
+        router_id: 0,
+        interval: 3,
+        backlog,
+    };
+    let ckpt = decode_agent_checkpoint(&encode_agent_checkpoint(&ckpt)).expect("round trip");
+    let handle = Collector::bind("127.0.0.1:0", cfg, CollectorConfig::new(1), None).expect("bind");
+    let addr = handle.local_addr().to_string();
+    let mut resumed = RouterAgent::resume(addr, &cfg, AgentConfig::new(0), &ckpt).expect("resume");
+    resumed.flush();
+    resumed.end_interval();
+    let stats = resumed.finish();
+    assert_eq!(stats.frames_shipped, 4);
+    assert_eq!(
+        stats.frames_v2_keyframes, 1,
+        "only the fresh interval is encoded"
+    );
+    let report = handle.wait().expect("collector threads");
+    assert_eq!(report.frames_received, 4, "{report:?}");
+    assert_eq!(report.frames_v2_keyframes, 4, "the backlog ships verbatim");
+    assert_eq!(report.complete_intervals, 4);
+    assert_eq!(report.frames_rejected, 0);
 }

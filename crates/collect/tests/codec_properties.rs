@@ -1,4 +1,4 @@
-//! Property-based tests of the snapshot codec and frame format.
+//! Property-based tests of the frame format around codec-v2 keyframes.
 //!
 //! Two guarantees carry the distributed design: (1) a frame round trip is
 //! lossless down to the counter level, so networked aggregation combines
@@ -8,7 +8,9 @@
 //! snapshot.
 
 use hifind::{HiFindConfig, IntervalSnapshot, SketchRecorder};
-use hifind_collect::{FrameHeader, WireError, HEADER_LEN, PROTOCOL_VERSION};
+use hifind_collect::codec_v2::{encode_keyframe, ChainStore};
+use hifind_collect::wire::{self, DEFAULT_MAX_PAYLOAD};
+use hifind_collect::{FrameHeader, WireError, HEADER_LEN};
 use hifind_flow::rng::SplitMix64;
 use hifind_flow::{Ip4, Packet};
 use proptest::prelude::*;
@@ -34,9 +36,33 @@ fn arb_snapshot(seed: u64, packets: u32) -> IntervalSnapshot {
     rec.take_snapshot()
 }
 
+/// `snap` as one complete keyframe frame.
+fn frame_of(router_id: u32, interval: u64, snap: &IntervalSnapshot) -> Vec<u8> {
+    wire::encode_frame_v2(
+        router_id,
+        interval,
+        snap.fingerprint,
+        &encode_keyframe(snap),
+    )
+    .expect("frame encodes")
+}
+
+/// Reads the one frame `bytes` should hold, as a receiver slices it off
+/// its stream: no bytes at all is a clean end of stream, fewer than a
+/// header or than the header's declared payload a truncation.
 fn read_one(bytes: &[u8]) -> Result<Option<(FrameHeader, IntervalSnapshot)>, WireError> {
-    let mut cursor = bytes;
-    hifind_collect::wire::read_frame(&mut cursor, hifind_collect::wire::DEFAULT_MAX_PAYLOAD)
+    if bytes.is_empty() {
+        return Ok(None);
+    }
+    let Some(header) = bytes.get(..HEADER_LEN) else {
+        return Err(WireError::TruncatedFrame {
+            expected: HEADER_LEN,
+            got: bytes.len(),
+        });
+    };
+    let header = wire::parse_header(header.try_into().unwrap(), DEFAULT_MAX_PAYLOAD)?;
+    let (snap, _) = wire::decode_payload_v2(&header, &bytes[HEADER_LEN..], &mut ChainStore::new())?;
+    Ok(Some((header, snap)))
 }
 
 proptest! {
@@ -53,11 +79,10 @@ proptest! {
         interval in any::<u64>(),
     ) {
         let snap = arb_snapshot(seed, packets);
-        let frame = hifind_collect::wire::encode_frame(router_id, interval, &snap).expect("frame encodes");
+        let frame = frame_of(router_id, interval, &snap);
         let (header, decoded) = read_one(&frame)
             .expect("well-formed frame")
             .expect("not EOF");
-        prop_assert_eq!(header.version, PROTOCOL_VERSION);
         prop_assert_eq!(header.router_id, router_id);
         prop_assert_eq!(header.interval, interval);
         prop_assert_eq!(header.fingerprint, snap.fingerprint);
@@ -65,7 +90,7 @@ proptest! {
 
         // Aggregation over the wire == aggregation in memory.
         let other = arb_snapshot(seed ^ 0xA5A5, packets / 2 + 1);
-        let other_frame = hifind_collect::wire::encode_frame(router_id, interval, &other).expect("frame encodes");
+        let other_frame = frame_of(router_id, interval, &other);
         let (_, other_decoded) = read_one(&other_frame).unwrap().unwrap();
         let mut wire_sum = decoded;
         wire_sum.combine_into(&other_decoded).expect("same config");
@@ -76,7 +101,7 @@ proptest! {
 
     /// Flipping any single byte of a frame either fails with a typed
     /// error or — only when the flip hit unauthenticated header metadata
-    /// (reserved, router id, interval index) — still yields the exact
+    /// (router id, interval index) — still yields the exact
     /// original payload. Corruption can never panic, and can never forge
     /// counter values (the CRC covers the payload, the fingerprint field
     /// is cross-checked against the payload's own).
@@ -87,7 +112,7 @@ proptest! {
         mask in 1u8..=255,
     ) {
         let snap = arb_snapshot(seed, 120);
-        let mut frame = hifind_collect::wire::encode_frame(7, 3, &snap).expect("frame encodes");
+        let mut frame = frame_of(7, 3, &snap);
         let pos = (pos_pick % frame.len() as u64) as usize;
         frame[pos] ^= mask;
         match read_one(&frame) {
@@ -101,20 +126,13 @@ proptest! {
             Ok(None) => prop_assert!(false, "a corrupt frame is not a clean EOF"),
             Err(err) => match pos {
                 0..=3 => prop_assert!(matches!(err, WireError::BadMagic(_)), "{err:?}"),
-                // A version flip can also land on 2, where the zeroed
-                // codec byte is then rejected as an unknown codec id.
+                // Any flip moves the version off 2 — onto 1, the retired
+                // dense codec, as onto anything else.
                 4..=5 => {
-                    prop_assert!(
-                        matches!(
-                            err,
-                            WireError::UnsupportedVersion(_) | WireError::UnknownCodec(_)
-                        ),
-                        "{err:?}"
-                    )
+                    prop_assert!(matches!(err, WireError::UnsupportedVersion(_)), "{err:?}")
                 }
-                6..=7 => {
-                    prop_assert!(matches!(err, WireError::ReservedBytes(_)), "{err:?}")
-                }
+                6 => prop_assert!(matches!(err, WireError::UnknownCodec(_)), "{err:?}"),
+                7 => prop_assert!(matches!(err, WireError::ReservedBytes(_)), "{err:?}"),
                 20..=27 => prop_assert!(
                     matches!(err, WireError::FingerprintMismatch { .. }),
                     "{err:?}"
@@ -139,7 +157,7 @@ proptest! {
     #[test]
     fn truncation_is_typed_and_eof_is_clean(seed in any::<u64>(), cut_pick in any::<u64>()) {
         let snap = arb_snapshot(seed, 60);
-        let frame = hifind_collect::wire::encode_frame(1, 0, &snap).expect("frame encodes");
+        let frame = frame_of(1, 0, &snap);
         let cut = (cut_pick % frame.len() as u64) as usize;
         if cut == 0 {
             prop_assert!(read_one(&[]).expect("clean EOF").is_none());

@@ -10,7 +10,7 @@
 
 use hifind::report::Phase;
 use hifind::{HiFind, HiFindConfig, IntervalOutcome, IntervalSnapshot, SketchRecorder};
-use hifind_collect::wire;
+use hifind_collect::codec_v2;
 use hifind_collect::{
     AgentConfig, Aggregator, AggregatorConfig, CollectObserver, Collector, CollectorConfig,
     RouterAgent,
@@ -46,8 +46,8 @@ fn alert_identities(log: &hifind::report::AlertLog, phase: Phase) -> Vec<AlertId
     ids
 }
 
-/// Captures the combined snapshot of every closed interval, encoded
-/// canonically so equality is byte-exact.
+/// Captures the combined snapshot of every closed interval, encoded as a
+/// codec-v2 keyframe so equality is byte-exact.
 #[derive(Default)]
 struct SnapshotTap {
     closed: Mutex<Vec<(u64, Vec<u8>)>>,
@@ -62,8 +62,8 @@ impl CollectObserver for SnapshotTap {
         _contributors: usize,
         _expected: usize,
     ) {
-        let frame = wire::encode_frame(0, interval, snapshot).expect("encodable snapshot");
-        self.closed.lock().unwrap().push((interval, frame));
+        let keyframe = codec_v2::encode_keyframe(snapshot);
+        self.closed.lock().unwrap().push((interval, keyframe));
     }
 }
 
@@ -106,12 +106,11 @@ fn thousand_agents_through_three_tiers_equal_flat_run() {
     let flat_windows = global_windows(&trace, cfg.interval_ms, base, n);
     let flat_frames: Vec<Vec<u8>> = flat_windows
         .iter()
-        .enumerate()
-        .map(|(iv, window)| {
+        .map(|window| {
             for p in window {
                 flat_recorder.record(p);
             }
-            wire::encode_frame(0, iv as u64, &flat_recorder.take_snapshot()).expect("encodable")
+            codec_v2::encode_keyframe(&flat_recorder.take_snapshot())
         })
         .collect();
     stage("flat reference done");

@@ -12,8 +12,8 @@
 use hifind::report::Phase;
 use hifind::{HiFind, HiFindConfig, IntervalOutcome, IntervalSnapshot, SketchRecorder};
 use hifind_collect::{
-    wire, AgentConfig, Aggregator, AggregatorConfig, AggregatorHandle, CollectObserver, Collector,
-    CollectorConfig, CollectorHandle, RouterAgent, WireError,
+    codec_v2, wire, AgentConfig, Aggregator, AggregatorConfig, AggregatorHandle, CollectObserver,
+    Collector, CollectorConfig, CollectorHandle, RouterAgent, WireError,
 };
 use hifind_flow::{Ip4, Packet, Trace};
 use hifind_telemetry::registry::MetricValue;
@@ -400,9 +400,9 @@ fn play(role: Role, script: &[Step]) -> (Shared, Vec<(String, u64)>, Arc<Told>) 
             .unwrap()
             .1;
         let snapshot = if mis_seeded { &rogue } else { &good };
-        stream
-            .write_all(&wire::encode_frame(child, interval, snapshot).unwrap())
-            .unwrap();
+        let keyframe = codec_v2::encode_keyframe(snapshot);
+        let frame = wire::encode_frame_v2(child, interval, snapshot.fingerprint, &keyframe);
+        stream.write_all(&frame.unwrap()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while accounted() < sent as u64 + 1 {
             assert!(Instant::now() < deadline, "frame {sent} never accounted");

@@ -7,8 +7,8 @@
 //! recording: `N` worker threads each own a private [`SketchRecorder`]
 //! built from the *same* configuration (identical seeds, identical
 //! fingerprint), packets are dealt to the workers in bounded batches, and
-//! at interval close the per-worker snapshots are merged with
-//! [`IntervalSnapshot::combine_into`]. Because integer addition is
+//! at interval close the per-worker snapshots are merged in one
+//! [`IntervalSnapshot::combine_many`] pass. Because integer addition is
 //! commutative and associative, the merged snapshot is **bit-for-bit
 //! identical** to the serial recorder's snapshot for any packet
 //! partition — which partition a packet lands in never matters.
