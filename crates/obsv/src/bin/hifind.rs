@@ -716,6 +716,17 @@ mod tests {
         Args::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
+    /// `N` distinct loopback addresses on ports the OS just handed out. A
+    /// fixed port would sit in the kernel's ephemeral range, where any
+    /// client socket on the host — another test's, or another test run's
+    /// — may already hold it.
+    fn free_addrs<const N: usize>() -> [String; N] {
+        let held: Vec<_> = (0..N)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        std::array::from_fn(|i| held[i].local_addr().unwrap().to_string())
+    }
+
     #[test]
     fn parses_flags_with_and_without_values() {
         let a = args(&["--preset", "nu", "--phases", "--scale", "0.5"]);
@@ -959,14 +970,14 @@ mod tests {
             trace.to_str().unwrap(),
         ]))
         .unwrap();
-        let root = "127.0.0.1:47420";
-        let mids = ["127.0.0.1:47421", "127.0.0.1:47422"];
+        let [root, mid0, mid1] = free_addrs();
+        let mids = [mid0, mid1];
         // Agents replay sequentially, so every tier must buffer a whole
         // child's run: widen the reorder window and straggler deadline
         // beyond the trace length at every tier.
         let root_args: Vec<String> = [
             "--listen",
-            root,
+            &root,
             "--routers",
             "2",
             "--seed",
@@ -991,7 +1002,7 @@ mod tests {
                     "--listen",
                     listen,
                     "--upstream",
-                    root,
+                    &root,
                     "--quorum",
                     "2",
                     "--node-id",
@@ -1015,7 +1026,7 @@ mod tests {
         for (part, mid) in [(0, 0), (1, 0), (2, 1), (3, 1)] {
             agent(&args(&[
                 "--connect",
-                mids[mid],
+                &mids[mid],
                 "--trace",
                 trace.to_str().unwrap(),
                 "--split",
@@ -1063,7 +1074,8 @@ mod tests {
         .unwrap();
         // The collect command blocks until both agents finish, so it runs
         // on its own thread while this one drives the agents.
-        let listen = "127.0.0.1:47411";
+        let [listen] = free_addrs();
+        let listen = listen.as_str();
         // The agents replay sequentially, so the collector must buffer the
         // whole first agent's run: widen the reorder window and deadline
         // beyond the trace length so only router identity is under test.
@@ -1152,8 +1164,8 @@ mod tests {
             trace.to_str().unwrap(),
         ]))
         .unwrap();
-        let listen = "127.0.0.1:47413";
-        let http = "127.0.0.1:47414";
+        let [listen, http] = free_addrs();
+        let (listen, http) = (listen.as_str(), http.as_str());
         let collect_args: Vec<String> = [
             "--listen",
             listen,
