@@ -1,11 +1,13 @@
 //! The router side of networked collection.
 //!
-//! A [`RouterAgent`] wraps the per-packet [`SketchRecorder`] — the only
-//! thing HiFIND asks of an edge router — and turns each interval's
-//! snapshot into one wire frame. Shipping runs through the shared
-//! [`crate::ship::Shipper`], engineered for an unreliable collector,
-//! because a detection site restart must never ripple back into the data
-//! plane:
+//! A [`RouterAgent`] wraps the per-packet record plane — the only thing
+//! HiFIND asks of an edge router — and turns each interval's snapshot into
+//! one wire frame. The plane is a [`ParallelRecorder`] with
+//! [`AgentConfig::workers`] shard threads: 0 records inline on the
+//! caller's thread, and any other count ships bit-identical frames.
+//! Shipping runs through the shared [`crate::ship::Shipper`], engineered
+//! for an unreliable collector, because a detection site restart must
+//! never ripple back into the data plane:
 //!
 //! * frames queue in a **bounded backlog** (oldest dropped first on
 //!   overflow, since fresher intervals matter more to detection);
@@ -20,13 +22,12 @@ use crate::ship::{ShipConfig, Shipper};
 use crate::wire;
 use crate::CollectError;
 use hifind::parallel::{ParallelError, ParallelRecorder};
-use hifind::{HiFindConfig, IntervalSnapshot, SketchRecorder};
+use hifind::HiFindConfig;
 use hifind_flow::Packet;
-use hifind_sketch::SketchError;
 use serde::Serialize;
 use std::time::Duration;
 
-/// Shipping policy of one router agent.
+/// Record-plane size and shipping policy of one router agent.
 #[derive(Clone, Debug)]
 pub struct AgentConfig {
     /// This router's id in frame headers.
@@ -44,6 +45,9 @@ pub struct AgentConfig {
     /// Socket connect and write timeout, and the wait for the collector's
     /// answer to the hello.
     pub io_timeout: Duration,
+    /// Shard worker threads of the record plane; 0 records inline on the
+    /// caller's thread.
+    pub workers: usize,
 }
 
 impl AgentConfig {
@@ -56,6 +60,7 @@ impl AgentConfig {
             initial_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
             io_timeout: Duration::from_secs(5),
+            workers: 0,
         }
     }
 
@@ -128,37 +133,10 @@ impl std::fmt::Display for AgentError {
 
 impl std::error::Error for AgentError {}
 
-/// The agent's record plane: one recorder, or a sharded parallel plane
-/// whose merged snapshots are bit-identical to the serial recorder's.
-/// The serial recorder (~1 KB of inline sketch headers) is boxed so the
-/// enum stays small in the `RouterAgent`.
-enum RecordPlane {
-    Serial(Box<SketchRecorder>),
-    Sharded(ParallelRecorder),
-}
-
-impl RecordPlane {
-    #[inline]
-    fn record(&mut self, packet: &Packet) {
-        match self {
-            RecordPlane::Serial(r) => r.record(packet),
-            RecordPlane::Sharded(r) => r.record(packet),
-        }
-    }
-
-    fn take_snapshot(&mut self) -> Result<IntervalSnapshot, ParallelError> {
-        match self {
-            RecordPlane::Serial(r) => Ok(r.take_snapshot()),
-            RecordPlane::Sharded(r) => r.end_interval(),
-        }
-    }
-}
-
 /// A router agent: records packets, ships one frame per interval.
 pub struct RouterAgent {
     cfg: AgentConfig,
-    fingerprint: u64,
-    recorder: RecordPlane,
+    recorder: ParallelRecorder,
     interval: u64,
     shipper: Shipper,
 }
@@ -175,61 +153,26 @@ impl std::fmt::Debug for RouterAgent {
 }
 
 impl RouterAgent {
-    /// Builds an agent recording under `hifind_cfg`, shipping to `addr`.
-    /// No connection is made until the first flush.
-    ///
-    /// # Errors
-    ///
-    /// Propagates recorder construction errors.
-    pub fn new(
-        addr: impl Into<String>,
-        hifind_cfg: &HiFindConfig,
-        cfg: AgentConfig,
-    ) -> Result<Self, SketchError> {
-        Ok(Self::with_plane(
-            addr,
-            cfg,
-            hifind_cfg.fingerprint(),
-            RecordPlane::Serial(Box::new(SketchRecorder::new(hifind_cfg)?)),
-        ))
-    }
-
-    /// Like [`RouterAgent::new`], but records through a sharded
-    /// [`ParallelRecorder`] with `workers` threads. Frames are
-    /// bit-identical to the serial agent's, so the collector cannot tell
-    /// the difference.
+    /// Builds an agent recording under `hifind_cfg` on `cfg.workers`
+    /// shard threads, shipping to `addr`. No connection is made until the
+    /// first flush.
     ///
     /// # Errors
     ///
     /// Propagates recorder construction and thread-spawn errors.
-    pub fn new_parallel(
+    pub fn new(
         addr: impl Into<String>,
         hifind_cfg: &HiFindConfig,
         cfg: AgentConfig,
-        workers: usize,
     ) -> Result<Self, ParallelError> {
-        Ok(Self::with_plane(
-            addr,
-            cfg,
-            hifind_cfg.fingerprint(),
-            RecordPlane::Sharded(ParallelRecorder::new(hifind_cfg, workers)?),
-        ))
-    }
-
-    fn with_plane(
-        addr: impl Into<String>,
-        cfg: AgentConfig,
-        fingerprint: u64,
-        recorder: RecordPlane,
-    ) -> Self {
+        let recorder = ParallelRecorder::new(hifind_cfg, cfg.workers)?;
         let shipper = Shipper::new(addr, cfg.router_id, cfg.ship());
-        RouterAgent {
+        Ok(RouterAgent {
             cfg,
-            fingerprint,
             recorder,
             interval: 0,
             shipper,
-        }
+        })
     }
 
     /// Attaches an observer notified on reconnects. Callbacks run inline
@@ -249,7 +192,7 @@ impl RouterAgent {
     pub fn end_interval(&mut self) -> ShipReport {
         let interval = self.interval;
         self.interval += 1;
-        match self.recorder.take_snapshot() {
+        match self.recorder.end_interval() {
             Ok(s) => self.shipper.ship_snapshot(interval, &s),
             // A lost shard worker yields no merged snapshot; the interval
             // is counted as dropped rather than aborting the data plane.
@@ -282,7 +225,7 @@ impl RouterAgent {
     /// they belong to the data plane, which a restart inherently loses.
     pub fn checkpoint(&self) -> AgentCheckpoint {
         AgentCheckpoint {
-            fingerprint: self.fingerprint,
+            fingerprint: self.recorder.fingerprint(),
             router_id: self.cfg.router_id,
             interval: self.interval,
             backlog: self.shipper.backlog_frames(),
@@ -300,13 +243,13 @@ impl RouterAgent {
 
     /// Rebuilds an agent from a checkpoint: same router id, same interval
     /// numbering, and the checkpointed backlog queued for shipping. The
-    /// record plane starts fresh (serial), under `hifind_cfg`.
+    /// record plane starts fresh, under `hifind_cfg` with `cfg.workers`.
     ///
     /// # Errors
     ///
     /// Rejects a checkpoint whose fingerprint does not match `hifind_cfg`
     /// or whose router id does not match `cfg.router_id`; propagates
-    /// recorder construction errors.
+    /// record-plane construction errors.
     pub fn resume(
         addr: impl Into<String>,
         hifind_cfg: &HiFindConfig,
@@ -314,7 +257,7 @@ impl RouterAgent {
         ckpt: &AgentCheckpoint,
     ) -> Result<Self, CollectError> {
         ckpt.validate_for(hifind_cfg.fingerprint(), cfg.router_id)?;
-        let mut agent = RouterAgent::new(addr, hifind_cfg, cfg).map_err(CollectError::Sketch)?;
+        let mut agent = RouterAgent::new(addr, hifind_cfg, cfg).map_err(CollectError::Record)?;
         agent.interval = ckpt.interval;
         agent.shipper.restore_backlog(&ckpt.backlog);
         Ok(agent)
@@ -350,17 +293,12 @@ impl RouterAgent {
         self.shipper.stats()
     }
 
-    /// Final flush, then closes the connection, joins any shard workers,
-    /// and returns the stats.
+    /// Final flush, then closes the connection and returns the stats.
+    /// Dropping the record plane joins its shard workers; a worker lost
+    /// earlier already surfaced as a dropped frame.
     pub fn finish(mut self) -> AgentStats {
         self.shipper.flush();
         self.shipper.close();
-        let stats = self.shipper.stats().clone();
-        if let RecordPlane::Sharded(r) = self.recorder {
-            // A worker lost earlier already surfaced as a dropped frame;
-            // all that matters here is that every thread is joined.
-            let _ = r.finish();
-        }
-        stats
+        self.shipper.stats().clone()
     }
 }

@@ -90,6 +90,8 @@ pub enum CollectError {
     Wire(WireError),
     /// Sketch-level failure (configuration, combining).
     Sketch(hifind_sketch::SketchError),
+    /// A record plane could not be built (configuration, thread spawn).
+    Record(hifind::ParallelError),
     /// Metric registration clash.
     Telemetry(hifind_telemetry::TelemetryError),
     /// A checkpoint could not be read at resume time (writing failures
@@ -105,6 +107,7 @@ impl std::fmt::Display for CollectError {
             CollectError::Io(e) => write!(f, "i/o error: {e}"),
             CollectError::Wire(e) => write!(f, "wire error: {e}"),
             CollectError::Sketch(e) => write!(f, "sketch error: {e}"),
+            CollectError::Record(e) => write!(f, "record plane error: {e}"),
             CollectError::Telemetry(e) => write!(f, "telemetry error: {e}"),
             CollectError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             CollectError::WorkerPanic(thread) => write!(f, "collector {thread} thread panicked"),

@@ -7,8 +7,10 @@
 //! header, CRC, varint payload), not just the in-memory state, so the
 //! codec itself is inside the proved loop. A second test restarts a real
 //! TCP collector mid-stream, a third checks a multi-interval outage
-//! raises nothing spurious once traffic returns, and a fourth resumes a
-//! router agent from a serialized checkpoint that still owes frames.
+//! raises nothing spurious once traffic returns, a fourth resumes a
+//! router agent from a serialized checkpoint that still owes frames, and
+//! a fifth checks that a sharded agent's backlog, and a sharded agent
+//! resumed from it, are byte-identical to an inline agent's.
 
 use hifind::pipeline::DetectionCore;
 use hifind::report::Phase;
@@ -334,5 +336,63 @@ fn resumed_agent_ships_its_checkpointed_backlog_verbatim() {
     assert_eq!(report.frames_received, 4, "{report:?}");
     assert_eq!(report.frames_v2_keyframes, 4, "the backlog ships verbatim");
     assert_eq!(report.complete_intervals, 4);
+    assert_eq!(report.frames_rejected, 0);
+}
+
+/// A sharded agent's frames are byte-identical to an inline agent's, and
+/// an agent resumed from the sharded agent's checkpoint on two shard
+/// threads ships exactly those bytes.
+#[test]
+fn sharded_agent_frames_and_resume_match_inline_agent() {
+    let cfg = HiFindConfig::small(65);
+    // A port nothing listens on: every flush fails at once and the frames
+    // stay in the backlog.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("port")
+        .to_string();
+    let agent_cfg = |workers| AgentConfig {
+        max_attempts: 1,
+        initial_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(1),
+        io_timeout: Duration::from_millis(200),
+        workers,
+        ..AgentConfig::new(0)
+    };
+    let mut inline = RouterAgent::new(dead.clone(), &cfg, agent_cfg(0)).expect("inline agent");
+    let mut sharded = RouterAgent::new(dead, &cfg, agent_cfg(2)).expect("sharded agent");
+    for iv in 0..4u32 {
+        // Enough packets per interval that both shards fill batches and
+        // learn active services, so the Bloom union is exercised too.
+        for i in 0..2500u32 {
+            let client = Ip4::new(0x0a00_0000 + i * 7919 + iv);
+            let server = Ip4::new(0x8169_0000 + i % 7);
+            let p = match i % 3 {
+                0 => Packet::syn_ack(u64::from(i), client, 4000, server, 80),
+                _ => Packet::syn(u64::from(i), client, 4000, server, 80),
+            };
+            inline.record(&p);
+            sharded.record(&p);
+        }
+        inline.end_interval();
+        sharded.end_interval();
+    }
+    let ckpt = sharded.checkpoint();
+    assert_eq!(ckpt.backlog.len(), 4);
+    assert_eq!(ckpt.backlog, inline.checkpoint().backlog);
+    let owed: usize = ckpt.backlog.iter().map(Vec::len).sum();
+
+    let handle = Collector::bind("127.0.0.1:0", cfg, CollectorConfig::new(1), None).expect("bind");
+    let addr = handle.local_addr().to_string();
+    let resumed = RouterAgent::resume(addr, &cfg, agent_cfg(2), &ckpt).expect("resume");
+    assert_eq!(resumed.checkpoint().backlog, ckpt.backlog);
+    let stats = resumed.finish();
+    assert_eq!(stats.frames_shipped, 4);
+    assert_eq!(
+        stats.bytes_shipped, owed as u64,
+        "the backlog ships verbatim"
+    );
+    let report = handle.wait().expect("collector threads");
+    assert_eq!(report.frames_received, 4, "{report:?}");
     assert_eq!(report.frames_rejected, 0);
 }

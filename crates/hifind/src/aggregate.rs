@@ -56,8 +56,9 @@ impl HiFindAggregator {
         })
     }
 
-    /// Combines one interval's snapshots from all routers and runs the
-    /// detection pipeline on the aggregate.
+    /// Combines one interval's snapshots from all routers in one
+    /// [`IntervalSnapshot::combine_many`] pass and runs the detection
+    /// pipeline on the aggregate.
     ///
     /// # Errors
     ///
@@ -78,9 +79,7 @@ impl HiFindAggregator {
             });
         }
         let mut combined = first.clone();
-        for s in rest {
-            combined.combine_into(s)?;
-        }
+        combined.combine_many(&rest.iter().collect::<Vec<_>>())?;
         Ok(self.core.process_snapshot(&combined))
     }
 

@@ -1,28 +1,36 @@
-//! Sharded parallel record plane.
+//! The record plane: inline, or sharded over worker threads.
 //!
-//! The paper's COMBINE primitive (§3.1) makes sketches linear: counter
-//! grids recorded independently sum to exactly the grid a single recorder
-//! would have produced, Bloom filters union bitwise, and the scalar
-//! counters add. [`ParallelRecorder`] exploits that for multi-core
-//! recording: `N` worker threads each own a private [`SketchRecorder`]
-//! built from the *same* configuration (identical seeds, identical
-//! fingerprint), packets are dealt to the workers in bounded batches, and
-//! at interval close the per-worker snapshots are merged in one
-//! [`IntervalSnapshot::combine_many`] pass. Because integer addition is
-//! commutative and associative, the merged snapshot is **bit-for-bit
-//! identical** to the serial recorder's snapshot for any packet
-//! partition — which partition a packet lands in never matters.
+//! [`ParallelRecorder`] is the only record plane in the workspace, and
+//! this module is the only place that chooses how packets are recorded.
+//! With zero workers it records inline on the caller's thread into one
+//! [`SketchRecorder`]: no thread, no channel, no merge, and an interval
+//! close is [`SketchRecorder::take_snapshot`].
+//!
+//! With `N > 0` workers it exploits the paper's COMBINE primitive (§3.1):
+//! sketches are linear, so counter grids recorded independently sum to
+//! exactly the grid a single recorder would have produced, Bloom filters
+//! union bitwise, and the scalar counters add. `N` worker threads each own
+//! a private [`SketchRecorder`] built from the *same* configuration
+//! (identical seeds, identical fingerprint), packets are dealt to the
+//! workers in bounded batches, and at interval close the per-worker
+//! snapshots are merged in one [`IntervalSnapshot::combine_many`] pass.
+//! Because integer addition is commutative and associative, the merged
+//! snapshot is **bit-for-bit identical** to the inline plane's snapshot
+//! for any packet partition — which partition a packet lands in never
+//! matters.
 //!
 //! The cumulative active-service Bloom filter stays correct for the same
 //! reason: each worker's filter persists across intervals (snapshots never
 //! clear it), and the union of the per-worker filters equals the filter a
-//! serial recorder would hold, since all workers hash with the same seeds.
+//! single recorder would hold, since all workers hash with the same seeds.
 //!
 //! Plumbing rules (enforced by `cargo xtask lint`): every channel is a
 //! *bounded* [`std::sync::mpsc::sync_channel`], so a slow worker
 //! back-pressures the feeder instead of queueing unbounded memory, and
 //! every spawned thread is joined — [`ParallelRecorder::finish`] or `Drop`
-//! closes the job channels and joins all workers.
+//! closes the job channels and joins all workers. A lost worker poisons
+//! the plane: nothing is sent to any worker again, so no worker can block
+//! the feeder or an interval close.
 
 use crate::config::HiFindConfig;
 use crate::recorder::{IntervalSnapshot, SketchRecorder};
@@ -46,16 +54,16 @@ const BATCH_SIZE: usize = 1024;
 /// Batches a worker may have in flight before the feeder blocks.
 const CHANNEL_BOUND: usize = 8;
 
-/// Errors from the parallel record plane.
+/// Errors from the record plane.
 #[derive(Debug)]
 pub enum ParallelError {
-    /// Building a shard's recorder failed (invalid sketch configuration).
+    /// Building a recorder failed (invalid sketch configuration).
     Build(SketchError),
     /// The OS refused to spawn a shard worker thread.
     Spawn(std::io::Error),
     /// A shard worker exited before delivering its interval snapshot (it
-    /// panicked or its channel closed); recorded data for the interval is
-    /// incomplete and the recorder should be discarded.
+    /// panicked or its channel closed). The plane is poisoned: this and
+    /// every later interval close return this error without blocking.
     WorkerLost {
         /// Index of the lost shard worker.
         worker: usize,
@@ -101,7 +109,8 @@ impl From<SketchError> for ParallelError {
 /// queued batches and ship its snapshot) and *combine* (fold every shard
 /// snapshot into one with the cache-blocked
 /// [`IntervalSnapshot::combine_many`]). The bench's merge tables are built
-/// from these numbers instead of a single opaque merge time.
+/// from these numbers instead of a single opaque merge time. An inline
+/// plane has neither phase: its stats are all zero.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MergeStats {
     /// Nanoseconds spent waiting for + receiving each shard's snapshot, in
@@ -154,8 +163,9 @@ struct RecordTelemetry {
     pending_batches: u64,
 }
 
-/// A record plane sharded over worker threads; drop-in equivalent of a
-/// single [`SketchRecorder`] with bit-identical snapshots.
+/// The record plane: one [`SketchRecorder`] on the caller's thread (zero
+/// workers), or shards on worker threads whose merged snapshots are
+/// bit-identical to it.
 ///
 /// ```
 /// use hifind::parallel::ParallelRecorder;
@@ -164,23 +174,33 @@ struct RecordTelemetry {
 ///
 /// let cfg = HiFindConfig::small(7);
 /// let mut serial = SketchRecorder::new(&cfg).unwrap();
+/// let mut inline = ParallelRecorder::new(&cfg, 0).unwrap();
 /// let mut sharded = ParallelRecorder::new(&cfg, 3).unwrap();
 /// for i in 0..1000u64 {
 ///     let p = Packet::syn(i, Ip4::new(i as u32), 999, [129, 105, 0, 1].into(), 80);
 ///     serial.record(&p);
+///     inline.record(&p);
 ///     sharded.record(&p);
 /// }
-/// assert_eq!(sharded.end_interval().unwrap(), serial.take_snapshot());
+/// let expected = serial.take_snapshot();
+/// assert_eq!(inline.end_interval().unwrap(), expected);
+/// assert_eq!(sharded.end_interval().unwrap(), expected);
 /// sharded.finish().unwrap();
 /// ```
 pub struct ParallelRecorder {
+    /// The zero-worker plane's recorder; `None` when sharded.
+    inline: Option<SketchRecorder>,
+    /// Shard workers; empty when inline.
     shards: Vec<Shard>,
     /// Shard receiving the batch currently being filled.
     next: usize,
     batch_size: usize,
     fingerprint: u64,
-    /// First worker whose channel broke during recording, surfaced at
-    /// interval close (the per-packet path stays infallible).
+    memory_bytes: usize,
+    accesses_per_packet: usize,
+    /// First worker found lost. Once set the plane is poisoned: batches
+    /// are discarded instead of sent, and every close reports this worker
+    /// (the per-packet path stays infallible).
     lost: Option<usize>,
     #[cfg(feature = "telemetry")]
     telemetry: Option<RecordTelemetry>,
@@ -196,9 +216,9 @@ impl fmt::Debug for ParallelRecorder {
 }
 
 impl ParallelRecorder {
-    /// Builds a record plane sharded over `workers` threads (clamped to at
-    /// least 1). All shards are built from `cfg`, so they share seeds and
-    /// the snapshot fingerprint.
+    /// Builds a record plane over `workers` shard threads, or an inline
+    /// plane on the caller's thread when `workers` is 0. Every recorder is
+    /// built from `cfg`, so all share seeds and the snapshot fingerprint.
     ///
     /// # Errors
     ///
@@ -216,12 +236,29 @@ impl ParallelRecorder {
         workers: usize,
         batch_size: usize,
     ) -> Result<Self, ParallelError> {
-        let workers = workers.max(1);
         let batch_size = batch_size.max(1);
-        let fingerprint = cfg.fingerprint();
-        let mut shards = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let recorder = SketchRecorder::new(cfg)?;
+        let mut recorders = (0..workers.max(1))
+            .map(|_| SketchRecorder::new(cfg))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut plane = ParallelRecorder {
+            inline: None,
+            shards: Vec::with_capacity(workers),
+            next: 0,
+            batch_size,
+            fingerprint: cfg.fingerprint(),
+            memory_bytes: recorders.iter().map(SketchRecorder::memory_bytes).sum(),
+            accesses_per_packet: recorders
+                .first()
+                .map_or(0, SketchRecorder::accesses_per_packet),
+            lost: None,
+            #[cfg(feature = "telemetry")]
+            telemetry: None,
+        };
+        if workers == 0 {
+            plane.inline = recorders.pop();
+            return Ok(plane);
+        }
+        for (i, recorder) in recorders.into_iter().enumerate() {
             let (job_tx, job_rx) = sync_channel::<Job>(CHANNEL_BOUND);
             // Bound 1 suffices: each worker owes at most one snapshot at a
             // time, and the coordinator drains them every interval.
@@ -230,25 +267,17 @@ impl ParallelRecorder {
                 .name(format!("hifind-record-{i}"))
                 .spawn(move || shard_loop(recorder, job_rx, snap_tx))
                 .map_err(ParallelError::Spawn)?;
-            shards.push(Shard {
+            plane.shards.push(Shard {
                 job_tx: Some(job_tx),
                 snap_rx,
                 handle: Some(handle),
                 batch: Vec::with_capacity(batch_size),
             });
         }
-        Ok(ParallelRecorder {
-            shards,
-            next: 0,
-            batch_size,
-            fingerprint,
-            lost: None,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-        })
+        Ok(plane)
     }
 
-    /// Number of shard worker threads.
+    /// Number of shard worker threads (0 for the inline plane).
     pub fn workers(&self) -> usize {
         self.shards.len()
     }
@@ -258,12 +287,27 @@ impl ParallelRecorder {
         self.fingerprint
     }
 
-    /// Records one packet (the hot path): appends to the current shard's
-    /// batch and ships the batch when full. Infallible like
+    /// Recording memory of the whole plane in bytes: one
+    /// [`SketchRecorder::memory_bytes`] per shard, or the inline one's.
+    pub fn memory_bytes(&self) -> usize {
+        self.memory_bytes
+    }
+
+    /// Counter memory accesses per recorded SYN/SYN-ACK (§5.5.2), which
+    /// sharding does not change.
+    pub fn accesses_per_packet(&self) -> usize {
+        self.accesses_per_packet
+    }
+
+    /// Records one packet (the hot path): inline, or appended to the
+    /// current shard's batch, which ships when full. Infallible like
     /// [`SketchRecorder::record`]; a broken worker channel is remembered
     /// and surfaced by [`ParallelRecorder::end_interval`].
     #[inline]
     pub fn record(&mut self, packet: &Packet) {
+        if let Some(recorder) = &mut self.inline {
+            return recorder.record(packet);
+        }
         let shard = self.next;
         self.shards[shard].batch.push(*packet);
         if self.shards[shard].batch.len() >= self.batch_size {
@@ -272,11 +316,16 @@ impl ParallelRecorder {
         }
     }
 
-    /// Ships shard `i`'s accumulated batch to its worker.
+    /// Ships shard `i`'s accumulated batch to its worker; a poisoned
+    /// plane discards it instead.
     fn dispatch(&mut self, i: usize) {
         let batch_size = self.batch_size;
         let shard = &mut self.shards[i];
         if shard.batch.is_empty() {
+            return;
+        }
+        if self.lost.is_some() {
+            shard.batch.clear();
             return;
         }
         let batch = std::mem::replace(&mut shard.batch, Vec::with_capacity(batch_size));
@@ -289,21 +338,21 @@ impl ParallelRecorder {
             Some(tx) => tx.send(Job::Batch(batch)).is_ok(),
             None => false,
         };
-        if !sent && self.lost.is_none() {
+        if !sent {
             self.lost = Some(i);
         }
     }
 
-    /// Closes the interval: flushes partial batches, collects every
-    /// shard's [`IntervalSnapshot`] and merges them by sketch linearity.
-    /// The result is bit-identical to what a serial [`SketchRecorder`]
-    /// fed the same packets would return from `take_snapshot`.
+    /// Closes the interval and returns its [`IntervalSnapshot`]: the inline
+    /// recorder's, or every shard's merged by sketch linearity. The result
+    /// is bit-identical to what one [`SketchRecorder`] fed the same packets
+    /// would return from `take_snapshot`.
     ///
     /// # Errors
     ///
     /// [`ParallelError::WorkerLost`] if a shard worker died (the interval
-    /// is incomplete — discard the recorder); [`ParallelError::Merge`] on
-    /// snapshot mismatch, which same-config shards cannot produce.
+    /// is incomplete and the plane is poisoned); [`ParallelError::Merge`]
+    /// on snapshot mismatch, which same-config shards cannot produce.
     pub fn end_interval(&mut self) -> Result<IntervalSnapshot, ParallelError> {
         self.end_interval_with_stats().map(|(snap, _)| snap)
     }
@@ -323,8 +372,17 @@ impl ParallelRecorder {
     pub fn end_interval_with_stats(
         &mut self,
     ) -> Result<(IntervalSnapshot, MergeStats), ParallelError> {
+        if let Some(recorder) = &mut self.inline {
+            return Ok((recorder.take_snapshot(), MergeStats::default()));
+        }
         for i in 0..self.shards.len() {
             self.dispatch(i);
+        }
+        // A poisoned plane asks no worker for a snapshot again: a worker
+        // whose last snapshot went unreceived would block on its bound-1
+        // channel, and the feeder behind it on the job channel.
+        if let Some(worker) = self.lost {
+            return Err(ParallelError::WorkerLost { worker });
         }
         for shard in &self.shards {
             if let Some(tx) = &shard.job_tx {
@@ -342,15 +400,14 @@ impl ParallelRecorder {
         let mut snaps: Vec<IntervalSnapshot> = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
             let wait = Instant::now();
-            let snap = shard
-                .snap_rx
-                .recv()
-                .map_err(|_| ParallelError::WorkerLost { worker: i })?;
+            match shard.snap_rx.recv() {
+                Ok(snap) => snaps.push(snap),
+                Err(_) => {
+                    self.lost = Some(i);
+                    return Err(ParallelError::WorkerLost { worker: i });
+                }
+            }
             stats.recv_ns.push(wait.elapsed().as_nanos() as u64);
-            snaps.push(snap);
-        }
-        if let Some(worker) = self.lost {
-            return Err(ParallelError::WorkerLost { worker });
         }
         let combine_start = Instant::now();
         let (first, rest) = snaps
@@ -514,7 +571,7 @@ mod tests {
     fn merged_snapshot_is_bit_identical_to_serial() {
         let config = cfg();
         let pkts = mixed_packets(5000, 42);
-        for w in [1usize, 2, 4, 7] {
+        for w in [0usize, 1, 2, 4, 7] {
             // Fresh serial recorder per worker count: the active-service
             // Bloom filter is cumulative, so a shared one would drift.
             let mut serial = SketchRecorder::new(&config).unwrap();
@@ -537,24 +594,26 @@ mod tests {
         // A SYN/ACK learned in interval 0 must still be present in a
         // later interval's merged snapshot, exactly as on the serial path.
         let config = cfg();
-        let mut serial = SketchRecorder::new(&config).unwrap();
-        let mut par = ParallelRecorder::with_batch_size(&config, 3, 16).unwrap();
         let pkts0 = mixed_packets(500, 7);
         let pkts1 = mixed_packets(500, 8);
-        for p in &pkts0 {
-            serial.record(p);
-            par.record(p);
+        for w in [0usize, 3] {
+            let mut serial = SketchRecorder::new(&config).unwrap();
+            let mut par = ParallelRecorder::with_batch_size(&config, w, 16).unwrap();
+            for p in &pkts0 {
+                serial.record(p);
+                par.record(p);
+            }
+            assert_eq!(par.end_interval().unwrap(), serial.take_snapshot());
+            for p in &pkts1 {
+                serial.record(p);
+                par.record(p);
+            }
+            let s = serial.take_snapshot();
+            let m = par.end_interval().unwrap();
+            assert_eq!(m.active_services, s.active_services, "{w} workers");
+            assert_eq!(m, s, "{w} workers");
+            par.finish().unwrap();
         }
-        assert_eq!(par.end_interval().unwrap(), serial.take_snapshot());
-        for p in &pkts1 {
-            serial.record(p);
-            par.record(p);
-        }
-        let s = serial.take_snapshot();
-        let m = par.end_interval().unwrap();
-        assert_eq!(m.active_services, s.active_services);
-        assert_eq!(m, s);
-        par.finish().unwrap();
     }
 
     #[test]
@@ -589,10 +648,69 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_clamps_to_one() {
-        let par = ParallelRecorder::new(&cfg(), 0).unwrap();
-        assert_eq!(par.workers(), 1);
+    fn zero_workers_spawn_no_thread() {
+        let config = cfg();
+        let mut serial = SketchRecorder::new(&config).unwrap();
+        let mut par = ParallelRecorder::new(&config, 0).unwrap();
+        assert_eq!(par.workers(), 0);
+        assert!(
+            par.shards.is_empty(),
+            "no worker, so no channel and no thread"
+        );
+        assert!(par.inline.is_some());
+        assert_eq!(par.memory_bytes(), serial.memory_bytes());
+        assert_eq!(par.accesses_per_packet(), serial.accesses_per_packet());
+        for p in &mixed_packets(300, 3) {
+            serial.record(p);
+            par.record(p);
+        }
+        let (snap, stats) = par.end_interval_with_stats().unwrap();
+        assert_eq!(snap, serial.take_snapshot());
+        assert_eq!(
+            stats,
+            MergeStats::default(),
+            "an inline close merges nothing"
+        );
         par.finish().unwrap();
+    }
+
+    #[test]
+    fn lost_worker_poisons_the_plane_instead_of_wedging_it() {
+        // Regression: after shard 0 was lost, the shards behind it kept
+        // their unreceived snapshots; at the next close they blocked on
+        // their full bound-1 snapshot channels, and one interval later
+        // `record` blocked forever on their full job channels.
+        let (done_tx, done_rx) = sync_channel(1);
+        let watched = std::thread::spawn(move || {
+            let mut par = ParallelRecorder::with_batch_size(&cfg(), 3, 16).unwrap();
+            // Shard 0's snapshots now have nowhere to go: its worker's
+            // first snapshot send fails and the worker exits.
+            par.shards[0].snap_rx = sync_channel(1).1;
+            let pkts = mixed_packets(576, 21);
+            let mut closes = Vec::new();
+            for _ in 0..4 {
+                for p in &pkts {
+                    par.record(p);
+                }
+                closes.push(par.end_interval().map(|_| ()));
+            }
+            let finished = par.finish();
+            let _ = done_tx.send((closes, finished));
+        });
+        let (closes, finished) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the plane wedged after losing a worker");
+        watched.join().unwrap();
+        for (interval, close) in closes.iter().enumerate() {
+            assert!(
+                matches!(close, Err(ParallelError::WorkerLost { worker: 0 })),
+                "interval {interval}: {close:?}"
+            );
+        }
+        assert!(matches!(
+            finished,
+            Err(ParallelError::WorkerLost { worker: 0 })
+        ));
     }
 
     #[test]

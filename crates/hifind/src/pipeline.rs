@@ -5,7 +5,7 @@ use crate::config::HiFindConfig;
 use crate::detector::{Detector, ErrorGrids};
 use crate::fp_filter::{FloodFpFilter, FloodStreak};
 use crate::parallel::{ParallelError, ParallelRecorder};
-use crate::recorder::{IntervalSnapshot, SketchRecorder};
+use crate::recorder::IntervalSnapshot;
 use crate::report::{Alert, AlertLog, Phase};
 use crate::run_report::PhaseNanos;
 use hifind_flow::Trace;
@@ -282,7 +282,8 @@ pub struct CoreCheckpoint {
     pub final_alerts: Vec<Alert>,
 }
 
-/// The complete single-router HiFIND system: recorder + detection engine.
+/// The complete single-router HiFIND system: record plane + detection
+/// engine.
 ///
 /// See the [crate-level example](crate) for usage; the data-plane
 /// operation is [`HiFind::record`], and [`HiFind::end_interval`] runs the
@@ -290,9 +291,10 @@ pub struct CoreCheckpoint {
 /// caller does not want to manage interval boundaries,
 /// [`HiFind::record_streaming`] rolls intervals over automatically from
 /// packet timestamps.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct HiFind {
-    recorder: SketchRecorder,
+    /// The pipeline's own plane: zero workers, recording on this thread.
+    recorder: ParallelRecorder,
     core: DetectionCore,
     /// Start of the current streaming interval (None until first packet).
     stream_window_start: Option<u64>,
@@ -308,8 +310,13 @@ impl HiFind {
     ///
     /// Propagates configuration errors.
     pub fn new(cfg: HiFindConfig) -> Result<Self, SketchError> {
+        // Zero workers spawn nothing: only the configuration can fail.
+        let recorder = ParallelRecorder::new(&cfg, 0).map_err(|e| match e {
+            ParallelError::Build(e) => e,
+            e => SketchError::BadConfig(e.to_string()),
+        })?;
         Ok(HiFind {
-            recorder: SketchRecorder::new(&cfg)?,
+            recorder,
             core: DetectionCore::new(cfg)?,
             stream_window_start: None,
             #[cfg(feature = "telemetry")]
@@ -347,10 +354,16 @@ impl HiFind {
         self.core.config()
     }
 
-    /// Records one packet (the per-packet hot path).
+    /// Records one packet (the per-packet hot path). Every route into the
+    /// record plane passes here, so attached telemetry meters them alike.
     #[inline]
     pub fn record(&mut self, packet: &hifind_flow::Packet) {
-        self.record_into(None, packet);
+        #[cfg(feature = "telemetry")]
+        if let Some(t) = &mut self.telemetry {
+            let plane = &mut self.recorder;
+            return t.record_packet(|| plane.record(packet));
+        }
+        self.recorder.record(packet);
     }
 
     /// Records a slice of packets, one [`HiFind::record`] each.
@@ -360,39 +373,14 @@ impl HiFind {
         }
     }
 
-    /// The one record path: every packet the pipeline records passes
-    /// here, into its own recorder or into `sharded`, so attached
-    /// telemetry meters every route alike.
-    #[inline]
-    fn record_into(
-        &mut self,
-        sharded: Option<&mut ParallelRecorder>,
-        packet: &hifind_flow::Packet,
-    ) {
-        let recorder = &mut self.recorder;
-        let record = move || match sharded {
-            Some(plane) => plane.record(packet),
-            None => recorder.record(packet),
-        };
-        #[cfg(feature = "telemetry")]
-        if let Some(t) = &mut self.telemetry {
-            return t.record_packet(record);
-        }
-        record();
-    }
-
     /// Ends the current interval: snapshots the sketches and runs the
-    /// detection pipeline.
+    /// detection pipeline. Only a sharded plane can fail to close, and then
+    /// the interval is a gap, as a collection outage is.
     pub fn end_interval(&mut self) -> IntervalOutcome {
-        self.end_interval_with_snapshot().0
-    }
-
-    /// Like [`HiFind::end_interval`], but also hands back the interval's
-    /// snapshot so callers can inspect it (sketch health, wire size,
-    /// [`crate::RunReport::record_interval`]).
-    pub fn end_interval_with_snapshot(&mut self) -> (IntervalOutcome, IntervalSnapshot) {
-        let snapshot = self.recorder.take_snapshot();
-        (self.detect(&snapshot), snapshot)
+        match self.recorder.end_interval() {
+            Ok(snapshot) => self.detect(&snapshot),
+            Err(_) => self.core.process_gap(),
+        }
     }
 
     /// Runs detection on one interval's snapshot and publishes the
@@ -454,19 +442,19 @@ impl HiFind {
     /// what `hifind detect --metrics-json` writes) when one is given.
     ///
     /// `workers == 0` records on this thread through the pipeline's own
-    /// recorder, as [`HiFind::record`] does. `workers > 0` records every
-    /// interval through a sharded [`ParallelRecorder`] with that many
-    /// worker threads, built fresh for this call and joined before it
-    /// returns: it starts from empty sketches and an empty active-service
-    /// filter, and the pipeline's own recorder is neither read nor
-    /// written. Sketch linearity makes the merged shard snapshots
-    /// bit-identical to the serial recorder's, so on a fresh pipeline both
+    /// plane, as [`HiFind::record`] does. `workers > 0` swaps in a
+    /// [`ParallelRecorder`] with that many worker threads for this call,
+    /// then restores the pipeline's own plane and joins the workers before
+    /// returning: the swapped-in plane starts from empty sketches and an
+    /// empty active-service filter, and the pipeline's own plane is neither
+    /// read nor written. Sketch linearity makes the merged shard snapshots
+    /// bit-identical to the inline plane's, so on a fresh pipeline both
     /// settings return the same [`AlertLog`]; see `docs/PARALLEL_RECORD.md`.
     ///
     /// # Errors
     ///
-    /// Returns [`ParallelError`] if the sharded recorder cannot be built
-    /// or a worker thread dies mid-run; the detection core keeps whatever
+    /// Returns [`ParallelError`] if the sharded plane cannot be built or a
+    /// worker thread dies mid-run; the detection core keeps whatever
     /// intervals completed before the failure. `workers == 0` never fails.
     pub fn run_trace_with(
         &mut self,
@@ -474,39 +462,51 @@ impl HiFind {
         workers: usize,
         mut report: Option<&mut crate::RunReport>,
     ) -> Result<AlertLog, ParallelError> {
-        let interval_ms = self.core.config().interval_ms;
-        let threshold = self.core.config().interval_threshold();
         if let Some(r) = report.as_deref_mut() {
             r.sketch_memory_bytes = self.recorder.memory_bytes();
         }
-        let mut sharded = match workers {
+        let own = match workers {
             0 => None,
-            n => Some(ParallelRecorder::new(self.core.config(), n)?),
+            n => {
+                let plane = ParallelRecorder::new(self.core.config(), n)?;
+                Some(std::mem::replace(&mut self.recorder, plane))
+            }
         };
         #[cfg(feature = "telemetry")]
-        if let (Some(plane), Some(t)) = (&mut sharded, &self.telemetry) {
+        if let (Some(_), Some(t)) = (&own, &self.telemetry) {
             // Shard/merge gauges live in the same registry as the pipeline
             // metrics; a name clash leaves the plane uninstrumented but
             // fully functional.
-            let _ = plane.attach_telemetry(t.registry());
+            let _ = self.recorder.attach_telemetry(t.registry());
         }
-        for window in trace.intervals(interval_ms) {
+        let replayed = self.replay(trace, report);
+        let joined = match own {
+            Some(own) => std::mem::replace(&mut self.recorder, own).finish(),
+            None => Ok(()),
+        };
+        replayed.and(joined)?;
+        Ok(self.core.log().clone())
+    }
+
+    /// Records and detects every interval of `trace` through the current
+    /// plane, adding one record per interval to `report`.
+    fn replay(
+        &mut self,
+        trace: &Trace,
+        mut report: Option<&mut crate::RunReport>,
+    ) -> Result<(), ParallelError> {
+        let threshold = self.core.config().interval_threshold();
+        for window in trace.intervals(self.core.config().interval_ms) {
             for p in window.packets {
-                self.record_into(sharded.as_mut(), p);
+                self.record(p);
             }
-            let snapshot = match &mut sharded {
-                Some(plane) => plane.end_interval()?,
-                None => self.recorder.take_snapshot(),
-            };
+            let snapshot = self.recorder.end_interval()?;
             let outcome = self.detect(&snapshot);
             if let Some(r) = report.as_deref_mut() {
                 r.record_interval(&outcome, &snapshot, threshold);
             }
         }
-        if let Some(plane) = sharded {
-            plane.finish()?;
-        }
-        Ok(self.core.log().clone())
+        Ok(())
     }
 
     /// The deduplicated alert log.
@@ -514,8 +514,8 @@ impl HiFind {
         self.core.log()
     }
 
-    /// Borrows the recorder (memory accounting, snapshots).
-    pub fn recorder(&self) -> &SketchRecorder {
+    /// Borrows the record plane (memory accounting).
+    pub fn recorder(&self) -> &ParallelRecorder {
         &self.recorder
     }
 
@@ -528,6 +528,7 @@ impl HiFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::SketchRecorder;
     use crate::report::AlertKind;
     use hifind_flow::{Ip4, Packet};
 

@@ -320,18 +320,18 @@ mod tests {
     use super::*;
     use crate::config::HiFindConfig;
     use crate::pipeline::HiFind;
-    use hifind_flow::{Ip4, Packet};
+    use hifind_flow::{Ip4, Packet, Trace};
 
     fn run_small_flood() -> RunReport {
         let cfg = HiFindConfig::small(11);
-        let threshold = cfg.interval_threshold();
         let interval_ms = cfg.interval_ms;
         let mut ids = HiFind::new(cfg).unwrap();
         let mut report = RunReport::new();
         let victim: Ip4 = [129, 105, 0, 1].into();
+        let mut trace = Trace::new();
         for iv in 0..4u64 {
             for i in 0..200u32 {
-                ids.record(&Packet::syn(
+                trace.push(Packet::syn(
                     iv * interval_ms + i as u64,
                     Ip4::new(0x5000_0000 + i),
                     2000,
@@ -339,9 +339,8 @@ mod tests {
                     80,
                 ));
             }
-            let (outcome, snapshot) = ids.end_interval_with_snapshot();
-            report.record_interval(&outcome, &snapshot, threshold);
         }
+        ids.run_trace_with(&trace, 0, Some(&mut report)).unwrap();
         report
     }
 

@@ -25,10 +25,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Handles into a registry for every pipeline metric.
-///
-/// Cloning shares the underlying metrics (clones publish into the same
-/// registry), which is what a cloned [`crate::HiFind`] should do.
-#[derive(Clone)]
 pub struct PipelineTelemetry {
     registry: Registry,
     packets_total: Arc<Counter>,

@@ -69,10 +69,11 @@ OPTIONS:
     --seed N             deterministic seed (default 2026)
     --interval-secs N    detection interval (default 60)
     --threshold-per-sec F  unresponded SYNs per second to alert on (default 1)
-    --workers N          record through N parallel shard threads instead of
-                         the serial recorder; the merged sketches (and so
-                         every alert) are bit-identical to serial
-                         (default 0 = serial)
+    --workers N          record through N parallel shard threads; the
+                         merged sketches (and so every alert) are
+                         bit-identical to inline recording (default 0 =
+                         inline, no thread); an agent honours it with
+                         --resume too
     --phases             also print per-phase alert counts (Table 4 style)
     --mitigate           print the derived mitigation plan
     --stats              print the run telemetry summary (phase latencies,
@@ -622,24 +623,15 @@ fn agent(args: &Args) -> Result<(), String> {
         }
         None => trace,
     };
-    let workers: usize = args.get_parsed("workers", 0)?;
-    let mut agent = if let Some(path) = args.get("resume") {
-        if workers > 0 {
-            return Err("--resume restores the serial record plane; drop --workers".into());
-        }
-        RouterAgent::resume_from_file(
-            addr,
-            &cfg,
-            AgentConfig::new(router_id),
-            std::path::Path::new(path),
-        )
-        .map_err(|e| format!("cannot resume agent: {e}"))?
-    } else if workers > 0 {
-        RouterAgent::new_parallel(addr, &cfg, AgentConfig::new(router_id), workers)
-            .map_err(|e| format!("cannot build recorder: {e}"))?
-    } else {
-        RouterAgent::new(addr, &cfg, AgentConfig::new(router_id))
-            .map_err(|e| format!("cannot build recorder: {e}"))?
+    let agent_cfg = AgentConfig {
+        workers: args.get_parsed("workers", 0)?,
+        ..AgentConfig::new(router_id)
+    };
+    let mut agent = match args.get("resume") {
+        Some(path) => RouterAgent::resume_from_file(addr, &cfg, agent_cfg, path.as_ref())
+            .map_err(|e| format!("cannot resume agent: {e}"))?,
+        None => RouterAgent::new(addr, &cfg, agent_cfg)
+            .map_err(|e| format!("cannot build recorder: {e}"))?,
     };
     if let Some(path) = args.get("event-log") {
         let events = EventLog::open(std::path::Path::new(path), cfg.fingerprint())
@@ -1099,8 +1091,10 @@ mod tests {
         let collector = std::thread::spawn(move || collect(&Args::parse(&collect_args)));
         std::thread::sleep(std::time::Duration::from_millis(100));
         // No --router-id: the split part must serve as the id, or both
-        // agents collide on router 0 and no interval ever completes.
-        for part in ["0/2", "1/2"] {
+        // agents collide on router 0 and no interval ever completes. The
+        // second agent records on two shard threads; its frames are
+        // bit-identical to inline recording's.
+        for (part, workers) in [("0/2", "0"), ("1/2", "2")] {
             agent(&args(&[
                 "--connect",
                 listen,
@@ -1110,6 +1104,8 @@ mod tests {
                 part,
                 "--seed",
                 "3",
+                "--workers",
+                workers,
             ]))
             .unwrap();
         }
