@@ -18,7 +18,7 @@
 //! * [`harness`] — scenario scaling, alert/truth set algebra, table
 //!   printing helpers, and the perf bins' provenance header.
 //! * [`overhead`] — instrumented-vs-uninstrumented recording throughput
-//!   (the `telemetry` feature's < 5% record-path budget).
+//!   (an attached telemetry registry's < 5% record-path budget).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,11 @@
 //! Telemetry-overhead measurement on the record path.
 //!
-//! The `telemetry` feature adds one branch plus one clock read per 256
+//! An attached registry adds a packet count plus one clock read per 256
 //! packets to [`hifind::HiFind::record`]; the acceptance bar is that this
-//! costs less than 5% of recording throughput. This module measures both sides so the
-//! `telemetry_overhead` binary can record a baseline
-//! (`results/BENCH_telemetry_overhead.json`) and a feature-gated test can
+//! costs less than 5% of recording throughput. This module measures both
+//! sides so the `telemetry_overhead` binary can record a baseline
+//! (`results/BENCH_telemetry_overhead.json`) and a release-only test can
 //! enforce the bar.
-//!
-//! Without the `telemetry` feature the instrumented side cannot be built,
-//! so [`measure_overhead`] reports the baseline only.
 
 use hifind::parallel::ParallelRecorder;
 use hifind::{HiFind, HiFindConfig};
@@ -101,11 +98,8 @@ fn timed_pass(ids: &mut HiFind, pkts: &[Packet]) -> f64 {
 /// both equally, and each side's *maximum* is kept: throughput noise is
 /// one-sided (preemption only ever slows a run down), so best-of
 /// estimates the noise-free capability better than mean or median.
-/// Without the `telemetry` feature the instrumented side mirrors the
-/// baseline.
 pub fn paired_record_pps(pkts: &[Packet], runs: usize) -> (f64, f64) {
     let mut ids = HiFind::new(HiFindConfig::paper(9)).expect("paper config");
-    #[cfg(feature = "telemetry")]
     let registry = hifind::telemetry::Registry::new();
 
     // One full untimed pass warms caches, branch predictors, and every
@@ -113,20 +107,13 @@ pub fn paired_record_pps(pkts: &[Packet], runs: usize) -> (f64, f64) {
     timed_pass(&mut ids, pkts);
 
     let mut baseline = 0.0f64;
-    #[allow(unused_mut)]
     let mut instrumented = 0.0f64;
-    for _i in 0..runs {
+    for _ in 0..runs {
         baseline = baseline.max(timed_pass(&mut ids, pkts));
-        #[cfg(feature = "telemetry")]
-        {
-            ids.attach_telemetry(registry.clone())
-                .expect("fresh registry has no conflicting metrics");
-            instrumented = instrumented.max(timed_pass(&mut ids, pkts));
-            ids.detach_telemetry();
-        }
-    }
-    if !cfg!(feature = "telemetry") {
-        instrumented = baseline;
+        ids.attach_telemetry(registry.clone())
+            .expect("fresh registry has no conflicting metrics");
+        instrumented = instrumented.max(timed_pass(&mut ids, pkts));
+        ids.detach_telemetry();
     }
     (baseline, instrumented)
 }
@@ -151,28 +138,20 @@ fn timed_parallel_pass(rec: &mut ParallelRecorder, pkts: &[Packet]) -> f64 {
 pub fn paired_parallel_record_pps(pkts: &[Packet], runs: usize) -> (f64, f64) {
     let cfg = HiFindConfig::paper(9);
     let mut rec = ParallelRecorder::new(&cfg, OVERHEAD_WORKERS).expect("paper config");
-    #[cfg(feature = "telemetry")]
     let registry = hifind::telemetry::Registry::new();
 
     timed_parallel_pass(&mut rec, pkts);
 
     let mut baseline = 0.0f64;
-    #[allow(unused_mut)]
     let mut instrumented = 0.0f64;
-    for _i in 0..runs {
+    for _ in 0..runs {
         baseline = baseline.max(timed_parallel_pass(&mut rec, pkts));
-        #[cfg(feature = "telemetry")]
-        {
-            rec.attach_telemetry(&registry)
-                .expect("registry has no conflicting metrics");
-            instrumented = instrumented.max(timed_parallel_pass(&mut rec, pkts));
-            rec.detach_telemetry();
-        }
+        rec.attach_telemetry(&registry)
+            .expect("registry has no conflicting metrics");
+        instrumented = instrumented.max(timed_parallel_pass(&mut rec, pkts));
+        rec.detach_telemetry();
     }
     let _ = rec.finish();
-    if !cfg!(feature = "telemetry") {
-        instrumented = baseline;
-    }
     (baseline, instrumented)
 }
 
@@ -183,16 +162,12 @@ pub struct OverheadReport {
     pub packets: usize,
     /// Timed passes per side (best-of taken, interleaved).
     pub runs: usize,
-    /// Whether the instrumented side was compiled (`telemetry` feature).
-    pub telemetry_compiled: bool,
     /// Whether the idle operator plane (embedded HTTP server + open event
     /// log + in-memory history) was up for the whole measurement.
     pub idle_operator_plane: bool,
     /// Best-of recording throughput with telemetry detached.
     pub baseline_pps: f64,
-    /// Best-of recording throughput with a live registry attached
-    /// (equals the baseline when the feature is off and nothing was
-    /// measured).
+    /// Best-of recording throughput with a live registry attached.
     pub instrumented_pps: f64,
     /// `(baseline − instrumented) / baseline`, in percent. Negative means
     /// the instrumented side happened to run faster (noise).
@@ -222,11 +197,9 @@ pub fn measure_overhead(packets: usize, runs: usize) -> OverheadReport {
     if let Some(plane) = plane {
         plane.stop();
     }
-    let telemetry_compiled = cfg!(feature = "telemetry");
     OverheadReport {
         packets,
         runs,
-        telemetry_compiled,
         idle_operator_plane,
         baseline_pps,
         instrumented_pps,
@@ -240,16 +213,19 @@ pub fn measure_overhead(packets: usize, runs: usize) -> OverheadReport {
     }
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Acceptance bar: the telemetry feature costs < 5% on the record
-    /// path. Packet counting and amortized timing, both flushed once per
-    /// 256-packet window, keep the true cost near 1%, so 5% leaves
-    /// headroom for machine noise; interleaved best-of runs absorb the
-    /// rest.
+    /// Acceptance bar: attached telemetry costs < 5% on the serial and the
+    /// sharded record path. Packet counting and amortized timing, both
+    /// flushed once per 256-packet window, keep the serial cost near 1%;
+    /// the shard counters batch locally and flush once per interval. 5%
+    /// leaves headroom for machine noise; interleaved best-of runs absorb
+    /// the rest. One measurement serves both budgets, so no second
+    /// measurement's shard workers compete for the same cores.
     #[test]
+    #[ignore = "release-only throughput gate; CI runs it with --release -- --ignored"]
     fn telemetry_overhead_is_under_five_percent() {
         // Many short runs: best-of converges on each side's capability
         // even when single runs wobble by ±10% on a busy machine.
@@ -262,13 +238,6 @@ mod tests {
             report.baseline_pps / 1e6,
             report.instrumented_pps / 1e6,
         );
-    }
-
-    /// The same 5% budget holds on the sharded record plane, where the
-    /// shard counters batch locally and flush once per interval.
-    #[test]
-    fn parallel_telemetry_overhead_is_under_five_percent() {
-        let report = measure_overhead(100_000, 15);
         assert!(
             report.parallel_overhead_pct < 5.0,
             "parallel telemetry overhead {:.2}% exceeds the 5% budget \

@@ -77,7 +77,6 @@ pub mod postprocess;
 pub mod recorder;
 pub mod report;
 pub mod run_report;
-#[cfg(feature = "telemetry")]
 pub mod telemetry_ext;
 
 pub use aggregate::HiFindAggregator;
@@ -95,5 +94,4 @@ pub use run_report::{IntervalReport, PhaseAlertCounts, PhaseNanos, RunReport};
 /// The live-metrics crate, re-exported so downstream users of
 /// [`HiFind::attach_telemetry`] (the CLI, the bench harness) can name
 /// [`hifind_telemetry::Registry`] without a direct dependency.
-#[cfg(feature = "telemetry")]
 pub use hifind_telemetry as telemetry;

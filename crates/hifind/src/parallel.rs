@@ -36,15 +36,12 @@ use crate::config::HiFindConfig;
 use crate::recorder::{IntervalSnapshot, SketchRecorder};
 use hifind_flow::Packet;
 use hifind_sketch::SketchError;
+use hifind_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Registry, TelemetryError};
 use std::fmt;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-#[cfg(feature = "telemetry")]
-use hifind_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Registry, TelemetryError};
-#[cfg(feature = "telemetry")]
-use std::sync::Arc;
 
 /// Packets per batch shipped to a worker. Large enough that channel
 /// synchronization amortizes to well under a nanosecond per packet, small
@@ -152,7 +149,6 @@ struct Shard {
 
 /// Metric handles for the `hifind_record_*` shard/merge metrics, plus the
 /// locally-batched counts that keep the record path free of atomics.
-#[cfg(feature = "telemetry")]
 struct RecordTelemetry {
     workers: Arc<Gauge>,
     shard_packets: Arc<Counter>,
@@ -202,7 +198,6 @@ pub struct ParallelRecorder {
     /// are discarded instead of sent, and every close reports this worker
     /// (the per-packet path stays infallible).
     lost: Option<usize>,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<RecordTelemetry>,
 }
 
@@ -251,7 +246,6 @@ impl ParallelRecorder {
                 .first()
                 .map_or(0, SketchRecorder::accesses_per_packet),
             lost: None,
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         };
         if workers == 0 {
@@ -329,7 +323,6 @@ impl ParallelRecorder {
             return;
         }
         let batch = std::mem::replace(&mut shard.batch, Vec::with_capacity(batch_size));
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &mut self.telemetry {
             t.pending_packets += batch.len() as u64;
             t.pending_batches += 1;
@@ -391,7 +384,6 @@ impl ParallelRecorder {
                 let _ = tx.send(Job::EndInterval);
             }
         }
-        #[cfg(feature = "telemetry")]
         let merge_start = self.telemetry.as_ref().map(|_| Instant::now());
         let mut stats = MergeStats {
             recv_ns: Vec::with_capacity(self.shards.len()),
@@ -417,7 +409,6 @@ impl ParallelRecorder {
         stats.combine_bytes = first.combine_many(&sources).map_err(ParallelError::Merge)?;
         stats.combine_ns = combine_start.elapsed().as_nanos() as u64;
         let merged = snaps.swap_remove(0);
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &mut self.telemetry {
             t.shard_packets.add(std::mem::take(&mut t.pending_packets));
             t.shard_batches.add(std::mem::take(&mut t.pending_batches));
@@ -440,7 +431,6 @@ impl ParallelRecorder {
     /// Returns [`TelemetryError::KindMismatch`] if a metric name is
     /// already registered under a different kind; the recorder keeps
     /// running uninstrumented.
-    #[cfg(feature = "telemetry")]
     pub fn attach_telemetry(&mut self, registry: &Registry) -> Result<(), TelemetryError> {
         let t = RecordTelemetry {
             workers: registry.gauge(
@@ -472,7 +462,6 @@ impl ParallelRecorder {
 
     /// Stops publishing shard/merge metrics (registered metrics remain in
     /// the registry at their last values).
-    #[cfg(feature = "telemetry")]
     pub fn detach_telemetry(&mut self) {
         self.telemetry = None;
     }

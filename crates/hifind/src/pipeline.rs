@@ -299,7 +299,6 @@ pub struct HiFind {
     /// Start of the current streaming interval (None until first packet).
     stream_window_start: Option<u64>,
     /// Live metrics publisher (attached via [`HiFind::attach_telemetry`]).
-    #[cfg(feature = "telemetry")]
     telemetry: Option<crate::telemetry_ext::PipelineTelemetry>,
 }
 
@@ -319,7 +318,6 @@ impl HiFind {
             recorder,
             core: DetectionCore::new(cfg)?,
             stream_window_start: None,
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         })
     }
@@ -333,7 +331,6 @@ impl HiFind {
     /// Returns [`hifind_telemetry::TelemetryError::KindMismatch`] if a
     /// `hifind_*` metric name already exists in `registry` under another
     /// kind; the pipeline stays uninstrumented and keeps working.
-    #[cfg(feature = "telemetry")]
     pub fn attach_telemetry(
         &mut self,
         registry: hifind_telemetry::Registry,
@@ -344,7 +341,6 @@ impl HiFind {
 
     /// Stops publishing live metrics; recording reverts to the
     /// uninstrumented path. Already-published values stay in the registry.
-    #[cfg(feature = "telemetry")]
     pub fn detach_telemetry(&mut self) {
         self.telemetry = None;
     }
@@ -358,7 +354,6 @@ impl HiFind {
     /// record plane passes here, so attached telemetry meters them alike.
     #[inline]
     pub fn record(&mut self, packet: &hifind_flow::Packet) {
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &mut self.telemetry {
             let plane = &mut self.recorder;
             return t.record_packet(|| plane.record(packet));
@@ -387,7 +382,6 @@ impl HiFind {
     /// outcome to attached telemetry.
     fn detect(&mut self, snapshot: &IntervalSnapshot) -> IntervalOutcome {
         let outcome = self.core.process_snapshot(snapshot);
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &mut self.telemetry {
             let threshold = self.core.config().interval_threshold();
             t.publish_interval(&outcome, snapshot, threshold);
@@ -472,7 +466,6 @@ impl HiFind {
                 Some(std::mem::replace(&mut self.recorder, plane))
             }
         };
-        #[cfg(feature = "telemetry")]
         if let (Some(_), Some(t)) = (&own, &self.telemetry) {
             // Shard/merge gauges live in the same registry as the pipeline
             // metrics; a name clash leaves the plane uninstrumented but

@@ -4,10 +4,10 @@
 //! This is the always-available observability layer: it relies only on
 //! `std::time` measurements taken once per interval (see
 //! [`crate::pipeline::DetectionCore::process_snapshot`]), so it adds
-//! nothing to the per-packet hot path and needs no feature flags. The CLI
-//! serializes it for `--metrics-json`; the bench harness embeds it in
-//! result files. The optional `telemetry` feature layers live gauges and
-//! Prometheus export on top (see [`crate::telemetry_ext`]).
+//! nothing to the per-packet hot path. The CLI serializes it for
+//! `--metrics-json`; the bench harness embeds it in result files. An
+//! attached registry layers live gauges and Prometheus export on top (see
+//! [`crate::telemetry_ext`]).
 
 use crate::pipeline::IntervalOutcome;
 use crate::recorder::IntervalSnapshot;

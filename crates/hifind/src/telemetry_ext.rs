@@ -1,4 +1,4 @@
-//! Live telemetry bridge (enabled by the `telemetry` feature).
+//! Live telemetry bridge, attached or detached at run time.
 //!
 //! Publishes pipeline activity into a [`hifind_telemetry::Registry`]:
 //! amortized hot-path record timings, per-phase latency histograms, alert
@@ -13,13 +13,13 @@
 //! latency — window wall time ÷ packets, one `Instant::now` per window. A
 //! single packet cannot be timed honestly on the buffered record path: it
 //! costs either a push into the pending batch or a whole batch scatter.
-//! Both keep the `telemetry`-enabled recorder within the <5% overhead
-//! budget the bench suite asserts.
+//! Both keep an attached recorder within the <5% overhead budget the
+//! bench suite asserts.
 
 use crate::pipeline::IntervalOutcome;
 use crate::recorder::{IntervalSnapshot, RECORD_BATCH};
 use crate::run_report::snapshot_health;
-use hifind_sketch::health::register_health_gauges;
+use hifind_sketch::SketchHealth;
 use hifind_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Registry, TelemetryError};
 use std::sync::Arc;
 use std::time::Instant;
@@ -190,6 +190,60 @@ impl PipelineTelemetry {
     pub fn publish_errors(&self) -> u64 {
         self.publish_errors
     }
+}
+
+/// Publishes a [`SketchHealth`] into a telemetry registry as gauges.
+///
+/// Gauge names follow `hifind_sketch_<what>{ sketch }` flattened to
+/// `hifind_sketch_<what>_<sketch>` since the minimal registry is
+/// label-free. Fractions are scaled to parts-per-million so they fit the
+/// integer gauge type.
+///
+/// # Errors
+///
+/// Propagates [`TelemetryError`] if any gauge name is already registered
+/// under a different metric kind.
+fn register_health_gauges(
+    registry: &Registry,
+    health: &SketchHealth,
+) -> Result<(), TelemetryError> {
+    let ppm = |f: f64| (f * 1e6) as i64;
+    let name = &health.sketch;
+    registry
+        .gauge(
+            &format!("hifind_sketch_occupancy_ppm_{name}"),
+            "Mean fraction of non-zero sketch buckets, in ppm",
+        )?
+        .set(ppm(health.grid.mean_occupancy));
+    registry
+        .gauge(
+            &format!("hifind_sketch_saturation_ppm_{name}"),
+            "Fraction of sketch buckets at or above the detection threshold, in ppm",
+        )?
+        .set(ppm(health.grid.saturation));
+    registry
+        .gauge(
+            &format!("hifind_sketch_max_abs_{name}"),
+            "Largest absolute counter value in the sketch",
+        )?
+        .set(health.grid.max_abs);
+    if let Some(drift) = &health.drift {
+        registry
+            .gauge(
+                &format!("hifind_sketch_drift_rel_ppm_{name}"),
+                "Mean relative estimate error over sampled keys, in ppm",
+            )?
+            .set(ppm(drift.mean_rel_error));
+    }
+    if let Some(inference) = &health.inference {
+        registry
+            .gauge(
+                &format!("hifind_sketch_inference_success_ppm_{name}"),
+                "Fraction of reconstructed keys surviving filtering, in ppm",
+            )?
+            .set(ppm(inference.success_rate));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

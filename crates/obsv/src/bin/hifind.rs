@@ -102,7 +102,8 @@ OPTIONS:
     --http ADDR          serve the operator API on ADDR (e.g. 127.0.0.1:9100):
                          GET /metrics (Prometheus text, including a
                          hifind_build_info gauge whose help string carries
-                         the crate version and compiled features, and a
+                         the crate version, a hifind_sketch_kernel_info
+                         gauge naming the sketch kernel, and a
                          hifind_process_start_time_seconds gauge),
                          GET /healthz, GET /api/alerts,
                          GET /api/intervals?from=&to=, GET /api/sketch-health,
@@ -364,16 +365,11 @@ fn networked_config(args: &Args) -> Result<HiFindConfig, String> {
 }
 
 /// Registers the build-identity gauges `/metrics` serves: a constant-1
-/// `hifind_build_info` whose help text carries the crate version and the
-/// compiled feature set, plus the process start time in unix seconds.
+/// `hifind_build_info` whose help text carries the crate version, plus
+/// the process start time in unix seconds.
 fn register_build_info(registry: &Registry) -> Result<(), hifind_telemetry::TelemetryError> {
-    let features = if cfg!(feature = "telemetry") {
-        "telemetry"
-    } else {
-        "default"
-    };
     let help = format!(
-        "constant 1; build identity: version={} features={features}",
+        "constant 1; build identity: version={}",
         env!("CARGO_PKG_VERSION")
     );
     registry.gauge("hifind_build_info", &help)?.set(1);
@@ -1217,6 +1213,17 @@ mod tests {
         // The collect role stamps its tier identity onto every series.
         assert!(
             metrics.contains("hifind_build_info{tier=\"collector\",node_id=\"0\"} 1"),
+            "{metrics}"
+        );
+        // The sketch kernel this process dispatches to rides beside it.
+        assert!(
+            metrics.contains("hifind_sketch_kernel_info{tier=\"collector\",node_id=\"0\"} 1"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains(
+                "# HELP hifind_sketch_kernel_info constant 1; sketch kernel info: kernel="
+            ),
             "{metrics}"
         );
         assert!(

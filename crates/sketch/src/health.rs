@@ -10,10 +10,9 @@
 //!
 //! Everything here is plain measurement over [`CounterGrid`]s and
 //! [`InferStats`] — no dependency on the telemetry crate, so callers can
-//! embed [`SketchHealth`] in reports unconditionally. Enabling this
-//! crate's `telemetry` feature additionally provides
-//! [`register_health_gauges`] to publish the same numbers into a
-//! [`hifind_telemetry::Registry`].
+//! embed [`SketchHealth`] in reports unconditionally. Publishing the same
+//! numbers as registry gauges is the `hifind` crate's job
+//! (`hifind::telemetry_ext`).
 
 use crate::grid::CounterGrid;
 use crate::reversible::{InferStats, ReversibleSketch};
@@ -154,61 +153,6 @@ impl SketchHealth {
             inference: None,
         }
     }
-}
-
-/// Publishes a [`SketchHealth`] into a telemetry registry as gauges.
-///
-/// Gauge names follow `hifind_sketch_<what>{ sketch }` flattened to
-/// `hifind_sketch_<what>_<sketch>` since the minimal registry is
-/// label-free. Fractions are scaled to parts-per-million so they fit the
-/// integer gauge type.
-///
-/// # Errors
-///
-/// Propagates [`hifind_telemetry::TelemetryError`] if any gauge name is
-/// already registered under a different metric kind.
-#[cfg(feature = "telemetry")]
-pub fn register_health_gauges(
-    registry: &hifind_telemetry::Registry,
-    health: &SketchHealth,
-) -> Result<(), hifind_telemetry::TelemetryError> {
-    let ppm = |f: f64| (f * 1e6) as i64;
-    let name = &health.sketch;
-    registry
-        .gauge(
-            &format!("hifind_sketch_occupancy_ppm_{name}"),
-            "Mean fraction of non-zero sketch buckets, in ppm",
-        )?
-        .set(ppm(health.grid.mean_occupancy));
-    registry
-        .gauge(
-            &format!("hifind_sketch_saturation_ppm_{name}"),
-            "Fraction of sketch buckets at or above the detection threshold, in ppm",
-        )?
-        .set(ppm(health.grid.saturation));
-    registry
-        .gauge(
-            &format!("hifind_sketch_max_abs_{name}"),
-            "Largest absolute counter value in the sketch",
-        )?
-        .set(health.grid.max_abs);
-    if let Some(drift) = &health.drift {
-        registry
-            .gauge(
-                &format!("hifind_sketch_drift_rel_ppm_{name}"),
-                "Mean relative estimate error over sampled keys, in ppm",
-            )?
-            .set(ppm(drift.mean_rel_error));
-    }
-    if let Some(inference) = &health.inference {
-        registry
-            .gauge(
-                &format!("hifind_sketch_inference_success_ppm_{name}"),
-                "Fraction of reconstructed keys surviving filtering, in ppm",
-            )?
-            .set(ppm(inference.success_rate));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -267,20 +267,6 @@ pub fn kernel_info_string() -> String {
     )
 }
 
-/// Registers the `hifind_sketch_kernel_info` build-info-style gauge: value
-/// is the constant 1, the help text carries the selected kernel, the
-/// CPUID-detected ISA, and whether an env override forced the choice — so
-/// every scrape (and every perf number derived from one) is attributable to
-/// a code path.
-#[cfg(feature = "telemetry")]
-pub fn register_kernel_info(
-    registry: &hifind_telemetry::Registry,
-) -> Result<(), hifind_telemetry::TelemetryError> {
-    let help = format!("constant 1; sketch kernel info: {}", kernel_info_string());
-    registry.gauge("hifind_sketch_kernel_info", &help)?.set(1);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,15 +312,5 @@ mod tests {
         assert!(info.contains(&format!("kernel={}", kernel().isa().name())));
         assert!(info.contains(&format!("detected_isa={}", detect_isa().name())));
         assert!(info.contains("forced="));
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn kernel_info_gauge_registers() {
-        let reg = hifind_telemetry::Registry::new();
-        register_kernel_info(&reg).unwrap();
-        let text = reg.snapshot().to_prometheus_text();
-        assert!(text.contains("hifind_sketch_kernel_info 1"));
-        assert!(text.contains("kernel="));
     }
 }
