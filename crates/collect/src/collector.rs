@@ -245,30 +245,42 @@ pub(crate) mod tests {
         wire::encode_frame_v2(router_id, interval, cfg.fingerprint(), &payload).unwrap()
     }
 
-    /// A frame of the retired protocol version 1, built by hand: the
-    /// version-1 header around `cfg`'s empty snapshot in the dense codec.
+    /// A frame of the retired protocol version 1, built by hand: a
+    /// version-1 header carrying `cfg`'s fingerprint around a short
+    /// payload. A node rejects it at the header, so the payload's content
+    /// is never read.
     pub(crate) fn version_1_frame(cfg: &HiFindConfig, router_id: u32, interval: u64) -> Vec<u8> {
-        let snap = SketchRecorder::new(cfg).unwrap().take_snapshot();
-        let payload = crate::codec::encode_snapshot(&snap);
+        let payload = b"retired codec v1";
         let mut frame = wire::MAGIC.to_vec();
         frame.extend_from_slice(&1u16.to_le_bytes()); // version
         frame.extend_from_slice(&[0, 0]); // reserved
         frame.extend_from_slice(&router_id.to_le_bytes());
         frame.extend_from_slice(&interval.to_le_bytes());
-        frame.extend_from_slice(&snap.fingerprint.to_le_bytes());
+        frame.extend_from_slice(&cfg.fingerprint().to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&wire::crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&wire::crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
         frame
     }
 
     /// Sends a version-1 frame to the node at `addr` and waits for the
-    /// node to drop the connection, which must answer nothing.
+    /// node to drop the connection, which must answer nothing. The node
+    /// may close the socket while the frame is still being written; a
+    /// reset or broken pipe on that write is the drop under test.
     pub(crate) fn send_version_1_frame(cfg: &HiFindConfig, addr: SocketAddr, interval: u64) {
         let mut legacy = TcpStream::connect(addr).expect("connect");
-        legacy
-            .write_all(&version_1_frame(cfg, 9, interval))
-            .expect("send");
+        if let Err(e) = legacy.write_all(&version_1_frame(cfg, 9, interval)) {
+            assert!(
+                matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset
+                        | ErrorKind::BrokenPipe
+                        | ErrorKind::ConnectionAborted
+                ),
+                "sending the version-1 frame failed: {e}"
+            );
+            return;
+        }
         legacy
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();

@@ -164,24 +164,40 @@ fn error_grid(g: &CounterGrid, forecast: &[f64]) -> CounterGrid {
 }
 
 impl GridForecaster for GridEwma {
+    /// One pass over the grid: each cell's forecast `α·o + (1−α)·f` (on
+    /// the first forecasting step, `f = o`: the last observation) is
+    /// written into the error grid and the model state in place, so a
+    /// step allocates nothing but the returned error grid.
     fn step(&mut self, observed: &CounterGrid) -> Option<CounterGrid> {
         self.check_shape(observed);
-        let forecast: Option<Vec<f64>> = match (&self.prev_observed, &self.prev_forecast) {
-            (None, _) => None,
-            (Some(po), None) => Some(po.clone()),
-            (Some(po), Some(pf)) => Some(
-                po.iter()
-                    .zip(pf)
-                    .map(|(&o, &f)| self.alpha * o + (1.0 - self.alpha) * f)
-                    .collect(),
-            ),
+        let Some(prev_observed) = self.prev_observed.as_mut() else {
+            self.prev_observed = Some(to_f64(observed));
+            return None;
         };
-        let result = forecast.as_ref().map(|f| error_grid(observed, f));
-        if forecast.is_some() {
-            self.prev_forecast = forecast;
+        let first = self.prev_forecast.is_none();
+        let prev_forecast = self
+            .prev_forecast
+            .get_or_insert_with(|| vec![0.0; prev_observed.len()]);
+        let alpha = self.alpha;
+        let buckets = observed.buckets();
+        let mut error = CounterGrid::new(observed.stages(), buckets);
+        let state = prev_observed
+            .chunks_exact_mut(buckets)
+            .zip(prev_forecast.chunks_exact_mut(buckets));
+        for (s, (po, pf)) in state.enumerate() {
+            let cells = observed.stage(s).iter().zip(po).zip(pf);
+            for (((&v, o), f), e) in cells.zip(error.stage_mut(s)) {
+                let forecast = if first {
+                    *o
+                } else {
+                    alpha * *o + (1.0 - alpha) * *f
+                };
+                *e = (v as f64 - forecast).round() as i64;
+                *f = forecast;
+                *o = v as f64;
+            }
         }
-        self.prev_observed = Some(to_f64(observed));
-        result
+        Some(error)
     }
 
     fn reset(&mut self) {
@@ -388,6 +404,49 @@ mod tests {
         assert!(h.step(&grid(&[1, 1])).is_some());
         h.reset();
         assert!(h.step(&grid(&[1, 1])).is_none());
+    }
+
+    #[test]
+    fn in_place_ewma_matches_the_three_pass_reference() {
+        // The forecast built as its own grid, the error grid from it, then
+        // the state replaced — per cell the same `α·o + (1−α)·f` — must
+        // give bit-identical error grids and state.
+        let (stages, buckets) = (3, 64);
+        let alpha = 0.3;
+        let mut model = GridEwma::new(alpha);
+        let mut po: Option<Vec<f64>> = None;
+        let mut pf: Option<Vec<f64>> = None;
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..12 {
+            let mut g = CounterGrid::new(stages, buckets);
+            for s in 0..stages {
+                for cell in g.stage_mut(s) {
+                    seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    *cell = (seed >> 40) as i64 - (1 << 23);
+                }
+            }
+            let forecast = match (&po, &pf) {
+                (None, _) => None,
+                (Some(o), None) => Some(o.clone()),
+                (Some(o), Some(f)) => Some(
+                    o.iter()
+                        .zip(f)
+                        .map(|(&o, &f)| alpha * o + (1.0 - alpha) * f)
+                        .collect::<Vec<f64>>(),
+                ),
+            };
+            let expected = forecast.as_ref().map(|f| error_grid(&g, f));
+            if forecast.is_some() {
+                pf = forecast;
+            }
+            po = Some(to_f64(&g));
+            assert_eq!(model.step(&g), expected);
+            let state = model.state();
+            assert_eq!(
+                (state.prev_observed, state.prev_forecast),
+                (po.clone(), pf.clone())
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!    heavy bucket's chunk in at least `min_stages` stages; extend each
 //!    survivor with word position 1, and so on. A candidate's compatible
 //!    bucket set is tracked *per stage* so chunks must agree with a single
-//!    bucket per stage, not a mixture.
+//!    bucket per stage, not a mixture. A byte's fate in a stage depends
+//!    only on its index chunk, so each candidate is ANDed with the
+//!    `2^chunk_bits` chunk masks of a stage once, not with 256 byte masks,
+//!    and only the surviving bytes are visited.
 //! 3. Un-mangle the reconstructed keys and verify their estimates (median
 //!    over stages, plus an optional separate verification k-ary sketch)
 //!    against the threshold.
@@ -90,8 +93,14 @@ pub struct InferOptions {
     pub miss_stages: usize,
     /// Hard cap on simultaneously-live candidates; the search reports
     /// truncation instead of exploding when an adversary (or a pathological
-    /// threshold) makes everything heavy. The cap also bounds work: each
-    /// word position examines at most `256 × max_candidates` extensions.
+    /// threshold) makes everything heavy. The cap also bounds work: per
+    /// word position each of at most `max_candidates` candidates costs
+    /// `2^chunk_bits × H` mask ANDs of `⌈|H_i|/64⌉` words and a few
+    /// 256-bit set operations per stage, plus one mask-row copy per
+    /// surviving byte. [`InferStats::candidates_explored`] keeps its
+    /// meaning — 256 byte extensions per live candidate per position, or
+    /// `b + 1` on the candidate whose survivor at byte `b` truncates the
+    /// search — so it counts work independently of how it is computed.
     pub max_candidates: usize,
     /// Whether to require the verification sketch (if the sketch has one)
     /// to confirm each output key's estimate.
@@ -123,7 +132,8 @@ pub struct HeavyKey {
 pub struct InferStats {
     /// Heavy buckets found per stage.
     pub heavy_buckets: Vec<usize>,
-    /// Total candidate extensions examined.
+    /// Total candidate extensions examined: 256 per live candidate per
+    /// word position (`b + 1` on a candidate that truncates at byte `b`).
     pub candidates_explored: u64,
     /// Whether the candidate cap was hit (results may be incomplete).
     pub truncated: bool,
@@ -372,6 +382,26 @@ impl ReversibleSketch {
         threshold: i64,
         opts: &InferOptions,
     ) -> InferenceResult {
+        self.infer_grid_with(
+            grid,
+            verifier_grid,
+            threshold,
+            opts,
+            |ext, word, cur, next, stats| ext.extend(word, cur, next, stats),
+        )
+    }
+
+    /// [`ReversibleSketch::infer_grid`] with step 3's per-position
+    /// extension passed in, so the tests can run the byte-by-byte
+    /// reference through the same steps 1, 2 and 4.
+    fn infer_grid_with(
+        &self,
+        grid: &CounterGrid,
+        verifier_grid: Option<&CounterGrid>,
+        threshold: i64,
+        opts: &InferOptions,
+        extend: ExtendFn,
+    ) -> InferenceResult {
         debug_assert_eq!(grid.stages(), self.config.stages);
         debug_assert_eq!(grid.buckets(), self.config.buckets);
         assert!(threshold > 0, "inference threshold must be positive");
@@ -401,94 +431,10 @@ impl ReversibleSketch {
 
         // 2. Per stage / word / chunk: bitset of compatible heavy buckets.
         let words = (self.config.key_bits / 8) as usize;
-        let chunk_bits = self.hashes[0].chunk_bits();
-        let chunk_count = 1usize << chunk_bits;
-        // masks[stage][word][chunk]
-        let masks: Vec<Vec<Vec<BitSet>>> = (0..stages)
-            .map(|s| {
-                let hb = &heavy[s];
-                (0..words as u32)
-                    .map(|w| {
-                        let mut per_chunk = vec![BitSet::empty(hb.len()); chunk_count];
-                        for (i, &b) in hb.iter().enumerate() {
-                            let chunk = self.hashes[s].index_chunk(b as usize, w);
-                            per_chunk[chunk as usize].set(i);
-                        }
-                        per_chunk
-                    })
-                    .collect()
-            })
-            .collect();
+        let ext = Extension::new(&self.hashes, &heavy, words, min_stages, opts.max_candidates);
 
         // 3. Word-by-word candidate extension.
-        let mut candidates = vec![Candidate {
-            key: 0,
-            masks: heavy.iter().map(|hb| BitSet::full(hb.len())).collect(),
-            alive: nonempty_stages,
-        }];
-        // Reusable scratch masks: the hot loop allocates only for
-        // surviving extensions, and a per-word flattened chunk table keeps
-        // the stage hash lookups out of the inner loop.
-        let mut scratch: Vec<BitSet> = heavy.iter().map(|hb| BitSet::empty(hb.len())).collect();
-        let allowed_dead = stages - min_stages;
-        // `word` indexes masks[s][word] *and* feeds the hash chunk lookup,
-        // so a range loop reads better than iterating one of them.
-        #[allow(clippy::needless_range_loop)]
-        for word in 0..words {
-            let chunk_of: Vec<[u16; 256]> = (0..stages)
-                .map(|s| {
-                    let mut row = [0u16; 256];
-                    for (b, slot) in row.iter_mut().enumerate() {
-                        *slot = self.hashes[s].chunk(word as u32, b as u8);
-                    }
-                    row
-                })
-                .collect();
-            let mut next = Vec::new();
-            'outer: for cand in &candidates {
-                for byte in 0usize..256 {
-                    stats.candidates_explored = stats.candidates_explored.saturating_add(1);
-                    let mut alive = 0usize;
-                    let mut dead = 0usize;
-                    for s in 0..stages {
-                        let m = &masks[s][word][chunk_of[s][byte] as usize];
-                        if cand.masks[s].and_into(m, &mut scratch[s]) {
-                            alive = alive.saturating_add(1);
-                        } else {
-                            dead = dead.saturating_add(1);
-                            if dead > allowed_dead {
-                                // Cannot reach min_stages any more.
-                                break;
-                            }
-                        }
-                    }
-                    if alive >= min_stages {
-                        next.push(Candidate {
-                            key: cand.key | (byte as u64) << (8 * word),
-                            masks: scratch.clone(),
-                            alive,
-                        });
-                        if next.len() > opts.max_candidates {
-                            stats.truncated = true;
-                            // Under adversarial load everything looks
-                            // heavy; prefer candidates alive in *every*
-                            // stage — true keys are, while spurious byte
-                            // combinations usually sit at exactly
-                            // `min_stages`.
-                            next.retain(|c| c.alive == stages);
-                            if next.len() > opts.max_candidates {
-                                next.truncate(opts.max_candidates);
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-            candidates = next;
-            if candidates.is_empty() {
-                break;
-            }
-        }
+        let candidates = ext.search(nonempty_stages, &mut stats, extend);
 
         // 4. Un-mangle, estimate, verify, sort. The per-stage sums of both
         // grids are identical for every candidate, so compute each set
@@ -500,8 +446,8 @@ impl ReversibleSketch {
         };
         let mut keys = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for cand in candidates {
-            let key = self.mangler.unmangle(cand.key);
+        for &mangled in &candidates.keys {
+            let key = self.mangler.unmangle(mangled);
             if !seen.insert(key) {
                 continue;
             }
@@ -619,76 +565,356 @@ impl ReversibleSketch {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Candidate {
-    key: u64,
-    masks: Vec<BitSet>,
-    /// Stages whose compatible-bucket mask is still non-empty.
-    alive: usize,
+/// One word position of step 3: extends every live candidate of `cur`
+/// into `next`, counting the work in `stats`.
+type ExtendFn = fn(&Extension<'_>, usize, &Candidates, &mut Candidates, &mut InferStats);
+
+/// Live candidates of one word position, stored flat: a candidate's
+/// (mangled) key prefix, its count of stages with a non-empty mask, and
+/// its per-stage masks of compatible heavy buckets, `stride` words a row
+/// (stage `s`'s mask at [`Extension::offsets`]`[s]`).
+struct Candidates {
+    keys: Vec<u64>,
+    alive: Vec<usize>,
+    masks: Vec<u64>,
+    stride: usize,
 }
 
-/// Minimal fixed-capacity bitset for tracking compatible heavy buckets.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn empty(bits: usize) -> Self {
-        BitSet {
-            words: vec![0; bits.div_ceil(64)],
+impl Candidates {
+    fn new(stride: usize) -> Self {
+        Candidates {
+            keys: Vec::new(),
+            alive: Vec::new(),
+            masks: Vec::new(),
+            stride,
         }
     }
 
-    fn full(bits: usize) -> Self {
-        let mut words = vec![u64::MAX; bits.div_ceil(64)];
-        let rem = bits % 64;
-        if rem != 0 {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << rem) - 1;
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn mask(&self, i: usize) -> &[u64] {
+        &self.masks[i * self.stride..][..self.stride]
+    }
+
+    /// Appends a candidate whose mask row is `mask` (`stride` words).
+    fn push(&mut self, key: u64, alive: usize, mask: &[u64]) {
+        self.keys.push(key);
+        self.alive.push(alive);
+        self.masks.extend_from_slice(mask);
+    }
+
+    /// Keeps only the candidates alive in every one of `stages`, in order.
+    fn retain_full(&mut self, stages: usize) {
+        let stride = self.stride;
+        let mut kept = 0usize;
+        for i in 0..self.len() {
+            if self.alive[i] == stages {
+                if kept != i {
+                    self.keys[kept] = self.keys[i];
+                    self.alive[kept] = self.alive[i];
+                    self.masks
+                        .copy_within(i * stride..(i + 1) * stride, kept * stride);
+                }
+                kept = kept.saturating_add(1);
             }
         }
-        BitSet { words }
+        self.truncate(kept);
     }
 
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
+    fn truncate(&mut self, len: usize) {
+        self.keys.truncate(len);
+        self.alive.truncate(len);
+        self.masks.truncate(len * self.stride);
     }
 
-    /// Allocating variant kept for tests; the hot path uses
-    /// [`BitSet::and_into`].
-    #[cfg(test)]
-    #[inline]
-    fn and(&self, other: &BitSet) -> BitSet {
-        BitSet {
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
+    fn clear(&mut self) {
+        self.truncate(0);
+    }
+}
+
+/// Step 3's fixed inputs: the stage hashes, the mask layout and the
+/// per-word chunk masks built by step 2.
+struct Extension<'a> {
+    hashes: &'a [ModularHash],
+    /// Heavy buckets per stage (`|H_s|`).
+    heavy: Vec<usize>,
+    /// Words of stage `s`'s mask, `⌈|H_s|/64⌉`.
+    widths: Vec<usize>,
+    /// Where stage `s`'s mask starts in a candidate's mask row.
+    offsets: Vec<usize>,
+    /// Words of one candidate's mask row, `Σ_s ⌈|H_s|/64⌉`.
+    stride: usize,
+    /// `2^chunk_bits`: the index chunk values of one word position.
+    chunk_count: usize,
+    /// `chunk_masks[word]`: for every stage and chunk value, the mask over
+    /// `H_s` of the heavy buckets whose index chunk at `word` is that
+    /// value. Stage `s`'s `chunk_count` masks sit back to back from
+    /// `offsets[s] × chunk_count`.
+    chunk_masks: Vec<Vec<u64>>,
+    min_stages: usize,
+    max_candidates: usize,
+}
+
+impl<'a> Extension<'a> {
+    /// Step 2: lays out the masks and builds the chunk masks of every word
+    /// position from the heavy buckets (ascending per stage).
+    fn new(
+        hashes: &'a [ModularHash],
+        heavy: &[Vec<u32>],
+        words: usize,
+        min_stages: usize,
+        max_candidates: usize,
+    ) -> Self {
+        let chunk_count = hashes.first().map_or(1, |h| 1usize << h.chunk_bits());
+        let widths: Vec<usize> = heavy.iter().map(|hb| hb.len().div_ceil(64)).collect();
+        let mut offsets = Vec::with_capacity(widths.len());
+        let mut stride = 0usize;
+        for &w in &widths {
+            offsets.push(stride);
+            stride = stride.saturating_add(w);
+        }
+        let chunk_masks = (0..words as u32)
+            .map(|word| {
+                let mut masks = vec![0u64; stride * chunk_count];
+                for (s, hb) in heavy.iter().enumerate() {
+                    let stage = &mut masks[offsets[s] * chunk_count..][..widths[s] * chunk_count];
+                    for (i, &b) in hb.iter().enumerate() {
+                        let chunk = hashes[s].index_chunk(b as usize, word) as usize;
+                        set_bit(&mut stage[chunk * widths[s]..][..widths[s]], i);
+                    }
+                }
+                masks
+            })
+            .collect();
+        Extension {
+            hashes,
+            heavy: heavy.iter().map(Vec::len).collect(),
+            widths,
+            offsets,
+            stride,
+            chunk_count,
+            chunk_masks,
+            min_stages,
+            max_candidates,
         }
     }
 
-    /// Writes `self & other` into `out` (same capacity) and returns
-    /// whether the result is non-empty. Allocation-free hot-loop variant
-    /// of [`BitSet::and`].
+    /// Where stage `s`'s mask for `chunk` starts among one word's chunk
+    /// masks (and in [`Extension::extend`]'s per-candidate ANDs).
     #[inline]
-    fn and_into(&self, other: &BitSet, out: &mut BitSet) -> bool {
-        let mut any = 0u64;
-        for ((a, b), o) in self.words.iter().zip(&other.words).zip(&mut out.words) {
-            *o = a & b;
-            any |= *o;
-        }
-        any != 0
+    fn chunk_at(&self, s: usize, chunk: usize) -> usize {
+        self.offsets[s] * self.chunk_count + chunk * self.widths[s]
     }
 
-    #[cfg(test)]
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+    /// Step 3: extends the empty key word by word, starting from one
+    /// candidate compatible with every heavy bucket, and returns the
+    /// full-width survivors. `extend` does one word position; the search
+    /// stops early once no candidate is left.
+    fn search(
+        &self,
+        nonempty_stages: usize,
+        stats: &mut InferStats,
+        extend: ExtendFn,
+    ) -> Candidates {
+        let mut cur = Candidates::new(self.stride);
+        let mut root = vec![0u64; self.stride];
+        for (s, &n) in self.heavy.iter().enumerate() {
+            fill_bits(&mut root[self.offsets[s]..][..self.widths[s]], n);
+        }
+        cur.push(0, nonempty_stages, &root);
+        let mut next = Candidates::new(self.stride);
+        for word in 0..self.chunk_masks.len() {
+            next.clear();
+            extend(self, word, &cur, &mut next, stats);
+            std::mem::swap(&mut cur, &mut next);
+            if cur.len() == 0 {
+                break;
+            }
+        }
+        cur
     }
+
+    /// One word position, factored by chunk class. With `2^chunk_bits`
+    /// chunk values a byte's fate in a stage depends only on its chunk,
+    /// so per candidate this ANDs each stage's mask with the stage's
+    /// `2^chunk_bits` chunk masks once, ORs the 256-bit byte sets of the
+    /// chunks that stay non-empty into the stage's live bytes, and counts
+    /// dead stages per byte bit-sliced. Only the bytes dead in at most
+    /// `H − min_stages` stages are visited, ascending, each copying its
+    /// masks from the precomputed ANDs.
+    ///
+    /// Bit-identical to the byte-by-byte loop (kept as the test reference
+    /// `extend_bytewise`): the same survivors in the same order, the same
+    /// truncation, and `candidates_explored` still counts 256 extensions
+    /// per candidate, or `b + 1` on the candidate that truncates at byte
+    /// `b`.
+    fn extend(&self, word: usize, cur: &Candidates, next: &mut Candidates, stats: &mut InferStats) {
+        let stages = self.hashes.len();
+        let chunks = self.chunk_count;
+        let chunk_masks = &self.chunk_masks[word];
+        let pos = word as u32;
+        // byte_sets[s × chunks + c]: the bytes hashing to chunk c here.
+        let mut byte_sets = vec![[0u64; 4]; stages * chunks];
+        for (s, h) in self.hashes.iter().enumerate() {
+            for (c, set) in byte_sets[s * chunks..][..chunks].iter_mut().enumerate() {
+                for &b in h.bytes_for_chunk(pos, c as u16) {
+                    set_bit(set, b as usize);
+                }
+            }
+        }
+        let allowed_dead = stages - self.min_stages;
+        let mut anded = vec![0u64; self.stride * chunks];
+        let mut live = vec![[0u64; 4]; stages];
+        // dead_in[j]: the bytes dead in at least `j + 1` stages so far.
+        let mut dead_in = vec![[0u64; 4]; allowed_dead + 1];
+        for i in 0..cur.len() {
+            let mask = cur.mask(i);
+            dead_in.fill([0; 4]);
+            for (s, live_s) in live.iter_mut().enumerate() {
+                let width = self.widths[s];
+                let own = &mask[self.offsets[s]..][..width];
+                *live_s = [0; 4];
+                for c in 0..chunks {
+                    let at = self.chunk_at(s, c);
+                    let range = at..at + width;
+                    if and_into(own, &chunk_masks[range.clone()], &mut anded[range]) {
+                        let set = &byte_sets[s * chunks + c];
+                        for (l, b) in live_s.iter_mut().zip(set) {
+                            *l |= b;
+                        }
+                    }
+                }
+                for j in (1..=allowed_dead).rev() {
+                    for q in 0..4 {
+                        dead_in[j][q] |= dead_in[j - 1][q] & !live_s[q];
+                    }
+                }
+                for (d, l) in dead_in[0].iter_mut().zip(live_s.iter()) {
+                    *d |= !l;
+                }
+            }
+            let key = cur.keys[i];
+            for (q, &killed) in dead_in[allowed_dead].iter().enumerate() {
+                let mut bits = !killed;
+                while bits != 0 {
+                    let byte = q * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let alive = live.iter().filter(|l| l[q] >> (byte % 64) & 1 == 1).count();
+                    next.keys.push(key | (byte as u64) << (8 * word));
+                    next.alive.push(alive);
+                    for (s, h) in self.hashes.iter().enumerate() {
+                        let at = self.chunk_at(s, h.chunk(pos, byte as u8) as usize);
+                        next.masks
+                            .extend_from_slice(&anded[at..at + self.widths[s]]);
+                    }
+                    if self.cap(next, stats) {
+                        stats.candidates_explored =
+                            stats.candidates_explored.saturating_add(byte as u64 + 1);
+                        return;
+                    }
+                }
+            }
+            stats.candidates_explored = stats.candidates_explored.saturating_add(256);
+        }
+    }
+
+    /// The candidate cap, checked after every survivor: past the cap,
+    /// flags truncation and keeps only the candidates alive in *every*
+    /// stage — under adversarial load everything looks heavy, and true
+    /// keys are alive everywhere while spurious byte combinations usually
+    /// sit at exactly `min_stages`. Returns whether that was still too
+    /// many, in which case `next` is cut to the cap and the position ends.
+    fn cap(&self, next: &mut Candidates, stats: &mut InferStats) -> bool {
+        if next.len() <= self.max_candidates {
+            return false;
+        }
+        stats.truncated = true;
+        next.retain_full(self.hashes.len());
+        if next.len() <= self.max_candidates {
+            return false;
+        }
+        next.truncate(self.max_candidates);
+        true
+    }
+
+    /// The byte-by-byte reference for [`Extension::extend`]: every
+    /// candidate tries all 256 bytes, ANDing each stage's mask with the
+    /// byte's chunk mask, and stops a byte once too many stages died.
+    #[cfg(test)]
+    fn extend_bytewise(
+        &self,
+        word: usize,
+        cur: &Candidates,
+        next: &mut Candidates,
+        stats: &mut InferStats,
+    ) {
+        let chunk_masks = &self.chunk_masks[word];
+        let allowed_dead = self.hashes.len() - self.min_stages;
+        let mut scratch = vec![0u64; self.stride];
+        for i in 0..cur.len() {
+            let mask = cur.mask(i);
+            for byte in 0usize..256 {
+                stats.candidates_explored = stats.candidates_explored.saturating_add(1);
+                let mut alive = 0usize;
+                let mut dead = 0usize;
+                for (s, h) in self.hashes.iter().enumerate() {
+                    let (off, width) = (self.offsets[s], self.widths[s]);
+                    let at = self.chunk_at(s, h.chunk(word as u32, byte as u8) as usize);
+                    if and_into(
+                        &mask[off..off + width],
+                        &chunk_masks[at..at + width],
+                        &mut scratch[off..off + width],
+                    ) {
+                        alive += 1;
+                    } else {
+                        dead += 1;
+                        if dead > allowed_dead {
+                            // Cannot reach min_stages any more.
+                            break;
+                        }
+                    }
+                }
+                if alive >= self.min_stages {
+                    next.push(cur.keys[i] | (byte as u64) << (8 * word), alive, &scratch);
+                    if self.cap(next, stats) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Sets bit `i` of a bitset stored as 64-bit words.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1u64 << (i % 64);
+}
+
+/// Sets the first `bits` bits of `words` (⌈bits/64⌉ long) and clears the
+/// rest of the last word.
+fn fill_bits(words: &mut [u64], bits: usize) {
+    words.fill(u64::MAX);
+    let rem = bits % 64;
+    if rem != 0 {
+        if let Some(last) = words.last_mut() {
+            *last = (1u64 << rem) - 1;
+        }
+    }
+}
+
+/// Writes `a & b` into `out` (all the same length) and returns whether
+/// the result is non-empty.
+#[inline]
+fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) -> bool {
+    let mut any = 0u64;
+    for ((x, y), o) in a.iter().zip(b).zip(out) {
+        *o = x & y;
+        any |= *o;
+    }
+    any != 0
 }
 
 #[cfg(test)]
@@ -696,6 +922,7 @@ mod tests {
     use super::*;
     use hifind_flow::keys::{SipDip, SipDport};
     use hifind_hashing::PairwiseHasher;
+    use proptest::prelude::*;
 
     fn small_cfg(seed: u64) -> RsConfig {
         RsConfig {
@@ -1012,17 +1239,176 @@ mod tests {
         assert!(!result.stats.truncated);
     }
 
+    /// Runs inference with the factored extension and with the
+    /// byte-by-byte reference through the same steps 1, 2 and 4, asserts
+    /// equal results (keys, estimates and every `InferStats` field), and
+    /// returns the factored one.
+    fn infer_both_ways(
+        rs: &ReversibleSketch,
+        grid: &CounterGrid,
+        threshold: i64,
+        opts: &InferOptions,
+    ) -> InferenceResult {
+        let verifier = rs.verifier().map(KarySketch::grid);
+        let factored = rs.infer_grid(grid, verifier, threshold, opts);
+        let reference = rs.infer_grid_with(
+            grid,
+            verifier,
+            threshold,
+            opts,
+            |ext, word, cur, next, stats| ext.extend_bytewise(word, cur, next, stats),
+        );
+        assert_eq!(factored, reference, "factored vs byte-by-byte, {opts:?}");
+        factored
+    }
+
+    /// One equivalence case: `heavy` keys of weight 200–399 over signed
+    /// unit noise in geometry `geometry` (0: paper 48-bit, 1: paper
+    /// 64-bit, 2: 48-bit keys into 2^18 buckets, 3 index bits per byte),
+    /// with stage `silent` of the queried grid zeroed if given, inferred
+    /// at threshold 100.
+    fn equivalence_case(
+        geometry: usize,
+        seed: u64,
+        heavy: usize,
+        miss_stages: usize,
+        max_candidates: usize,
+        silent: Option<usize>,
+    ) -> InferenceResult {
+        let cfg = match geometry % 3 {
+            0 => RsConfig::paper_48bit(seed),
+            1 => RsConfig::paper_64bit(seed),
+            _ => RsConfig {
+                buckets: 1 << 18,
+                verifier_buckets: Some(1 << 12),
+                ..RsConfig::paper_48bit(seed)
+            },
+        };
+        let mut rs = ReversibleSketch::new(cfg).unwrap();
+        let width = u64::MAX >> (64 - cfg.key_bits);
+        let mut rng = SplitMix64::new(seed ^ 0x5EED);
+        for _ in 0..heavy {
+            rs.update(rng.next_u64() & width, 200 + rng.below(200) as i64);
+        }
+        for _ in 0..2000 {
+            rs.update(rng.next_u64() & width, rng.below(7) as i64 - 3);
+        }
+        let mut grid = rs.grid().clone();
+        if let Some(s) = silent {
+            grid.stage_mut(s % cfg.stages).fill(0);
+        }
+        let opts = InferOptions {
+            miss_stages,
+            max_candidates,
+            use_verifier: true,
+        };
+        infer_both_ways(&rs, &grid, 100, &opts)
+    }
+
+    #[test]
+    fn factored_extension_covers_every_listed_case() {
+        let uncapped = InferOptions::default().max_candidates;
+        let mut results = Vec::new();
+        for geometry in 0..3 {
+            for miss in 0..3 {
+                // Two misses let far more spurious prefixes live; keep the
+                // uncapped search small for the reference's sake.
+                let heavy = if miss == 2 { 3 } else { 12 };
+                let r =
+                    equivalence_case(geometry, 100 + geometry as u64, heavy, miss, uncapped, None);
+                assert!(
+                    !r.keys.is_empty(),
+                    "geometry {geometry} miss {miss} found nothing"
+                );
+                results.push(r);
+            }
+            // More than 64 heavy buckets per stage (multi-word masks).
+            results.push(equivalence_case(geometry, 7, 90, 1, 300, None));
+            // A stage with no heavy bucket, tolerated or not.
+            results.push(equivalence_case(geometry, 8, 10, 1, uncapped, Some(2)));
+            results.push(equivalence_case(geometry, 9, 10, 0, uncapped, Some(4)));
+            // A cap small enough to truncate mid-candidate.
+            results.push(equivalence_case(geometry, 10, 40, 2, 5, None));
+            // A cap that keeping only the all-stage candidates gets back
+            // under: truncated, yet every candidate explored in full.
+            results.push(equivalence_case(geometry, 11, 3, 1, 20, None));
+        }
+        let stats = |pred: &dyn Fn(&InferStats) -> bool| results.iter().any(|r| pred(&r.stats));
+        assert!(stats(&|s| s.heavy_buckets.iter().any(|&n| n > 64)));
+        assert!(stats(&|s| s.heavy_buckets.contains(&0)));
+        assert!(stats(&|s| s.truncated && s.candidates_explored % 256 != 0));
+        assert!(stats(&|s| s.truncated && s.candidates_explored % 256 == 0));
+        assert!(stats(
+            &|s| s.rejected_by_estimate + s.rejected_by_verifier > 0
+        ));
+    }
+
+    #[test]
+    fn factored_extension_matches_bytewise_on_a_dense_grid() {
+        // Every bucket heavy with probability 1/2: the candidate explosion
+        // an adversary aims for, cut by caps on either side of a survivor.
+        let rs = ReversibleSketch::new(small_cfg(90)).unwrap();
+        let mut grid = CounterGrid::new(6, 1 << 12);
+        let mut rng = SplitMix64::new(91);
+        for s in 0..6 {
+            for cell in grid.stage_mut(s) {
+                *cell = rng.below(400) as i64 - 100;
+            }
+        }
+        for (miss_stages, max_candidates) in [(0, 1), (1, 17), (1, 256), (2, 1000)] {
+            let opts = InferOptions {
+                miss_stages,
+                max_candidates,
+                use_verifier: false,
+            };
+            assert!(infer_both_ways(&rs, &grid, 100, &opts).stats.truncated);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn factored_extension_matches_bytewise(
+            geometry in 0usize..3,
+            seed in any::<u64>(),
+            heavy in 0usize..100,
+            miss in 0usize..3,
+            cap in 1usize..600,
+            capped in any::<bool>(),
+            silent in 0usize..12,
+        ) {
+            // Past ~24 heavy keys the uncapped search explodes (see the
+            // dense-grid test), which the byte-by-byte reference pays
+            // for 256 times over; cap those.
+            let max_candidates = if capped || heavy > 24 {
+                cap
+            } else {
+                InferOptions::default().max_candidates
+            };
+            let silent = (silent < 6).then_some(silent);
+            equivalence_case(geometry, seed, heavy, miss, max_candidates, silent);
+        }
+    }
+
     #[test]
     fn bitset_basics() {
-        let mut a = BitSet::empty(70);
-        assert!(a.is_empty());
-        a.set(0);
-        a.set(69);
-        let full = BitSet::full(70);
-        assert_eq!(a.and(&full), a);
-        let b = BitSet::empty(70);
-        assert!(a.and(&b).is_empty());
-        assert!(!BitSet::full(1).is_empty());
-        assert!(BitSet::full(0).is_empty());
+        let mut a = vec![0u64; 70usize.div_ceil(64)];
+        set_bit(&mut a, 0);
+        set_bit(&mut a, 69);
+        let mut full = vec![0u64; 2];
+        fill_bits(&mut full, 70);
+        assert_eq!(full, [u64::MAX, (1 << 6) - 1]);
+        let mut out = vec![0u64; 2];
+        assert!(and_into(&a, &full, &mut out));
+        assert_eq!(out, a);
+        assert!(!and_into(&a, &[0, 0], &mut out));
+        assert_eq!(out, [0, 0]);
+        let mut one = [0u64];
+        fill_bits(&mut one, 1);
+        assert_eq!(one, [1]);
+        let mut none: [u64; 0] = [];
+        fill_bits(&mut none, 0);
+        assert!(!and_into(&none, &none, &mut []));
     }
 }
