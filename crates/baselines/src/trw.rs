@@ -50,7 +50,7 @@ pub struct TrwAlert {
 ///
 /// This keeps **per-source and per-(source, destination) state**, which is
 /// exactly the memory vulnerability HiFIND avoids: a spoofed flood creates
-/// one walk per spoofed address (see [`Trw::peak_sources`] and the
+/// one walk per spoofed address (see [`TrwStats::peak_sources`] and the
 /// `dos_resilience` experiment).
 #[derive(Clone, Debug)]
 pub struct Trw {

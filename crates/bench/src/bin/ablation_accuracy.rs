@@ -4,16 +4,14 @@
 //!   (sequential) key spaces;
 //! * stages `H` and buckets `m` — estimate error vs memory;
 //! * 2D classifier parameters `(p, φ)` — flooding/scan separation;
-//! * EWMA vs Holt forecasting on ramping traffic;
 //! * verifier sketch on/off — inference output false positives.
 //!
 //! Run: `cargo run --release -p hifind-bench --bin ablation_accuracy`
 
 use hifind_bench::harness::{row, section, seed, write_json};
 use hifind_flow::rng::SplitMix64;
-use hifind_forecast::{GridEwma, GridForecaster, GridHolt};
 use hifind_sketch::{
-    ColumnShape, CounterGrid, InferOptions, ReversibleSketch, RsConfig, TwoDConfig, TwoDSketch,
+    ColumnShape, InferOptions, ReversibleSketch, RsConfig, TwoDConfig, TwoDSketch,
 };
 use serde::Serialize;
 
@@ -22,7 +20,6 @@ struct Ablations {
     mangling: Vec<(String, usize, usize)>,
     geometry: Vec<(String, f64, usize)>,
     classifier: Vec<(String, f64, f64)>,
-    forecasting: Vec<(String, f64)>,
     verifier: Vec<(String, usize)>,
 }
 
@@ -202,38 +199,5 @@ fn main() {
         out.classifier.push((label, flood_acc, scan_acc));
     }
 
-    // --- 5. EWMA vs Holt on ramping traffic ---------------------------------
-    section("Ablation: forecasting model on linearly ramping traffic (mean |error|)");
-    let make_grid = |v: i64| {
-        let mut g = CounterGrid::new(1, 64);
-        g.add(0, 7, v);
-        g
-    };
-    for (label, mut model) in [
-        (
-            "EWMA α=0.5 (paper)",
-            Box::new(GridEwma::new(0.5)) as Box<dyn GridForecaster>,
-        ),
-        (
-            "Holt α=0.5 β=0.5",
-            Box::new(GridHolt::new(0.5, 0.5)) as Box<dyn GridForecaster>,
-        ),
-    ] {
-        let mut total = 0.0;
-        let mut n = 0;
-        for t in 0..50i64 {
-            if let Some(err) = model.step(&make_grid(20 * t)) {
-                total += err.get(0, 7).abs() as f64;
-                n += 1;
-            }
-        }
-        let mean = total / n.max(1) as f64;
-        println!("{label:<24} {mean:.1}");
-        out.forecasting.push((label.into(), mean));
-    }
-    println!(
-        "\n(Holt halves ramp error — at the cost of over-shooting when an attack\n\
-         stops; the paper's EWMA is the default, Holt is the extension.)"
-    );
     write_json("ablation_accuracy", &out);
 }

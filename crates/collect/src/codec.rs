@@ -45,7 +45,8 @@ pub enum CodecError {
     },
     /// A decoded grid violated [`CounterGrid`] invariants.
     Grid { which: &'static str, detail: String },
-    /// The decoded Bloom filter parts violated [`BloomFilter`] invariants.
+    /// The decoded Bloom filter parts violated
+    /// [`hifind_hashing::BloomFilter`] invariants.
     Bloom(String),
     /// A v2 payload's flag byte set bits this decoder does not know.
     BadFlags { flags: u64 },

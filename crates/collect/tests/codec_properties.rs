@@ -93,9 +93,9 @@ proptest! {
         let other_frame = frame_of(router_id, interval, &other);
         let (_, other_decoded) = read_one(&other_frame).unwrap().unwrap();
         let mut wire_sum = decoded;
-        wire_sum.combine_into(&other_decoded).expect("same config");
+        wire_sum.combine_many(&[&other_decoded]).expect("same config");
         let mut mem_sum = snap;
-        mem_sum.combine_into(&other).expect("same config");
+        mem_sum.combine_many(&[&other]).expect("same config");
         prop_assert_eq!(wire_sum, mem_sum);
     }
 

@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn matches_scalar_ewma_recurrence() {
-        use hifind_forecast::{Ewma, ScalarForecaster};
+        use hifind_forecast::Ewma;
         let mut t = ExactChangeTable::new(0.3);
         let mut f = Ewma::new(0.3);
         for v in [10i64, 14, 9, 200, 7, 7] {

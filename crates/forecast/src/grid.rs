@@ -3,25 +3,6 @@
 use hifind_sketch::CounterGrid;
 use serde::{Deserialize, Serialize};
 
-/// A forecasting model applied element-wise to counter grids.
-///
-/// `step(observed)` consumes the grid recorded in the current interval and
-/// returns the *forecast-error grid* `observed − forecast` (rounded to
-/// integers), or `None` while warming up. The error grid is what
-/// `ReversibleSketch::infer_grid` runs INFERENCE over.
-pub trait GridForecaster {
-    /// Feeds one interval's recorded grid; returns the error grid once a
-    /// forecast exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid shape changes between calls.
-    fn step(&mut self, observed: &CounterGrid) -> Option<CounterGrid>;
-
-    /// Resets to the untrained state.
-    fn reset(&mut self);
-}
-
 /// Element-wise EWMA over grids (paper eq. 1). Forecast state is kept in
 /// `f64` so repeated smoothing does not accumulate integer rounding error;
 /// only the returned error grid is rounded.
@@ -137,38 +118,21 @@ impl GridEwma {
             Some(s) => assert_eq!(s, shape, "grid shape changed mid-stream"),
         }
     }
-}
 
-fn to_f64(g: &CounterGrid) -> Vec<f64> {
-    let mut out = Vec::with_capacity(g.stages() * g.buckets());
-    for s in 0..g.stages() {
-        out.extend(g.stage(s).iter().map(|&v| v as f64));
-    }
-    out
-}
-
-fn error_grid(g: &CounterGrid, forecast: &[f64]) -> CounterGrid {
-    let mut out = CounterGrid::new(g.stages(), g.buckets());
-    let buckets = g.buckets();
-    for s in 0..g.stages() {
-        let stage = g.stage(s);
-        for (b, &v) in stage.iter().enumerate() {
-            let f = forecast[s * buckets + b];
-            let e = (v as f64 - f).round() as i64;
-            if e != 0 {
-                out.add(s, b, e);
-            }
-        }
-    }
-    out
-}
-
-impl GridForecaster for GridEwma {
+    /// Feeds one interval's recorded grid and returns the *forecast-error
+    /// grid* `observed − forecast` (rounded to integers), or `None` while
+    /// warming up. The error grid is what `ReversibleSketch::infer_grid`
+    /// runs INFERENCE over.
+    ///
     /// One pass over the grid: each cell's forecast `α·o + (1−α)·f` (on
     /// the first forecasting step, `f = o`: the last observation) is
     /// written into the error grid and the model state in place, so a
     /// step allocates nothing but the returned error grid.
-    fn step(&mut self, observed: &CounterGrid) -> Option<CounterGrid> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid shape changes between calls.
+    pub fn step(&mut self, observed: &CounterGrid) -> Option<CounterGrid> {
         self.check_shape(observed);
         let Some(prev_observed) = self.prev_observed.as_mut() else {
             self.prev_observed = Some(to_f64(observed));
@@ -199,107 +163,32 @@ impl GridForecaster for GridEwma {
         }
         Some(error)
     }
-
-    fn reset(&mut self) {
-        self.prev_observed = None;
-        self.prev_forecast = None;
-        self.shape = None;
-    }
 }
 
-/// Element-wise Holt (double exponential smoothing) over grids — the
-/// forecasting-model ablation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct GridHolt {
-    alpha: f64,
-    beta: f64,
-    level: Option<Vec<f64>>,
-    trend: Option<Vec<f64>>,
-    warm: Option<Vec<f64>>,
-    shape: Option<(usize, usize)>,
-}
-
-impl GridHolt {
-    /// Creates an element-wise Holt model; both factors in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either factor is outside `[0, 1]` or not finite.
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(alpha.is_finite() && (0.0..=1.0).contains(&alpha));
-        assert!(beta.is_finite() && (0.0..=1.0).contains(&beta));
-        GridHolt {
-            alpha,
-            beta,
-            level: None,
-            trend: None,
-            warm: None,
-            shape: None,
-        }
+fn to_f64(g: &CounterGrid) -> Vec<f64> {
+    let mut out = Vec::with_capacity(g.stages() * g.buckets());
+    for s in 0..g.stages() {
+        out.extend(g.stage(s).iter().map(|&v| v as f64));
     }
-}
-
-impl GridForecaster for GridHolt {
-    fn step(&mut self, observed: &CounterGrid) -> Option<CounterGrid> {
-        let shape = (observed.stages(), observed.buckets());
-        match self.shape {
-            None => self.shape = Some(shape),
-            Some(s) => assert_eq!(s, shape, "grid shape changed mid-stream"),
-        }
-        let obs = to_f64(observed);
-        match (self.level.take(), self.warm.take()) {
-            (None, None) => {
-                self.warm = Some(obs);
-                None
-            }
-            (None, Some(first)) => {
-                let error = error_grid(observed, &first);
-                let level: Vec<f64> = obs
-                    .iter()
-                    .zip(&first)
-                    .map(|(&o, &f)| self.alpha * o + (1.0 - self.alpha) * f)
-                    .collect();
-                let trend: Vec<f64> = obs.iter().zip(&first).map(|(&o, &f)| o - f).collect();
-                self.level = Some(level);
-                self.trend = Some(trend);
-                Some(error)
-            }
-            (Some(level), _) => {
-                // `level` and `trend` are set together; if the trend were
-                // ever missing, Holt degrades to simple smoothing for one
-                // step instead of panicking.
-                let trend = self.trend.take().unwrap_or_else(|| vec![0.0; level.len()]);
-                let forecast: Vec<f64> = level.iter().zip(&trend).map(|(&l, &t)| l + t).collect();
-                let error = error_grid(observed, &forecast);
-                let new_level: Vec<f64> = obs
-                    .iter()
-                    .zip(&forecast)
-                    .map(|(&o, &f)| self.alpha * o + (1.0 - self.alpha) * f)
-                    .collect();
-                let new_trend: Vec<f64> = new_level
-                    .iter()
-                    .zip(&level)
-                    .zip(&trend)
-                    .map(|((&nl, &l), &t)| self.beta * (nl - l) + (1.0 - self.beta) * t)
-                    .collect();
-                self.level = Some(new_level);
-                self.trend = Some(new_trend);
-                Some(error)
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.level = None;
-        self.trend = None;
-        self.warm = None;
-        self.shape = None;
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The error grid of `g` against a separately built forecast — the
+    /// reference the in-place step is checked against.
+    fn error_grid(g: &CounterGrid, forecast: &[f64]) -> CounterGrid {
+        let mut out = CounterGrid::new(g.stages(), g.buckets());
+        let buckets = g.buckets();
+        for s in 0..g.stages() {
+            for (b, &v) in g.stage(s).iter().enumerate() {
+                out.add(s, b, (v as f64 - forecast[s * buckets + b]).round() as i64);
+            }
+        }
+        out
+    }
 
     fn grid(vals: &[i64]) -> CounterGrid {
         let mut g = CounterGrid::new(1, vals.len().next_power_of_two());
@@ -320,7 +209,7 @@ mod tests {
 
     #[test]
     fn matches_scalar_recurrence_per_bucket() {
-        use crate::scalar::{Ewma, ScalarForecaster};
+        use crate::scalar::Ewma;
         let mut gf = GridEwma::new(0.3);
         let mut sf = Ewma::new(0.3);
         let series = [5i64, 8, 2, 14, 7, 7, 100, 3];
@@ -368,42 +257,6 @@ mod tests {
         let mut f = GridEwma::new(0.5);
         f.step(&CounterGrid::new(1, 4));
         f.step(&CounterGrid::new(2, 4));
-    }
-
-    #[test]
-    fn reset_restarts_warmup() {
-        let mut f = GridEwma::new(0.5);
-        f.step(&grid(&[1, 2]));
-        f.step(&grid(&[1, 2]));
-        f.reset();
-        assert!(f.step(&grid(&[9, 9])).is_none());
-    }
-
-    #[test]
-    fn holt_grid_tracks_ramp_better_than_ewma() {
-        let mut h = GridHolt::new(0.5, 0.5);
-        let mut e = GridEwma::new(0.5);
-        let mut herr = 0i64;
-        let mut eerr = 0i64;
-        for t in 0..30i64 {
-            let g = grid(&[10 * t, 0]);
-            if let Some(err) = h.step(&g) {
-                herr += err.get(0, 0).abs();
-            }
-            if let Some(err) = e.step(&g) {
-                eerr += err.get(0, 0).abs();
-            }
-        }
-        assert!(herr < eerr, "holt {herr} vs ewma {eerr}");
-    }
-
-    #[test]
-    fn holt_grid_warmup_and_reset() {
-        let mut h = GridHolt::new(0.5, 0.5);
-        assert!(h.step(&grid(&[1, 1])).is_none());
-        assert!(h.step(&grid(&[1, 1])).is_some());
-        h.reset();
-        assert!(h.step(&grid(&[1, 1])).is_none());
     }
 
     #[test]

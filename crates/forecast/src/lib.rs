@@ -16,16 +16,18 @@
 //!
 //! with no forecast (hence no detection) at `t = 1`.
 //!
-//! * [`Ewma`] — the scalar recurrence (used by baselines as well).
-//! * [`GridEwma`] — the same recurrence applied element-wise to a
-//!   [`hifind_sketch::CounterGrid`], producing error grids.
-//! * [`Holt`] / [`GridHolt`] — double exponential smoothing (level +
-//!   trend), implemented as the forecasting ablation DESIGN.md calls out.
+//! EWMA is the only forecaster, implemented once per input type:
+//!
+//! * [`GridEwma`] — the recurrence applied element-wise to a
+//!   [`hifind_sketch::CounterGrid`], producing error grids; the detection
+//!   pipeline holds one per sketch.
+//! * [`Ewma`] — the same recurrence over one scalar series, the per-cell
+//!   reference [`GridEwma`] is tested against.
 //!
 //! # Example
 //!
 //! ```
-//! use hifind_forecast::{Ewma, ScalarForecaster};
+//! use hifind_forecast::Ewma;
 //!
 //! let mut f = Ewma::new(0.5);
 //! assert_eq!(f.step(10.0), None);        // t = 1: no forecast yet
@@ -39,10 +41,8 @@
 
 pub mod grid;
 pub mod scalar;
-pub mod seasonal;
 pub mod stats;
 
-pub use grid::{GridEwma, GridEwmaState, GridForecaster, GridHolt};
-pub use scalar::{Ewma, Holt, ScalarForecaster};
-pub use seasonal::HoltWinters;
+pub use grid::{GridEwma, GridEwmaState};
+pub use scalar::Ewma;
 pub use stats::ErrorStats;

@@ -1,23 +1,6 @@
-//! Scalar forecasting models.
+//! The scalar EWMA forecaster.
 
 use serde::{Deserialize, Serialize};
-
-/// A forecasting model over a scalar time series.
-///
-/// `step(observed)` consumes the observation for the current interval and
-/// returns the *forecast error* `observed − forecast`, or `None` while the
-/// model is still warming up (the paper's `t = 1`).
-pub trait ScalarForecaster {
-    /// Feeds one interval's observation; returns the forecast error once a
-    /// forecast exists.
-    fn step(&mut self, observed: f64) -> Option<f64>;
-
-    /// The forecast the model would make for the *next* interval, if any.
-    fn next_forecast(&self) -> Option<f64>;
-
-    /// Resets to the initial (untrained) state.
-    fn reset(&mut self);
-}
 
 /// Exponentially weighted moving average forecasting (paper eq. 1).
 ///
@@ -51,10 +34,11 @@ impl Ewma {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
-}
 
-impl ScalarForecaster for Ewma {
-    fn step(&mut self, observed: f64) -> Option<f64> {
+    /// Feeds one interval's observation and returns the *forecast error*
+    /// `observed − forecast`, or `None` while the model is still warming
+    /// up (the paper's `t = 1`).
+    pub fn step(&mut self, observed: f64) -> Option<f64> {
         let forecast = match (self.prev_observed, self.prev_forecast) {
             (None, _) => None,            // t = 1
             (Some(po), None) => Some(po), // t = 2: M_f(2) = M_0(1)
@@ -66,96 +50,6 @@ impl ScalarForecaster for Ewma {
         self.prev_observed = Some(observed);
         forecast.map(|f| observed - f)
     }
-
-    fn next_forecast(&self) -> Option<f64> {
-        match (self.prev_observed, self.prev_forecast) {
-            (None, _) => None,
-            (Some(po), None) => Some(po),
-            (Some(po), Some(pf)) => Some(self.alpha * po + (1.0 - self.alpha) * pf),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.prev_observed = None;
-        self.prev_forecast = None;
-    }
-}
-
-/// Holt's double exponential smoothing (level + trend).
-///
-/// An ablation alternative to [`Ewma`]: tracks a linear trend so slowly
-/// ramping diurnal traffic produces smaller forecast errors.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Holt {
-    alpha: f64,
-    beta: f64,
-    state: Option<(f64, f64)>, // (level, trend)
-    warm: Option<f64>,         // first observation, waiting for the second
-}
-
-impl Holt {
-    /// Creates a Holt model with level factor `alpha` and trend factor
-    /// `beta`, both in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either factor is outside `[0, 1]` or not finite.
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(
-            alpha.is_finite() && (0.0..=1.0).contains(&alpha),
-            "alpha must be in [0, 1], got {alpha}"
-        );
-        assert!(
-            beta.is_finite() && (0.0..=1.0).contains(&beta),
-            "beta must be in [0, 1], got {beta}"
-        );
-        Holt {
-            alpha,
-            beta,
-            state: None,
-            warm: None,
-        }
-    }
-}
-
-impl ScalarForecaster for Holt {
-    fn step(&mut self, observed: f64) -> Option<f64> {
-        match (self.state, self.warm) {
-            (None, None) => {
-                self.warm = Some(observed);
-                None
-            }
-            (None, Some(first)) => {
-                // Initialize level = first, trend = difference.
-                let forecast = first;
-                self.state = Some((
-                    self.alpha * observed + (1.0 - self.alpha) * first,
-                    observed - first,
-                ));
-                Some(observed - forecast)
-            }
-            (Some((level, trend)), _) => {
-                let forecast = level + trend;
-                let new_level = self.alpha * observed + (1.0 - self.alpha) * forecast;
-                let new_trend = self.beta * (new_level - level) + (1.0 - self.beta) * trend;
-                self.state = Some((new_level, new_trend));
-                Some(observed - forecast)
-            }
-        }
-    }
-
-    fn next_forecast(&self) -> Option<f64> {
-        match (self.state, self.warm) {
-            (Some((level, trend)), _) => Some(level + trend),
-            (None, Some(first)) => Some(first),
-            _ => None,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.state = None;
-        self.warm = None;
-    }
 }
 
 #[cfg(test)]
@@ -165,9 +59,7 @@ mod tests {
     #[test]
     fn ewma_warmup_then_forecast() {
         let mut f = Ewma::new(0.5);
-        assert_eq!(f.next_forecast(), None);
         assert_eq!(f.step(10.0), None);
-        assert_eq!(f.next_forecast(), Some(10.0));
         // t=2: forecast = 10, error = 2.
         assert_eq!(f.step(12.0), Some(2.0));
         // t=3: forecast = 0.5*12 + 0.5*10 = 11, error = 3.
@@ -216,69 +108,5 @@ mod tests {
     #[should_panic(expected = "alpha must be in")]
     fn ewma_rejects_bad_alpha() {
         let _ = Ewma::new(1.5);
-    }
-
-    #[test]
-    fn ewma_reset() {
-        let mut f = Ewma::new(0.5);
-        f.step(1.0);
-        f.step(2.0);
-        f.reset();
-        assert_eq!(f.step(100.0), None);
-    }
-
-    #[test]
-    fn holt_tracks_linear_trend() {
-        let mut h = Holt::new(0.5, 0.5);
-        let mut e = Ewma::new(0.5);
-        let mut holt_err = 0.0;
-        let mut ewma_err = 0.0;
-        for t in 0..30 {
-            let v = 10.0 * t as f64; // perfect ramp
-            if let Some(err) = h.step(v) {
-                holt_err += err.abs();
-            }
-            if let Some(err) = e.step(v) {
-                ewma_err += err.abs();
-            }
-        }
-        assert!(
-            holt_err < ewma_err * 0.5,
-            "holt {holt_err} should beat ewma {ewma_err} on a ramp"
-        );
-    }
-
-    #[test]
-    fn holt_warmup() {
-        let mut h = Holt::new(0.5, 0.5);
-        assert_eq!(h.next_forecast(), None);
-        assert_eq!(h.step(10.0), None);
-        assert!(h.step(10.0).is_some());
-    }
-
-    #[test]
-    fn holt_constant_series_small_error() {
-        let mut h = Holt::new(0.4, 0.3);
-        h.step(50.0);
-        let mut last = f64::MAX;
-        for _ in 0..30 {
-            last = h.step(50.0).unwrap().abs();
-        }
-        assert!(last < 1e-6, "residual error {last}");
-    }
-
-    #[test]
-    fn holt_reset() {
-        let mut h = Holt::new(0.5, 0.5);
-        h.step(1.0);
-        h.step(2.0);
-        h.reset();
-        assert_eq!(h.step(3.0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "beta must be in")]
-    fn holt_rejects_bad_beta() {
-        let _ = Holt::new(0.5, -0.1);
     }
 }

@@ -28,7 +28,7 @@ pub struct ErrorStats {
 
 impl ErrorStats {
     /// Measures an error grid (as returned by
-    /// [`crate::GridForecaster::step`]).
+    /// [`crate::GridEwma::step`]).
     ///
     /// Each stage row is condensed by the dispatched
     /// [`hifind_sketch::SketchKernel::row_moments`] (the vectorized

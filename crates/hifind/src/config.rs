@@ -122,7 +122,7 @@ impl HiFindConfig {
     /// recorders must share for their [`crate::IntervalSnapshot`]s to be
     /// combinable — the derived sketch configurations (shapes **and**
     /// seeds) and the active-service Bloom geometry. Snapshots carry this
-    /// fingerprint and [`crate::IntervalSnapshot::combine_into`] rejects
+    /// fingerprint and [`crate::IntervalSnapshot::combine_many`] rejects
     /// mismatches, so differently-seeded recorders can never silently sum
     /// into garbage. Detection-plane parameters (interval width,
     /// thresholds, classifier knobs) are deliberately excluded: they live

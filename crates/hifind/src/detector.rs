@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use crate::recorder::SketchRecorder;
     use hifind_flow::Packet;
-    use hifind_forecast::{GridEwma, GridForecaster};
+    use hifind_forecast::GridEwma;
 
     /// Drives recorder + EWMA for a closure-generated interval stream and
     /// returns the detections of the last interval.

@@ -26,7 +26,7 @@
 //!   interval; [`pipeline::HiFind::run_trace`] for offline traces.
 //! * [`aggregate`] — multi-router sketch aggregation (§3.1, Figure 3).
 //! * [`metrics`] — the Table 9 memory model and §5.5.2 access counts.
-//! * [`evaluate`] — alert ↔ ground-truth scoring for experiments.
+//! * [`mod@evaluate`] — alert ↔ ground-truth scoring for experiments.
 //! * [`postprocess`] — block-scan correlation across alerts.
 //! * [`mitigate`] — per-attack-type countermeasure planning (§1's "attack
 //!   root cause analysis for mitigation").

@@ -9,7 +9,7 @@ use crate::recorder::IntervalSnapshot;
 use crate::report::{Alert, AlertLog, Phase};
 use crate::run_report::PhaseNanos;
 use hifind_flow::Trace;
-use hifind_forecast::{ErrorStats, GridEwma, GridEwmaState, GridForecaster};
+use hifind_forecast::{ErrorStats, GridEwma, GridEwmaState};
 use hifind_sketch::SketchError;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Snapshots are what routers ship to the aggregation site (§3.1): pure
 /// counter grids plus the active-service Bloom filter — no keys, no
-/// per-flow state. [`IntervalSnapshot::combine_into`] is the paper's
+/// per-flow state. [`IntervalSnapshot::combine_many`] is the paper's
 /// `COMBINE` applied across vantage points.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IntervalSnapshot {
@@ -51,21 +51,8 @@ pub struct IntervalSnapshot {
 }
 
 impl IntervalSnapshot {
-    /// Adds another router's snapshot into this one (sketch linearity +
-    /// Bloom union).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SketchError::FingerprintMismatch`] if the two snapshots
-    /// were recorded under different configurations or seeds, and
-    /// [`SketchError::CombineMismatch`] if grid shapes differ (possible
-    /// only for hand-assembled snapshots, since the fingerprint already
-    /// covers shapes).
-    pub fn combine_into(&mut self, other: &IntervalSnapshot) -> Result<(), SketchError> {
-        self.combine_many(&[other]).map(|_| ())
-    }
-
-    /// Adds several routers' snapshots into this one in a single
+    /// Adds other routers' snapshots into this one (sketch linearity +
+    /// Bloom union) in a single
     /// cache-blocked pass per grid ([`CounterGrid::add_assign_many`]): each
     /// destination tile is brought into cache once and every source's
     /// matching tile is folded in before moving on, instead of streaming
@@ -77,12 +64,13 @@ impl IntervalSnapshot {
     ///
     /// # Errors
     ///
-    /// [`SketchError::FingerprintMismatch`] /
-    /// [`SketchError::CombineMismatch`] as for
-    /// [`IntervalSnapshot::combine_into`]. Every fingerprint is checked
-    /// before any counter is modified; a shape mismatch (possible only for
-    /// hand-assembled snapshots, since the fingerprint covers shapes) may
-    /// leave earlier grids already combined, as with `combine_into`.
+    /// Returns [`SketchError::FingerprintMismatch`] if a snapshot was
+    /// recorded under a different configuration or seed, and
+    /// [`SketchError::CombineMismatch`] if a grid shape or the Bloom
+    /// filter's size or seeds differ (possible only for hand-assembled
+    /// snapshots, since the fingerprint covers shapes). Every fingerprint,
+    /// then every shape, is checked before anything is modified, so `self`
+    /// is untouched on error.
     pub fn combine_many(&mut self, others: &[&IntervalSnapshot]) -> Result<u64, SketchError> {
         if others.is_empty() {
             return Ok(0);
@@ -93,6 +81,23 @@ impl IntervalSnapshot {
                     expected: self.fingerprint,
                     got: other.fingerprint,
                 });
+            }
+        }
+        let (bloom_words, bloom_seeds) = (
+            self.active_services.bit_words().len(),
+            self.active_services.hash_seeds(),
+        );
+        for other in others {
+            let grids_match = self
+                .grids()
+                .iter()
+                .zip(other.grids())
+                .all(|(a, b)| (a.stages(), a.buckets()) == (b.stages(), b.buckets()));
+            if !grids_match
+                || other.active_services.bit_words().len() != bloom_words
+                || other.active_services.hash_seeds() != bloom_seeds
+            {
+                return Err(SketchError::CombineMismatch);
             }
         }
         let mut bytes = 0u64;
@@ -561,7 +566,7 @@ mod tests {
         }
         let mut sa = a.take_snapshot();
         let sb = b.take_snapshot();
-        sa.combine_into(&sb).unwrap();
+        sa.combine_many(&[&sb]).unwrap();
         let sm = merged.take_snapshot();
         assert_eq!(sa.rs_dip_dport, sm.rs_dip_dport);
         assert_eq!(sa.rs_sip_dip, sm.rs_sip_dip);
@@ -612,7 +617,7 @@ mod tests {
             recorders.iter_mut().map(|r| r.take_snapshot()).collect();
         let mut seq = snaps[0].clone();
         for s in &snaps[1..] {
-            seq.combine_into(s).unwrap();
+            seq.combine_many(&[s]).unwrap();
         }
         let mut many = snaps[0].clone();
         let refs: Vec<&IntervalSnapshot> = snaps[1..].iter().collect();
@@ -631,7 +636,7 @@ mod tests {
         let mut b = SketchRecorder::new(&big).unwrap();
         let mut sa = a.take_snapshot();
         let sb = b.take_snapshot();
-        assert!(sa.combine_into(&sb).is_err());
+        assert!(sa.combine_many(&[&sb]).is_err());
     }
 
     #[test]
@@ -646,12 +651,69 @@ mod tests {
         let mut sa = a.take_snapshot();
         let sb = b.take_snapshot();
         assert_eq!(
-            sa.combine_into(&sb),
+            sa.combine_many(&[&sb]),
             Err(SketchError::FingerprintMismatch {
                 expected: cfg_a.fingerprint(),
                 got: cfg_b.fingerprint(),
             })
         );
+    }
+
+    /// Two recorded snapshots under `cfg()` and a copy of the first: the
+    /// destination and sources of the hand-assembled mismatch cases.
+    fn snapshot_pair() -> (IntervalSnapshot, IntervalSnapshot, IntervalSnapshot) {
+        let config = cfg();
+        let mut a = SketchRecorder::new(&config).unwrap();
+        let mut b = SketchRecorder::new(&config).unwrap();
+        for i in 0..200u64 {
+            a.record(&syn(i));
+            b.record(&syn(i + 1000));
+        }
+        let sa = a.take_snapshot();
+        (sa.clone(), sa, b.take_snapshot())
+    }
+
+    #[test]
+    fn combine_rejects_a_late_grid_shape_mismatch_untouched() {
+        // Equal fingerprints, a mismatched last grid: the eight grids
+        // before it must not be summed when the combine fails.
+        let (mut dst, before, good) = snapshot_pair();
+        let mut bad = good.clone();
+        bad.twod_sipdip_dport = CounterGrid::new(1, 8);
+        assert_eq!(
+            dst.combine_many(&[&good, &bad]),
+            Err(SketchError::CombineMismatch)
+        );
+        assert!(
+            dst == before,
+            "a failed combine must leave the destination untouched"
+        );
+    }
+
+    #[test]
+    fn combine_rejects_a_bloom_shape_mismatch_untouched() {
+        // Equal fingerprints and grids, a Bloom filter of another size or
+        // other seeds: a typed error, not a panic in the union.
+        let (mut dst, before, good) = snapshot_pair();
+        let (bits, hashes) = (
+            good.active_services.bit_words().len() * 64,
+            good.active_services.hash_seeds().len(),
+        );
+        for bloom in [
+            BloomFilter::new(bits * 2, hashes, 0xBAD),
+            BloomFilter::new(bits, hashes, 0xBAD),
+        ] {
+            let mut bad = good.clone();
+            bad.active_services = bloom;
+            assert_eq!(
+                dst.combine_many(&[&good, &bad]),
+                Err(SketchError::CombineMismatch)
+            );
+            assert!(
+                dst == before,
+                "a failed combine must leave the destination untouched"
+            );
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ proptest! {
             }
         }
         let mut combined = left.take_snapshot();
-        combined.combine_into(&right.take_snapshot()).unwrap();
+        combined.combine_many(&[&right.take_snapshot()]).unwrap();
         let expected = whole.take_snapshot();
         prop_assert_eq!(combined.rs_dip_dport, expected.rs_dip_dport);
         prop_assert_eq!(combined.rs_sip_dip, expected.rs_sip_dip);

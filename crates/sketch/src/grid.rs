@@ -6,8 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// Elements per combine tile: 2048 × 8 B = 16 KiB, so the destination block
 /// stays resident in L1 while each source block streams through exactly
-/// once. Multi-source merges ([`CounterGrid::add_assign_many`], the weighted
-/// [`CounterGrid::linear_combination`]) walk the grid tile-by-tile with an
+/// once. [`CounterGrid::add_assign_many`] walks the grid tile-by-tile with an
 /// inner loop over sources instead of striding the full grid once per term.
 const COMBINE_BLOCK: usize = 2048;
 
@@ -150,7 +149,7 @@ impl CounterGrid {
 
     /// `self += Σ otherᵢ`, the multi-source COMBINE the parallel recorder's
     /// interval close and the aggregation tiers pay for: cache-blocked
-    /// ([`COMBINE_BLOCK`]-element tiles, inner loop over sources) so the
+    /// (2048-element tiles of 16 KiB, inner loop over sources) so the
     /// destination tile is read and written once per merge instead of once
     /// per source. Bit-identical to folding [`CounterGrid::add_assign`]
     /// over `others` in order — saturating adds to independent cells
@@ -174,82 +173,6 @@ impl CounterGrid {
             start = end;
         }
         Ok(())
-    }
-
-    /// `self -= other` element-wise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SketchError::CombineMismatch`] on shape mismatch.
-    pub fn sub_assign(&mut self, other: &CounterGrid) -> Result<(), SketchError> {
-        self.check_shape(other)?;
-        simd::kernel().sub_saturating(&mut self.data, &other.data);
-        Ok(())
-    }
-
-    /// Returns `self − other` as a new grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SketchError::CombineMismatch`] on shape mismatch.
-    pub fn difference(&self, other: &CounterGrid) -> Result<CounterGrid, SketchError> {
-        let mut out = self.clone();
-        out.sub_assign(other)?;
-        Ok(out)
-    }
-
-    /// Linear combination `Σ cᵢ · gridᵢ`.
-    ///
-    /// When every coefficient is exactly `1.0` — the COMBINE every
-    /// aggregation path in the system actually issues — this takes the
-    /// integer fast path ([`CounterGrid::add_assign_many`]): exact
-    /// saturating sums, bit-identical to updating one sketch with the
-    /// merged traffic, so COMBINE linearity holds even for counters beyond
-    /// 2⁵³ where an f64 accumulator would round.
-    ///
-    /// The general weighted path accumulates `Σ cᵢ·vᵢ` in f64 per element
-    /// and rounds to the nearest integer, walking the grid in
-    /// [`COMBINE_BLOCK`]-element tiles (source order per element is
-    /// preserved, so the tiling does not change a single bit of output).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SketchError::CombineEmpty`] for an empty list and
-    /// [`SketchError::CombineMismatch`] on shape mismatch.
-    pub fn linear_combination(terms: &[(f64, &CounterGrid)]) -> Result<CounterGrid, SketchError> {
-        let (_, first) = terms.first().ok_or(SketchError::CombineEmpty)?;
-        for (_, g) in terms {
-            first.check_shape(g)?;
-        }
-        if terms.iter().all(|(c, _)| *c == 1.0) {
-            let mut out = terms[0].1.clone();
-            let rest: Vec<&CounterGrid> = terms[1..].iter().map(|(_, g)| *g).collect();
-            out.add_assign_many(&rest)?;
-            return Ok(out);
-        }
-        let len = first.data.len();
-        let mut data = vec![0i64; len];
-        let mut acc = [0.0f64; COMBINE_BLOCK];
-        let mut start = 0;
-        while start < len {
-            let end = (start + COMBINE_BLOCK).min(len);
-            let block = &mut acc[..end - start];
-            block.fill(0.0);
-            for (c, g) in terms {
-                for (a, &v) in block.iter_mut().zip(&g.data[start..end]) {
-                    *a += c * v as f64;
-                }
-            }
-            for (d, &a) in data[start..end].iter_mut().zip(block.iter()) {
-                *d = a.round() as i64;
-            }
-            start = end;
-        }
-        Ok(CounterGrid {
-            stages: first.stages,
-            buckets: first.buckets,
-            data,
-        })
     }
 
     /// Iterates `(stage, bucket, value)` over non-zero counters.
@@ -335,53 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn linearity_add_sub() {
-        let mut a = CounterGrid::new(2, 4);
-        let mut b = CounterGrid::new(2, 4);
-        a.add(0, 0, 10);
-        b.add(0, 0, 5);
-        b.add(1, 2, -3);
-        let mut sum = a.clone();
-        sum.add_assign(&b).unwrap();
-        assert_eq!(sum.get(0, 0), 15);
-        assert_eq!(sum.get(1, 2), -3);
-        let diff = sum.difference(&b).unwrap();
-        assert_eq!(diff, a);
-        sum.sub_assign(&a).unwrap();
-        assert_eq!(sum, b);
-    }
-
-    #[test]
     fn shape_mismatch_rejected() {
         let mut a = CounterGrid::new(2, 4);
         let b = CounterGrid::new(2, 8);
         assert_eq!(a.add_assign(&b), Err(SketchError::CombineMismatch));
         let c = CounterGrid::new(3, 4);
-        assert_eq!(a.sub_assign(&c), Err(SketchError::CombineMismatch));
-    }
-
-    #[test]
-    fn linear_combination_weights() {
-        let mut a = CounterGrid::new(1, 2);
-        let mut b = CounterGrid::new(1, 2);
-        a.add(0, 0, 10);
-        b.add(0, 0, 4);
-        b.add(0, 1, 2);
-        let lc = CounterGrid::linear_combination(&[(0.5, &a), (2.0, &b)]).unwrap();
-        assert_eq!(lc.get(0, 0), 13); // 5 + 8
-        assert_eq!(lc.get(0, 1), 4);
-        assert_eq!(
-            CounterGrid::linear_combination(&[]),
-            Err(SketchError::CombineEmpty)
-        );
-    }
-
-    #[test]
-    fn linear_combination_rounds() {
-        let mut a = CounterGrid::new(1, 1);
-        a.add(0, 0, 3);
-        let lc = CounterGrid::linear_combination(&[(0.5, &a)]).unwrap();
-        assert_eq!(lc.get(0, 0), 2); // 1.5 rounds to 2
+        assert_eq!(a.add_assign_many(&[&c]), Err(SketchError::CombineMismatch));
     }
 
     #[test]
@@ -465,21 +347,6 @@ mod tests {
         assert!(a.is_zero());
         a.add_assign_many(&[]).unwrap();
         assert!(a.is_zero());
-    }
-
-    #[test]
-    fn unit_coefficients_take_the_exact_integer_path() {
-        // Counters beyond 2^53 lose bits in an f64 accumulator; the unit
-        // fast path must sum them exactly (and saturate exactly).
-        let mut a = CounterGrid::new(1, 2);
-        let mut b = CounterGrid::new(1, 2);
-        a.add(0, 0, (1 << 60) + 1);
-        b.add(0, 0, 1);
-        a.add(0, 1, i64::MAX);
-        b.add(0, 1, 5);
-        let lc = CounterGrid::linear_combination(&[(1.0, &a), (1.0, &b)]).unwrap();
-        assert_eq!(lc.get(0, 0), (1 << 60) + 2);
-        assert_eq!(lc.get(0, 1), i64::MAX);
     }
 
     #[test]

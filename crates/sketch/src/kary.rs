@@ -55,8 +55,9 @@ impl KaryConfig {
 
 /// The k-ary sketch: `H` independent hash stages over `m` counters each.
 ///
-/// Supports the paper's `UPDATE(S, y, v)`, `ESTIMATE(S, y)` and
-/// `COMBINE(c₁,S₁,…,cₖ,Sₖ)` functions (Table 2). It is *not* reversible —
+/// Supports the paper's `UPDATE(S, y, v)` and `ESTIMATE(S, y)` functions
+/// (Table 2); `COMBINE` is the sum of the sketches' grids
+/// ([`CounterGrid::add_assign_many`]). It is *not* reversible —
 /// `INFERENCE` requires [`crate::ReversibleSketch`].
 ///
 /// # Example
@@ -223,35 +224,6 @@ impl KarySketch {
         median_i64(&mut values)
     }
 
-    /// COMBINE: the linear combination `Σ cᵢ·Sᵢ`.
-    ///
-    /// # Errors
-    ///
-    /// All sketches must share the same configuration (including seed);
-    /// otherwise [`SketchError::CombineMismatch`]. An empty list yields
-    /// [`SketchError::CombineEmpty`].
-    pub fn combine(terms: &[(f64, &KarySketch)]) -> Result<KarySketch, SketchError> {
-        let (_, first) = terms.first().ok_or(SketchError::CombineEmpty)?;
-        for (_, s) in terms {
-            if s.config != first.config {
-                return Err(SketchError::CombineMismatch);
-            }
-        }
-        let grids: Vec<(f64, &CounterGrid)> = terms.iter().map(|(c, s)| (*c, &s.grid)).collect();
-        let grid = CounterGrid::linear_combination(&grids)?;
-        let total = terms
-            .iter()
-            .map(|(c, s)| c * s.total as f64)
-            .sum::<f64>()
-            .round() as i64;
-        Ok(KarySketch {
-            config: first.config,
-            hashers: first.hashers.clone(),
-            grid,
-            total,
-        })
-    }
-
     /// Borrows the counter grid.
     pub fn grid(&self) -> &CounterGrid {
         &self.grid
@@ -364,6 +336,7 @@ mod tests {
         let mut b = small();
         let mut merged = small();
         let mut rng = SplitMix64::new(7);
+        let mut keys = Vec::new();
         for i in 0..1000 {
             let k = rng.next_u64();
             let v = (rng.below(20) as i64) - 5;
@@ -373,38 +346,15 @@ mod tests {
                 b.update(k, v);
             }
             merged.update(k, v);
+            keys.push(k);
         }
-        let combined = KarySketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap();
-        assert_eq!(combined.grid(), merged.grid());
-        assert_eq!(combined.total(), merged.total());
-    }
-
-    #[test]
-    fn combine_rejects_mismatched_seeds() {
-        let a = small();
-        let b = KarySketch::new(KaryConfig {
-            stages: 5,
-            buckets: 1 << 10,
-            seed: 12,
-        })
-        .unwrap();
-        assert_eq!(
-            KarySketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap_err(),
-            SketchError::CombineMismatch
-        );
-        assert_eq!(
-            KarySketch::combine(&[]).unwrap_err(),
-            SketchError::CombineEmpty
-        );
-    }
-
-    #[test]
-    fn combine_with_coefficients() {
-        let mut a = small();
-        a.update(5, 10);
-        let scaled = KarySketch::combine(&[(2.5, &a)]).unwrap();
-        assert_eq!(scaled.raw_estimate(5), 25);
-        assert_eq!(scaled.total(), 25);
+        let mut sum = a.grid().clone();
+        sum.add_assign_many(&[b.grid()]).unwrap();
+        assert_eq!(&sum, merged.grid());
+        assert_eq!(a.total() + b.total(), merged.total());
+        for &k in keys.iter().take(100) {
+            assert_eq!(merged.estimate_grid(&sum, k), merged.estimate(k));
+        }
     }
 
     #[test]

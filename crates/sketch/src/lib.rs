@@ -4,9 +4,8 @@
 //! with (paper Table 2 and §4):
 //!
 //! * [`KarySketch`] — the original k-ary sketch: `H` hash stages over `m`
-//!   buckets, supporting `UPDATE`, `ESTIMATE` (median of per-stage unbiased
-//!   estimators) and `COMBINE` (linear combination, the basis of multi-router
-//!   aggregation).
+//!   buckets, supporting `UPDATE` and `ESTIMATE` (median of per-stage
+//!   unbiased estimators).
 //! * [`ReversibleSketch`] — a k-ary sketch whose stages use *modular
 //!   hashing* over a *mangled* key so that `INFERENCE` can recover the heavy
 //!   keys from the sketch alone, without ever storing keys.
@@ -15,9 +14,13 @@
 //!   selected by a detected x-key reveals the *distribution* of the y
 //!   dimension (concentrated → SYN flooding, dispersed → scan).
 //!
-//! All sketches are linear: `combine` of per-router sketches equals the
-//! sketch of the merged traffic, which is what makes HiFIND robust to
-//! asymmetric routing (paper §3.1, §5.3.2).
+//! All sketches are linear, and `COMBINE` is implemented once, over their
+//! counters: [`CounterGrid::add_assign_many`] sums per-router grids into
+//! the grid of the merged traffic, which is what makes HiFIND robust to
+//! asymmetric routing (paper §3.1, §5.3.2). The sum is taken in integers
+//! and never rounded, so ESTIMATE, INFERENCE and classification read a
+//! summed grid through any same-configuration sketch exactly as they read
+//! the merged sketch.
 //!
 //! # Example
 //!
@@ -66,7 +69,7 @@ use std::fmt;
 pub enum SketchError {
     /// Invalid configuration (wraps the specific reason).
     BadConfig(String),
-    /// Attempted to combine sketches with different configurations/seeds.
+    /// Attempted to combine grids (or snapshots) of different shapes.
     CombineMismatch,
     /// Attempted to combine an empty list of sketches.
     CombineEmpty,

@@ -1,4 +1,4 @@
-//! The reversible sketch: UPDATE + COMBINE + INFERENCE.
+//! The reversible sketch: UPDATE + INFERENCE.
 //!
 //! A reversible sketch (Schweller et al., IMC'04; Infocom'06) is a k-ary
 //! sketch whose per-stage hash functions are *modular*
@@ -470,52 +470,6 @@ impl ReversibleSketch {
         }
         keys.sort_by(|a, b| b.estimate.cmp(&a.estimate).then(a.key.cmp(&b.key)));
         InferenceResult { keys, stats }
-    }
-
-    /// COMBINE: linear combination of reversible sketches sharing a
-    /// configuration (verifiers are combined too).
-    ///
-    /// # Errors
-    ///
-    /// [`SketchError::CombineMismatch`] on configuration/seed mismatch;
-    /// [`SketchError::CombineEmpty`] for an empty list.
-    pub fn combine(terms: &[(f64, &ReversibleSketch)]) -> Result<ReversibleSketch, SketchError> {
-        let (_, first) = terms.first().ok_or(SketchError::CombineEmpty)?;
-        for (_, s) in terms {
-            if s.config != first.config {
-                return Err(SketchError::CombineMismatch);
-            }
-        }
-        let grids: Vec<(f64, &CounterGrid)> = terms.iter().map(|(c, s)| (*c, &s.grid)).collect();
-        let grid = CounterGrid::linear_combination(&grids)?;
-        let verifier = match &first.verifier {
-            Some(_) => {
-                let mut vs: Vec<(f64, &KarySketch)> = Vec::with_capacity(terms.len());
-                for (c, s) in terms {
-                    // Equal configs imply equal verifier presence; treat
-                    // any divergence as a mismatch, never a panic.
-                    let Some(v) = s.verifier.as_ref() else {
-                        return Err(SketchError::CombineMismatch);
-                    };
-                    vs.push((*c, v));
-                }
-                Some(KarySketch::combine(&vs)?)
-            }
-            None => None,
-        };
-        let total = terms
-            .iter()
-            .map(|(c, s)| c * s.total as f64)
-            .sum::<f64>()
-            .round() as i64;
-        Ok(ReversibleSketch {
-            config: first.config,
-            mangler: first.mangler,
-            hashes: first.hashes.clone(),
-            grid,
-            verifier,
-            total,
-        })
     }
 
     /// Borrows the main counter grid.
@@ -1127,28 +1081,23 @@ mod tests {
             }
             merged.update(k, v);
         }
-        let combined = ReversibleSketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap();
-        assert_eq!(combined.grid(), merged.grid());
-        assert_eq!(combined.total(), merged.total());
-        // And inference on the combination behaves like on the merged one.
+        // One heavy key, recorded on one side only.
         a.update(0x0042_0042_0042, 600);
-        let combined = ReversibleSketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap();
-        let result = combined.infer(500, &InferOptions::default());
+        merged.update(0x0042_0042_0042, 600);
+        let mut sum = a.grid().clone();
+        sum.add_assign_many(&[b.grid()]).unwrap();
+        let mut verifier_sum = a.verifier().unwrap().grid().clone();
+        verifier_sum
+            .add_assign_many(&[b.verifier().unwrap().grid()])
+            .unwrap();
+        assert_eq!(&sum, merged.grid());
+        assert_eq!(&verifier_sum, merged.verifier().unwrap().grid());
+        assert_eq!(a.total() + b.total(), merged.total());
+        // INFERENCE on the sum is INFERENCE on the merged stream.
+        let opts = InferOptions::default();
+        let result = merged.infer_grid(&sum, Some(&verifier_sum), 500, &opts);
+        assert_eq!(result, merged.infer(500, &opts));
         assert!(result.keys.iter().any(|hk| hk.key == 0x0042_0042_0042));
-    }
-
-    #[test]
-    fn combine_rejects_mismatch() {
-        let a = ReversibleSketch::new(small_cfg(1)).unwrap();
-        let b = ReversibleSketch::new(small_cfg(2)).unwrap();
-        assert_eq!(
-            ReversibleSketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap_err(),
-            SketchError::CombineMismatch
-        );
-        assert_eq!(
-            ReversibleSketch::combine(&[]).unwrap_err(),
-            SketchError::CombineEmpty
-        );
     }
 
     #[test]
@@ -1164,13 +1113,17 @@ mod tests {
         }
         // New heavy key only in the current interval.
         curr.update(0x0777_0000_1389, 500);
-        let error = curr.grid().difference(prev.grid()).unwrap();
-        let verr = curr
-            .verifier()
-            .unwrap()
-            .grid()
-            .difference(prev.verifier().unwrap().grid())
-            .unwrap();
+        let minus = |c: &CounterGrid, p: &CounterGrid| {
+            let data = (0..c.stages())
+                .flat_map(|s| c.stage(s).iter().zip(p.stage(s)).map(|(c, p)| c - p))
+                .collect();
+            CounterGrid::from_data(c.stages(), c.buckets(), data).unwrap()
+        };
+        let error = minus(curr.grid(), prev.grid());
+        let verr = minus(
+            curr.verifier().unwrap().grid(),
+            prev.verifier().unwrap().grid(),
+        );
         let result = curr.infer_grid(&error, Some(&verr), 250, &InferOptions::default());
         assert_eq!(result.keys.len(), 1);
         assert_eq!(result.keys[0].key, 0x0777_0000_1389);

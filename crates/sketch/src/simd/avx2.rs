@@ -24,9 +24,9 @@
 //!
 //! Each routine mirrors [`super::scalar::ScalarKernel`] exactly; where f64
 //! association matters the 4-lane layout is the *definition* (module docs).
-//! Saturating i64 add/sub have no AVX2 instruction, so they are emulated
-//! with the sign-overflow identity `ovf = (a ⊕ r) & (b ⊕ r)` (add) /
-//! `(a ⊕ b) & (a ⊕ r)` (sub), saturating toward `a`'s sign. 64×64→64
+//! Saturating i64 add has no AVX2 instruction, so it is emulated with the
+//! sign-overflow identity `ovf = (a ⊕ r) & (b ⊕ r)`, saturating toward
+//! `a`'s sign. 64×64→64
 //! multiplication is emulated from `_mm256_mul_epu32` partial products,
 //! which is exactly wrapping multiplication mod 2⁶⁴.
 
@@ -49,11 +49,6 @@ impl SketchKernel for Avx2Kernel {
         // SAFETY: AVX2 is present — `Avx2Kernel` is only reachable through
         // `kernel_for`, which verifies it at runtime (module safety note).
         unsafe { add_saturating(dst, src) }
-    }
-
-    fn sub_saturating(&self, dst: &mut [i64], src: &[i64]) {
-        // SAFETY: as above — dispatch guarantees AVX2.
-        unsafe { sub_saturating(dst, src) }
     }
 
     fn sum_wrapping(&self, row: &[i64]) -> i64 {
@@ -116,35 +111,6 @@ unsafe fn add_saturating(dst: &mut [i64], src: &[i64]) {
     }
     while i < n {
         dst[i] = dst[i].saturating_add(src[i]);
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn sub_saturating(dst: &mut [i64], src: &[i64]) {
-    let n = dst.len().min(src.len());
-    let d = dst.as_mut_ptr();
-    let s = src.as_ptr();
-    let zero = _mm256_setzero_si256();
-    let max = _mm256_set1_epi64x(i64::MAX);
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n keeps both 32-byte unaligned accesses inside
-        // the slices.
-        unsafe {
-            let a = _mm256_loadu_si256(d.add(i).cast());
-            let b = _mm256_loadu_si256(s.add(i).cast());
-            let diff = _mm256_sub_epi64(a, b);
-            // Signed overflow iff a and b differ in sign and diff left a's.
-            let ovf = _mm256_and_si256(_mm256_xor_si256(a, b), _mm256_xor_si256(a, diff));
-            let ovf_mask = _mm256_cmpgt_epi64(zero, ovf);
-            let sat = _mm256_xor_si256(max, _mm256_cmpgt_epi64(zero, a));
-            _mm256_storeu_si256(d.add(i).cast(), _mm256_blendv_epi8(diff, sat, ovf_mask));
-        }
-        i += 4;
-    }
-    while i < n {
-        dst[i] = dst[i].saturating_sub(src[i]);
         i += 1;
     }
 }
@@ -382,10 +348,6 @@ mod tests {
             let (mut a, mut b) = (base, base);
             v.add_saturating(&mut a, &src);
             s.add_saturating(&mut b, &src);
-            assert_eq!(a, b);
-            let (mut a, mut b) = (base, base);
-            v.sub_saturating(&mut a, &src);
-            s.sub_saturating(&mut b, &src);
             assert_eq!(a, b);
         });
     }

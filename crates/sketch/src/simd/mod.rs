@@ -20,10 +20,10 @@
 //!
 //! Every kernel method must produce **bit-identical** results across ISAs:
 //!
-//! * Integer methods use saturating (`add/sub`) or wrapping (`sum`)
+//! * Integer methods use saturating (`add`) or wrapping (`sum`)
 //!   semantics, which are associative enough to vectorize directly — a
-//!   wrapping sum is order-independent mod 2⁶⁴, and the saturating merges
-//!   preserve element order because each element is independent.
+//!   wrapping sum is order-independent mod 2⁶⁴, and the saturating merge
+//!   preserves element order because each element is independent.
 //! * Floating-point reductions ([`SketchKernel::row_moments`]) are **not**
 //!   reassociation-safe, so the contract fixes the association: element `i`
 //!   accumulates into lane `i mod 4`, and lanes combine as
@@ -123,9 +123,6 @@ pub trait SketchKernel: Send + Sync {
 
     /// `dst[i] = dst[i].saturating_add(src[i])` element-wise.
     fn add_saturating(&self, dst: &mut [i64], src: &[i64]);
-
-    /// `dst[i] = dst[i].saturating_sub(src[i])` element-wise.
-    fn sub_saturating(&self, dst: &mut [i64], src: &[i64]);
 
     /// Wrapping sum of a row (order-independent mod 2⁶⁴).
     fn sum_wrapping(&self, row: &[i64]) -> i64;

@@ -28,12 +28,6 @@ impl SketchKernel for ScalarKernel {
         }
     }
 
-    fn sub_saturating(&self, dst: &mut [i64], src: &[i64]) {
-        for (a, b) in dst.iter_mut().zip(src) {
-            *a = a.saturating_sub(*b);
-        }
-    }
-
     fn sum_wrapping(&self, row: &[i64]) -> i64 {
         row.iter().fold(0i64, |acc, &v| acc.wrapping_add(v))
     }
@@ -91,14 +85,6 @@ mod tests {
         let mut dst = [i64::MAX, i64::MIN, 5, -5];
         k.add_saturating(&mut dst, &[1, -1, 2, -2]);
         assert_eq!(dst, [i64::MAX, i64::MIN, 7, -7]);
-    }
-
-    #[test]
-    fn sub_saturates_at_both_rails() {
-        let k = ScalarKernel;
-        let mut dst = [i64::MIN, i64::MAX, 5];
-        k.sub_saturating(&mut dst, &[1, -1, 2]);
-        assert_eq!(dst, [i64::MIN, i64::MAX, 3]);
     }
 
     #[test]

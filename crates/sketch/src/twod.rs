@@ -308,35 +308,6 @@ impl TwoDSketch {
         counts[counts.len() / 2]
     }
 
-    /// COMBINE: linear combination of 2D sketches sharing a configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`SketchError::CombineMismatch`] / [`SketchError::CombineEmpty`] as
-    /// for the other sketches.
-    pub fn combine(terms: &[(f64, &TwoDSketch)]) -> Result<TwoDSketch, SketchError> {
-        let (_, first) = terms.first().ok_or(SketchError::CombineEmpty)?;
-        for (_, s) in terms {
-            if s.config != first.config {
-                return Err(SketchError::CombineMismatch);
-            }
-        }
-        let grids: Vec<(f64, &CounterGrid)> = terms.iter().map(|(c, s)| (*c, &s.grid)).collect();
-        let grid = CounterGrid::linear_combination(&grids)?;
-        let total = terms
-            .iter()
-            .map(|(c, s)| c * s.total as f64)
-            .sum::<f64>()
-            .round() as i64;
-        Ok(TwoDSketch {
-            config: first.config,
-            x_hashers: first.x_hashers.clone(),
-            y_hashers: first.y_hashers.clone(),
-            grid,
-            total,
-        })
-    }
-
     /// Borrows the underlying grid (stage × (x·Ky + y)).
     pub fn grid(&self) -> &CounterGrid {
         &self.grid
@@ -502,23 +473,30 @@ mod tests {
             }
             merged.update(x, y, 1);
         }
-        let combined = TwoDSketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap();
-        assert_eq!(combined.grid(), merged.grid());
-    }
-
-    #[test]
-    fn combine_rejects_mismatch() {
-        let a = small();
-        let b = TwoDSketch::new(TwoDConfig {
-            stages: 5,
-            x_buckets: 1 << 10,
-            y_buckets: 64,
-            seed: 2,
-        })
-        .unwrap();
+        // A scanner on one side, a flood on the other.
+        for y in 0..200 {
+            a.update(500, y, 3);
+            b.update(600, 7, 3);
+            merged.update(500, y, 3);
+            merged.update(600, 7, 3);
+        }
+        let mut sum = a.grid().clone();
+        sum.add_assign_many(&[b.grid()]).unwrap();
+        assert_eq!(&sum, merged.grid());
+        assert_eq!(a.total() + b.total(), merged.total());
+        for x in (0..100).chain([500, 600]) {
+            assert_eq!(
+                merged.classify_grid(&sum, x, 2, 0.8),
+                merged.classify(x, 2, 0.8)
+            );
+        }
         assert_eq!(
-            TwoDSketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap_err(),
-            SketchError::CombineMismatch
+            merged.classify_grid(&sum, 500, 2, 0.8),
+            ColumnShape::Dispersed
+        );
+        assert_eq!(
+            merged.classify_grid(&sum, 600, 2, 0.8),
+            ColumnShape::Concentrated
         );
     }
 

@@ -61,16 +61,6 @@ proptest! {
     }
 
     #[test]
-    fn sub_saturating_matches_scalar(dst in row(), src in row()) {
-        let (scalar, vector) = kernel_pair();
-        let n = dst.len().min(src.len());
-        let (mut a, mut b) = (dst.clone(), dst);
-        scalar.sub_saturating(&mut a[..n], &src[..n]);
-        vector.sub_saturating(&mut b[..n], &src[..n]);
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
     fn sum_wrapping_matches_scalar(values in row()) {
         let (scalar, vector) = kernel_pair();
         prop_assert_eq!(scalar.sum_wrapping(&values), vector.sum_wrapping(&values));

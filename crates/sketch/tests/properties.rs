@@ -1,8 +1,7 @@
 //! Property-based tests for the sketch invariants the paper relies on.
 
 use hifind_sketch::{
-    CounterGrid, InferOptions, KaryConfig, KarySketch, ReversibleSketch, RsConfig, TwoDConfig,
-    TwoDSketch,
+    InferOptions, KaryConfig, KarySketch, ReversibleSketch, RsConfig, TwoDConfig, TwoDSketch,
 };
 use proptest::prelude::*;
 
@@ -21,23 +20,35 @@ fn small_rs(seed: u64) -> ReversibleSketch {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// COMBINE linearity: sketch(A) + sketch(B) == sketch(A ∪ B).
+    /// COMBINE linearity: summing the per-stream grids (main and
+    /// verifier) gives the merged stream's grids, and INFERENCE on the sum
+    /// is INFERENCE on the merged sketch.
     #[test]
     fn reversible_combine_is_linear(
         seed in any::<u64>(),
         updates in prop::collection::vec((any::<u64>(), -50i64..50), 1..300),
+        heavy in prop::collection::vec((any::<u64>(), 200i64..1000), 0..4),
     ) {
         let mut a = small_rs(seed);
         let mut b = small_rs(seed);
         let mut merged = small_rs(seed);
-        for (i, &(k, v)) in updates.iter().enumerate() {
+        for (i, &(k, v)) in updates.iter().chain(&heavy).enumerate() {
             let k = k & ((1 << 48) - 1);
             if i % 2 == 0 { a.update(k, v) } else { b.update(k, v) }
             merged.update(k, v);
         }
-        let combined = ReversibleSketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap();
-        prop_assert_eq!(combined.grid(), merged.grid());
-        prop_assert_eq!(combined.total(), merged.total());
+        let mut sum = a.grid().clone();
+        sum.add_assign_many(&[b.grid()]).unwrap();
+        let mut verifier_sum = a.verifier().unwrap().grid().clone();
+        verifier_sum.add_assign_many(&[b.verifier().unwrap().grid()]).unwrap();
+        prop_assert_eq!(&sum, merged.grid());
+        prop_assert_eq!(&verifier_sum, merged.verifier().unwrap().grid());
+        prop_assert_eq!(a.total() + b.total(), merged.total());
+        let opts = InferOptions::default();
+        prop_assert_eq!(
+            merged.infer_grid(&sum, Some(&verifier_sum), 150, &opts),
+            merged.infer(150, &opts)
+        );
     }
 
     /// The raw per-stage bucket value always upper-bounds a key's true
@@ -107,24 +118,6 @@ proptest! {
         prop_assert_eq!(rs.total(), 0);
     }
 
-    /// Grid linear algebra: (a + b) − b == a.
-    #[test]
-    fn grid_add_sub_inverse(
-        cells_a in prop::collection::vec(-1000i64..1000, 8),
-        cells_b in prop::collection::vec(-1000i64..1000, 8),
-    ) {
-        let mut a = CounterGrid::new(2, 4);
-        let mut b = CounterGrid::new(2, 4);
-        for (i, (&va, &vb)) in cells_a.iter().zip(&cells_b).enumerate() {
-            a.add(i / 4, i % 4, va);
-            b.add(i / 4, i % 4, vb);
-        }
-        let mut sum = a.clone();
-        sum.add_assign(&b).unwrap();
-        sum.sub_assign(&b).unwrap();
-        prop_assert_eq!(sum, a);
-    }
-
     /// 2D sketch: column mass equals recorded mass for an isolated x-key.
     #[test]
     fn twod_column_mass_conserved(seed in any::<u64>(), x in any::<u64>(), ys in prop::collection::vec((any::<u64>(), 1i64..50), 1..50)) {
@@ -139,7 +132,9 @@ proptest! {
         }
     }
 
-    /// 2D combine linearity.
+    /// 2D COMBINE linearity: summing the per-stream grids gives the
+    /// merged stream's grid, and every x-key classifies the same on the
+    /// sum as on the merged sketch.
     #[test]
     fn twod_combine_is_linear(
         seed in any::<u64>(),
@@ -153,7 +148,12 @@ proptest! {
             if i % 2 == 0 { a.update(x, y, v) } else { b.update(x, y, v) }
             merged.update(x, y, v);
         }
-        let combined = TwoDSketch::combine(&[(1.0, &a), (1.0, &b)]).unwrap();
-        prop_assert_eq!(combined.grid(), merged.grid());
+        let mut sum = a.grid().clone();
+        sum.add_assign_many(&[b.grid()]).unwrap();
+        prop_assert_eq!(&sum, merged.grid());
+        prop_assert_eq!(a.total() + b.total(), merged.total());
+        for &(x, _, _) in &updates {
+            prop_assert_eq!(merged.classify_grid(&sum, x, 2, 0.8), merged.classify(x, 2, 0.8));
+        }
     }
 }

@@ -14,8 +14,8 @@ struct PaddedU64(AtomicU64);
 /// Monotone event counter, striped to avoid cross-thread contention.
 ///
 /// `inc`/`add` pick a stripe from the calling thread's identity; `get`
-/// sums all stripes, so reads are linear in [`STRIPES`] but updates never
-/// contend unless two threads hash to the same stripe.
+/// sums all stripes, so reads are linear in the stripe count but updates
+/// never contend unless two threads hash to the same stripe.
 pub struct Counter {
     stripes: [PaddedU64; STRIPES],
 }
