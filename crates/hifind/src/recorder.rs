@@ -52,11 +52,11 @@ pub struct IntervalSnapshot {
 
 impl IntervalSnapshot {
     /// Adds other routers' snapshots into this one (sketch linearity +
-    /// Bloom union) in a single
-    /// cache-blocked pass per grid ([`CounterGrid::add_assign_many`]): each
-    /// destination tile is brought into cache once and every source's
-    /// matching tile is folded in before moving on, instead of streaming
-    /// the full destination through cache once per source.
+    /// Bloom union) in a single cache-blocked pass per grid
+    /// ([`CounterGrid::add_assign_many`]): each destination tile is brought
+    /// into cache once and every source's matching tile is folded in before
+    /// moving on, instead of streaming the full destination through cache
+    /// once per source.
     ///
     /// Returns the counter bytes the merge touched — every source grid
     /// read once plus the destination read and written once — which the
@@ -659,42 +659,36 @@ mod tests {
         );
     }
 
-    /// Two recorded snapshots under `cfg()` and a copy of the first: the
-    /// destination and sources of the hand-assembled mismatch cases.
-    fn snapshot_pair() -> (IntervalSnapshot, IntervalSnapshot, IntervalSnapshot) {
-        let config = cfg();
-        let mut a = SketchRecorder::new(&config).unwrap();
-        let mut b = SketchRecorder::new(&config).unwrap();
+    /// A snapshot with non-zero counters in every grid it records into.
+    fn recorded_snapshot() -> IntervalSnapshot {
+        let mut r = SketchRecorder::new(&cfg()).unwrap();
         for i in 0..200u64 {
-            a.record(&syn(i));
-            b.record(&syn(i + 1000));
+            r.record(&syn(i));
         }
-        let sa = a.take_snapshot();
-        (sa.clone(), sa, b.take_snapshot())
+        r.take_snapshot()
     }
 
     #[test]
     fn combine_rejects_a_late_grid_shape_mismatch_untouched() {
         // Equal fingerprints, a mismatched last grid: the eight grids
         // before it must not be summed when the combine fails.
-        let (mut dst, before, good) = snapshot_pair();
+        let good = recorded_snapshot();
+        let mut dst = good.clone();
         let mut bad = good.clone();
         bad.twod_sipdip_dport = CounterGrid::new(1, 8);
         assert_eq!(
             dst.combine_many(&[&good, &bad]),
             Err(SketchError::CombineMismatch)
         );
-        assert!(
-            dst == before,
-            "a failed combine must leave the destination untouched"
-        );
+        assert!(dst == good, "a failed combine must leave `self` untouched");
     }
 
     #[test]
     fn combine_rejects_a_bloom_shape_mismatch_untouched() {
         // Equal fingerprints and grids, a Bloom filter of another size or
         // other seeds: a typed error, not a panic in the union.
-        let (mut dst, before, good) = snapshot_pair();
+        let good = recorded_snapshot();
+        let mut dst = good.clone();
         let (bits, hashes) = (
             good.active_services.bit_words().len() * 64,
             good.active_services.hash_seeds().len(),
@@ -709,10 +703,7 @@ mod tests {
                 dst.combine_many(&[&good, &bad]),
                 Err(SketchError::CombineMismatch)
             );
-            assert!(
-                dst == before,
-                "a failed combine must leave the destination untouched"
-            );
+            assert!(dst == good, "a failed combine must leave `self` untouched");
         }
     }
 
