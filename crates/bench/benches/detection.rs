@@ -31,7 +31,11 @@ fn bench_inference(c: &mut Criterion) {
                     rs.update(rng.next_u64() & ((1 << 48) - 1), 1);
                 }
                 let opts = InferOptions::default();
-                b.iter(|| black_box(rs.infer(500, &opts)).keys.len())
+                b.iter(|| {
+                    black_box(rs.hash().infer(rs.grid(), rs.verifier(), 500, &opts))
+                        .keys
+                        .len()
+                })
             },
         );
     }

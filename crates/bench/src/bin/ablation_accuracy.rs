@@ -56,17 +56,16 @@ fn inference_fp(mangle: bool, use_verifier: bool, seed: u64) -> (usize, usize) {
         // Noise shares the structured prefix too.
         rs.update(0x8169_0000_0000 | (rng.next_u64() & 0xFFFF_FFFF), 1);
     }
-    // Inference without the estimate/verifier backstops would report the
-    // raw candidate set; to expose the hash-level effect we count raw
-    // candidates that are not true keys via a low bar, then also report
-    // what survives the standard filters.
-    let result = rs.infer(250, &InferOptions::default());
+    // The phantom count is every reconstructed key that is not a true
+    // key: those the estimate rejected, those the verifier rejected, and
+    // those that survived both filters.
+    let result = rs
+        .hash()
+        .infer(rs.grid(), rs.verifier(), 250, &InferOptions::default());
     let found = heavy
         .iter()
         .filter(|&&k| result.keys.iter().any(|hk| hk.key == k))
         .count();
-    let fps = result.stats.candidates_explored as usize; // search effort proxy
-    let _ = fps;
     let survivors_fp = result
         .keys
         .iter()
@@ -140,7 +139,7 @@ fn main() {
         }
         let err: f64 = truth
             .iter()
-            .map(|&(k, v)| (rs.estimate(k) - v).abs() as f64)
+            .map(|&(k, v)| (rs.hash().estimate(rs.grid(), k) - v).abs() as f64)
             .sum::<f64>()
             / truth.len() as f64;
         let label = format!("H={stages}, m=2^{}", buckets.trailing_zeros());
@@ -179,12 +178,12 @@ fn main() {
         }
         let flood_acc = floods
             .iter()
-            .filter(|&&x| twod.classify(x, p, phi) == ColumnShape::Concentrated)
+            .filter(|&&x| twod.hash().classify(twod.grid(), x, p, phi) == ColumnShape::Concentrated)
             .count() as f64
             / 100.0;
         let scan_acc = scans
             .iter()
-            .filter(|&&x| twod.classify(x, p, phi) == ColumnShape::Dispersed)
+            .filter(|&&x| twod.hash().classify(twod.grid(), x, p, phi) == ColumnShape::Dispersed)
             .count() as f64
             / 100.0;
         let label = format!("(p={p}, φ={phi})");

@@ -192,8 +192,12 @@ impl RouterAgent {
     pub fn end_interval(&mut self) -> ShipReport {
         let interval = self.interval;
         self.interval += 1;
-        match self.recorder.end_interval() {
-            Ok(s) => self.shipper.ship_snapshot(interval, &s),
+        let shipper = &mut self.shipper;
+        match self
+            .recorder
+            .end_interval_with(|s| shipper.ship_snapshot(interval, s))
+        {
+            Ok(report) => report,
             // A lost shard worker yields no merged snapshot; the interval
             // is counted as dropped rather than aborting the data plane.
             Err(_) => {

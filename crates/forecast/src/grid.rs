@@ -50,11 +50,6 @@ impl GridEwma {
         }
     }
 
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Snapshots the complete model state for checkpointing.
     pub fn state(&self) -> GridEwmaState {
         GridEwmaState {
@@ -121,8 +116,8 @@ impl GridEwma {
 
     /// Feeds one interval's recorded grid and returns the *forecast-error
     /// grid* `observed − forecast` (rounded to integers), or `None` while
-    /// warming up. The error grid is what `ReversibleSketch::infer_grid`
-    /// runs INFERENCE over.
+    /// warming up. The error grid is what `ReversibleHash::infer` runs
+    /// INFERENCE over.
     ///
     /// One pass over the grid: each cell's forecast `α·o + (1−α)·f` (on
     /// the first forecasting step, `f = o`: the last observation) is

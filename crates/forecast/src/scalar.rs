@@ -30,11 +30,6 @@ impl Ewma {
         }
     }
 
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Feeds one interval's observation and returns the *forecast error*
     /// `observed − forecast`, or `None` while the model is still warming
     /// up (the paper's `t = 1`).

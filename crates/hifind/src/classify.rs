@@ -62,7 +62,7 @@ pub fn classify(
         let x = SipDip::new(sip, dip).to_u64();
         match detector
             .twod_sipdip_dport()
-            .classify_grid(&snapshot.twod_sipdip_dport, x, p, phi)
+            .classify(&snapshot.twod_sipdip_dport, x, p, phi)
         {
             ColumnShape::Dispersed => out.vscans.push(*alert),
             ColumnShape::Concentrated => out.reclassified.push(*alert),
@@ -78,7 +78,7 @@ pub fn classify(
         let x = SipDport::new(sip, dport).to_u64();
         match detector
             .twod_sipdport_dip()
-            .classify_grid(&snapshot.twod_sipdport_dip, x, p, phi)
+            .classify(&snapshot.twod_sipdport_dip, x, p, phi)
         {
             ColumnShape::Dispersed => out.hscans.push(*alert),
             ColumnShape::Concentrated => out.reclassified.push(*alert),

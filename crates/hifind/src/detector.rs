@@ -2,10 +2,11 @@
 
 use crate::config::HiFindConfig;
 use crate::recorder::IntervalSnapshot;
+use crate::recorder::SketchHashes;
 use crate::report::{Alert, AlertKind};
 use hifind_flow::keys::{DipDport, SipDip, SipDport};
 use hifind_flow::Ip4;
-use hifind_sketch::{KarySketch, ReversibleSketch, SketchError, TwoDSketch};
+use hifind_sketch::{SketchError, TwoDHash};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -49,25 +50,20 @@ impl RawDetections {
     }
 }
 
-/// Interprets snapshots/error grids through the sketch hash structures and
+/// Interprets snapshots/error grids through the sketch hash families and
 /// runs the three-step detection algorithm.
 ///
-/// The detector holds *empty reference sketches* built from the same
+/// The detector holds the six sketches' hash types, built from the same
 /// configuration (and therefore the same seeds/hash functions) as the
-/// recorder; it never accumulates counters of its own.
+/// recorder; it holds no counters of its own.
 #[derive(Clone, Debug)]
 pub struct Detector {
     cfg: HiFindConfig,
-    ref_sip_dport: ReversibleSketch,
-    ref_dip_dport: ReversibleSketch,
-    ref_sip_dip: ReversibleSketch,
-    ref_os: KarySketch,
-    ref_twod_sipdport_dip: TwoDSketch,
-    ref_twod_sipdip_dport: TwoDSketch,
+    hashes: SketchHashes,
 }
 
 impl Detector {
-    /// Builds the reference hash structures for a configuration.
+    /// Builds the hash families for a configuration.
     ///
     /// # Errors
     ///
@@ -75,12 +71,7 @@ impl Detector {
     pub fn new(cfg: &HiFindConfig) -> Result<Self, SketchError> {
         Ok(Detector {
             cfg: *cfg,
-            ref_sip_dport: ReversibleSketch::new(cfg.rs_sip_dport_config())?,
-            ref_dip_dport: ReversibleSketch::new(cfg.rs_dip_dport_config())?,
-            ref_sip_dip: ReversibleSketch::new(cfg.rs_sip_dip_config())?,
-            ref_os: KarySketch::new(cfg.os)?,
-            ref_twod_sipdport_dip: TwoDSketch::new(cfg.twod_sipdport_dip_config())?,
-            ref_twod_sipdip_dport: TwoDSketch::new(cfg.twod_sipdip_dport_config())?,
+            hashes: SketchHashes::new(cfg)?,
         })
     }
 
@@ -106,7 +97,7 @@ impl Detector {
         let opts = &self.cfg.infer;
 
         // Step 1: SYN flooding victims.
-        let flooding = self.ref_dip_dport.infer_grid(
+        let flooding = self.hashes.rs_dip_dport.infer(
             &errors.rs_dip_dport,
             Some(&errors.rs_dip_dport_verifier),
             threshold,
@@ -116,7 +107,7 @@ impl Detector {
         let flooding_dip_set: HashSet<Ip4> = flooding_keys.iter().map(|(k, _)| k.dip()).collect();
 
         // Step 2: vertical scans vs non-spoofed flooding attackers.
-        let pairs = self.ref_sip_dip.infer_grid(
+        let pairs = self.hashes.rs_sip_dip.infer(
             &errors.rs_sip_dip,
             Some(&errors.rs_sip_dip_verifier),
             threshold,
@@ -143,7 +134,7 @@ impl Detector {
         }
 
         // Step 3: horizontal scans vs non-spoofed flooding traffic.
-        let sources = self.ref_sip_dport.infer_grid(
+        let sources = self.hashes.rs_sip_dport.infer(
             &errors.rs_sip_dport,
             Some(&errors.rs_sip_dport_verifier),
             threshold,
@@ -192,25 +183,26 @@ impl Detector {
     /// the OS grid of a snapshot (used by the phase-3 ratio filter).
     pub fn syn_estimate(&self, snapshot: &IntervalSnapshot, key: DipDport) -> i64 {
         use hifind_flow::keys::SketchKey;
-        self.ref_os.estimate_grid(&snapshot.os, key.to_u64()).max(0)
+        self.hashes.os.estimate(&snapshot.os, key.to_u64()).max(0)
     }
 
     /// Estimates the current-interval `#SYN − #SYN/ACK` for a service
     /// endpoint from the `{DIP,Dport}` grid of a snapshot.
     pub fn unresponded_estimate(&self, snapshot: &IntervalSnapshot, key: DipDport) -> i64 {
         use hifind_flow::keys::SketchKey;
-        self.ref_dip_dport
-            .estimate_grid(&snapshot.rs_dip_dport, key.to_u64())
+        self.hashes
+            .rs_dip_dport
+            .estimate(&snapshot.rs_dip_dport, key.to_u64())
     }
 
-    /// Reference 2D sketch for `{SIP,Dport} × {DIP}` (phase-2 hscan check).
-    pub fn twod_sipdport_dip(&self) -> &TwoDSketch {
-        &self.ref_twod_sipdport_dip
+    /// The 2D hash family of `{SIP,Dport} × {DIP}` (phase-2 hscan check).
+    pub fn twod_sipdport_dip(&self) -> &TwoDHash {
+        &self.hashes.twod_sipdport_dip
     }
 
-    /// Reference 2D sketch for `{SIP,DIP} × {Dport}` (phase-2 vscan check).
-    pub fn twod_sipdip_dport(&self) -> &TwoDSketch {
-        &self.ref_twod_sipdip_dport
+    /// The 2D hash family of `{SIP,DIP} × {Dport}` (phase-2 vscan check).
+    pub fn twod_sipdip_dport(&self) -> &TwoDHash {
+        &self.hashes.twod_sipdip_dport
     }
 }
 

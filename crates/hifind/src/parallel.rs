@@ -350,6 +350,24 @@ impl ParallelRecorder {
         self.end_interval_with_stats().map(|(snap, _)| snap)
     }
 
+    /// Closes the interval like [`ParallelRecorder::end_interval`], but
+    /// lends the snapshot to `f`: the inline recorder then zeroes its
+    /// counters in place ([`SketchRecorder::take_snapshot_with`]) instead
+    /// of allocating the next interval's grids.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ParallelRecorder::end_interval`]; `f` does not run then.
+    pub fn end_interval_with<R>(
+        &mut self,
+        f: impl FnOnce(&IntervalSnapshot) -> R,
+    ) -> Result<R, ParallelError> {
+        match &mut self.inline {
+            Some(recorder) => Ok(recorder.take_snapshot_with(f)),
+            None => self.end_interval().map(|snapshot| f(&snapshot)),
+        }
+    }
+
     /// [`ParallelRecorder::end_interval`] with the per-phase
     /// [`MergeStats`] breakdown (shard drain vs combine, bytes touched).
     ///

@@ -372,21 +372,14 @@ impl HiFind {
     /// detection pipeline. Only a sharded plane can fail to close, and then
     /// the interval is a gap, as a collection outage is.
     pub fn end_interval(&mut self) -> IntervalOutcome {
-        match self.recorder.end_interval() {
-            Ok(snapshot) => self.detect(&snapshot),
+        let (core, telemetry) = (&mut self.core, &mut self.telemetry);
+        match self
+            .recorder
+            .end_interval_with(|snapshot| detect(core, telemetry, snapshot))
+        {
+            Ok(outcome) => outcome,
             Err(_) => self.core.process_gap(),
         }
-    }
-
-    /// Runs detection on one interval's snapshot and publishes the
-    /// outcome to attached telemetry.
-    fn detect(&mut self, snapshot: &IntervalSnapshot) -> IntervalOutcome {
-        let outcome = self.core.process_snapshot(snapshot);
-        if let Some(t) = &mut self.telemetry {
-            let threshold = self.core.config().interval_threshold();
-            t.publish_interval(&outcome, snapshot, threshold);
-        }
-        outcome
     }
 
     /// Records a packet in *streaming mode*: interval boundaries are
@@ -493,11 +486,13 @@ impl HiFind {
             for p in window.packets {
                 self.record(p);
             }
-            let snapshot = self.recorder.end_interval()?;
-            let outcome = self.detect(&snapshot);
-            if let Some(r) = report.as_deref_mut() {
-                r.record_interval(&outcome, &snapshot, threshold);
-            }
+            let (core, telemetry) = (&mut self.core, &mut self.telemetry);
+            self.recorder.end_interval_with(|snapshot| {
+                let outcome = detect(core, telemetry, snapshot);
+                if let Some(r) = report.as_deref_mut() {
+                    r.record_interval(&outcome, snapshot, threshold);
+                }
+            })?;
         }
         Ok(())
     }
@@ -516,6 +511,21 @@ impl HiFind {
     pub fn intervals_processed(&self) -> u64 {
         self.core.intervals_processed()
     }
+}
+
+/// Runs detection on one interval's snapshot and publishes the outcome
+/// to attached telemetry.
+fn detect(
+    core: &mut DetectionCore,
+    telemetry: &mut Option<crate::telemetry_ext::PipelineTelemetry>,
+    snapshot: &IntervalSnapshot,
+) -> IntervalOutcome {
+    let outcome = core.process_snapshot(snapshot);
+    if let Some(t) = telemetry {
+        let threshold = core.config().interval_threshold();
+        t.publish_interval(&outcome, snapshot, threshold);
+    }
+    outcome
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! What the plan deliberately does *not* share: mangled words (each
 //! reversible sketch mangles with its own secret seed, so the mangled key
 //! is private per sketch — its byte decomposition is hoisted inside
-//! `ReversibleSketch::update_batch` instead) and the active-service
+//! `ReversibleHash::update_batch` instead) and the active-service
 //! Bloom digests (structurally different multiply-rotate hashing on a
 //! cold branch). Counter *memory* accesses are unchanged — the plan cuts
 //! redundant ALU hash work, not the paper's per-packet access budget.

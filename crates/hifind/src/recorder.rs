@@ -4,7 +4,7 @@ use crate::config::HiFindConfig;
 use crate::plan::{HashPlan, PlanBatch};
 use hifind_flow::{Packet, SegmentKind};
 use hifind_hashing::BloomFilter;
-use hifind_sketch::{CounterGrid, KarySketch, ReversibleSketch, SketchError, TwoDSketch};
+use hifind_sketch::{CounterGrid, KaryHash, ReversibleHash, SketchError, TwoDHash};
 use serde::{Deserialize, Serialize};
 
 /// Everything one router records during one detection interval, in
@@ -205,6 +205,10 @@ impl SnapshotShape {
     ///
     /// As [`SketchRecorder::new`].
     pub fn of_config(cfg: &HiFindConfig) -> Result<Self, SketchError> {
+        // Read off a real recorder's first snapshot, not derived from the
+        // configuration alone: skipping these two full-size allocations at
+        // start-up left glibc's heap laid out so that a tier's per-interval
+        // grids page-faulted every interval (idle-tiered benchmark, 2 vCPUs).
         let empty = SketchRecorder::new(cfg)?.take_snapshot();
         Ok(SnapshotShape {
             fingerprint: empty.fingerprint,
@@ -213,12 +217,72 @@ impl SnapshotShape {
         })
     }
 
+    fn of(cfg: &HiFindConfig, hashes: &SketchHashes) -> Self {
+        SnapshotShape {
+            fingerprint: cfg.fingerprint(),
+            grids: hashes.grid_shapes(),
+            bloom: BloomFilter::new(cfg.active_service_bloom_bits, 4, cfg.seed ^ 0xB100),
+        }
+    }
+
     /// The all-zero snapshot of these shapes.
     pub fn zeroed(&self) -> IntervalSnapshot {
         let grids = self
             .grids
             .map(|(stages, buckets)| CounterGrid::new(stages, buckets));
         IntervalSnapshot::from_parts(grids, self.bloom.clone(), [0; 3], self.fingerprint)
+    }
+}
+
+/// The hash families of the six sketches under one configuration: what
+/// the recorder writes its grids through and the detector reads them
+/// through.
+#[derive(Clone, Debug)]
+pub(crate) struct SketchHashes {
+    pub(crate) rs_sip_dport: ReversibleHash,
+    pub(crate) rs_dip_dport: ReversibleHash,
+    pub(crate) rs_sip_dip: ReversibleHash,
+    pub(crate) os: KaryHash,
+    pub(crate) twod_sipdport_dip: TwoDHash,
+    pub(crate) twod_sipdip_dport: TwoDHash,
+}
+
+impl SketchHashes {
+    /// Derives every family from the configuration's seeds.
+    pub(crate) fn new(cfg: &HiFindConfig) -> Result<Self, SketchError> {
+        Ok(SketchHashes {
+            rs_sip_dport: ReversibleHash::new(cfg.rs_sip_dport_config())?,
+            rs_dip_dport: ReversibleHash::new(cfg.rs_dip_dport_config())?,
+            rs_sip_dip: ReversibleHash::new(cfg.rs_sip_dip_config())?,
+            os: KaryHash::new(cfg.os)?,
+            twod_sipdport_dip: TwoDHash::new(cfg.twod_sipdport_dip_config())?,
+            twod_sipdip_dport: TwoDHash::new(cfg.twod_sipdip_dport_config())?,
+        })
+    }
+
+    /// `(stages, buckets)` of the nine grids, in [`IntervalSnapshot::grids`]
+    /// order. A verifier-less family's verifier slot is a minimal 1×1 grid,
+    /// so snapshots stay structurally complete either way.
+    fn grid_shapes(&self) -> [(usize, usize); 9] {
+        let rs = |h: &ReversibleHash| {
+            let verifier = h.verifier().map(KaryHash::config);
+            [
+                (h.config().stages, h.config().buckets),
+                verifier.map_or((1, 1), |v| (v.stages, v.buckets)),
+            ]
+        };
+        let twod = |h: &TwoDHash| {
+            (
+                h.config().stages,
+                h.config().x_buckets * h.config().y_buckets,
+            )
+        };
+        let [a, av] = rs(&self.rs_sip_dport);
+        let [b, bv] = rs(&self.rs_dip_dport);
+        let [c, cv] = rs(&self.rs_sip_dip);
+        let os = (self.os.config().stages, self.os.config().buckets);
+        let (x, y) = (twod(&self.twod_sipdport_dip), twod(&self.twod_sipdip_dport));
+        [a, av, b, bv, c, cv, os, x, y]
     }
 }
 
@@ -232,28 +296,25 @@ impl SnapshotShape {
 /// once per packet into a [`HashPlan`] and shared by all six sketches,
 /// so the ALU work per packet is a single pass too.
 ///
+/// The recorder is where the counters live: the six sketches' hash
+/// families write into the grids of one live [`IntervalSnapshot`].
+///
 /// There is one record path: a packet is a batch of one. `record` plans
 /// the packet into a pending [`PlanBatch`] and every `RECORD_BATCH` (256)
-/// plans the batch is scattered into the sketches; `take_snapshot`
-/// scatters the partial tail first, so a snapshot always covers every
-/// packet recorded before it. An interval's first `RECORD_BATCH` plans
-/// are scattered one at a time: each interval records into freshly
-/// allocated grids, and a link too quiet to fill a batch would otherwise
-/// pay all of its first-touch page faults inside the interval close.
+/// plans the batch is scattered into the grids; a close scatters the
+/// partial tail first, so a snapshot always covers every packet recorded
+/// before it. An interval's first `RECORD_BATCH` plans are scattered one
+/// at a time: after [`SketchRecorder::take_snapshot`] an interval records
+/// into freshly allocated grids, and a link too quiet to fill a batch
+/// would otherwise pay all of its first-touch page faults inside the
+/// interval close.
 #[derive(Clone, Debug)]
 pub struct SketchRecorder {
-    rs_sip_dport: ReversibleSketch,
-    rs_dip_dport: ReversibleSketch,
-    rs_sip_dip: ReversibleSketch,
-    os: KarySketch,
-    twod_sipdport_dip: TwoDSketch,
-    twod_sipdip_dport: TwoDSketch,
-    active_services: BloomFilter,
-    syn_count: u64,
-    syn_ack_count: u64,
-    fin_rst_count: u64,
-    fingerprint: u64,
-    /// Plans recorded but not yet scattered into the sketches.
+    hashes: SketchHashes,
+    /// This interval's counters, packet counts and fingerprint, with the
+    /// cumulative active-service filter.
+    live: IntervalSnapshot,
+    /// Plans recorded but not yet scattered into the grids.
     pending: PlanBatch,
 }
 
@@ -270,18 +331,10 @@ impl SketchRecorder {
     /// Propagates sketch construction errors (invalid stage/bucket
     /// combinations).
     pub fn new(cfg: &HiFindConfig) -> Result<Self, SketchError> {
+        let hashes = SketchHashes::new(cfg)?;
         Ok(SketchRecorder {
-            fingerprint: cfg.fingerprint(),
-            rs_sip_dport: ReversibleSketch::new(cfg.rs_sip_dport_config())?,
-            rs_dip_dport: ReversibleSketch::new(cfg.rs_dip_dport_config())?,
-            rs_sip_dip: ReversibleSketch::new(cfg.rs_sip_dip_config())?,
-            os: KarySketch::new(cfg.os)?,
-            twod_sipdport_dip: TwoDSketch::new(cfg.twod_sipdport_dip_config())?,
-            twod_sipdip_dport: TwoDSketch::new(cfg.twod_sipdip_dport_config())?,
-            active_services: BloomFilter::new(cfg.active_service_bloom_bits, 4, cfg.seed ^ 0xB100),
-            syn_count: 0,
-            syn_ack_count: 0,
-            fin_rst_count: 0,
+            live: SnapshotShape::of(cfg, &hashes).zeroed(),
+            hashes,
             pending: PlanBatch::with_capacity(RECORD_BATCH),
         })
     }
@@ -295,12 +348,12 @@ impl SketchRecorder {
         match o.kind {
             SegmentKind::Syn | SegmentKind::SynAck => {
                 self.pending.push(&HashPlan::for_oriented(&o));
-                let scattered = self.syn_count + self.syn_ack_count;
+                let scattered = self.live.syn_count + self.live.syn_ack_count;
                 if self.pending.len() >= RECORD_BATCH || scattered < RECORD_BATCH as u64 {
                     self.flush();
                 }
             }
-            SegmentKind::Fin | SegmentKind::Rst => self.fin_rst_count += 1,
+            SegmentKind::Fin | SegmentKind::Rst => self.live.fin_rst_count += 1,
             SegmentKind::Other => {}
         }
     }
@@ -323,90 +376,119 @@ impl SketchRecorder {
         if batch.is_empty() {
             return;
         }
-        self.rs_sip_dport
-            .update_batch(&batch.sip_dport, &batch.sip_dport_mix, &batch.values);
-        self.rs_dip_dport
-            .update_batch(&batch.dip_dport, &batch.dip_dport_mix, &batch.values);
-        self.rs_sip_dip
-            .update_batch(&batch.sip_dip, &batch.sip_dip_mix, &batch.values);
-        self.twod_sipdport_dip.update_batch_premixed(
+        let live = &mut self.live;
+        self.hashes.rs_sip_dport.update_batch(
+            &mut live.rs_sip_dport,
+            Some(&mut live.rs_sip_dport_verifier),
+            &batch.sip_dport,
+            &batch.sip_dport_mix,
+            &batch.values,
+        );
+        self.hashes.rs_dip_dport.update_batch(
+            &mut live.rs_dip_dport,
+            Some(&mut live.rs_dip_dport_verifier),
+            &batch.dip_dport,
+            &batch.dip_dport_mix,
+            &batch.values,
+        );
+        self.hashes.rs_sip_dip.update_batch(
+            &mut live.rs_sip_dip,
+            Some(&mut live.rs_sip_dip_verifier),
+            &batch.sip_dip,
+            &batch.sip_dip_mix,
+            &batch.values,
+        );
+        self.hashes.twod_sipdport_dip.update_batch_premixed(
+            &mut live.twod_sipdport_dip,
             &batch.sip_dport_mix,
             &batch.dip_mix,
             &batch.values,
         );
-        self.twod_sipdip_dport.update_batch_premixed(
+        self.hashes.twod_sipdip_dport.update_batch_premixed(
+            &mut live.twod_sipdip_dport,
             &batch.sip_dip_mix,
             &batch.dport_mix,
             &batch.values,
         );
-        self.os.update_batch_premixed(&batch.os_mix, &batch.os_ones);
+        self.hashes
+            .os
+            .update_batch_premixed(&mut live.os, &batch.os_mix, &batch.os_ones);
         for &key in &batch.synack_keys {
-            self.active_services.insert(key);
+            live.active_services.insert(key);
         }
-        self.syn_count += batch.os_ones.len() as u64;
-        self.syn_ack_count += batch.synack_keys.len() as u64;
+        live.syn_count += batch.os_ones.len() as u64;
+        live.syn_ack_count += batch.synack_keys.len() as u64;
         self.pending.clear();
     }
 
     /// Ends the interval: moves the per-interval counters out into the
-    /// snapshot, leaving zeroed sketches behind (the active-service filter
-    /// is cumulative, so it is copied and persists).
+    /// snapshot, leaving freshly allocated zeroed grids behind (the
+    /// active-service filter is cumulative, so it is copied and persists).
     pub fn take_snapshot(&mut self) -> IntervalSnapshot {
         self.flush();
-        // Paper configurations always attach verifiers; a verifier-less
-        // sketch contributes a minimal zero grid instead of aborting the
-        // data plane, keeping snapshots structurally complete either way.
-        fn take_reversible(s: &mut ReversibleSketch) -> (CounterGrid, CounterGrid) {
-            let (grid, verifier) = s.take_counters();
-            (grid, verifier.unwrap_or_else(|| CounterGrid::new(1, 1)))
+        let zeroed = self
+            .live
+            .grids()
+            .map(|g| CounterGrid::new(g.stages(), g.buckets()));
+        let next = IntervalSnapshot::from_parts(
+            zeroed,
+            self.live.active_services.clone(),
+            [0; 3],
+            self.live.fingerprint,
+        );
+        std::mem::replace(&mut self.live, next)
+    }
+
+    /// Ends the interval as [`SketchRecorder::take_snapshot`] does, but
+    /// lends the snapshot to `f` and then zeroes the counters in place: a
+    /// caller that is done with the snapshot when `f` returns (an agent
+    /// encoding it, a pipeline detecting on it) closes intervals without
+    /// allocating or freeing a grid.
+    pub fn take_snapshot_with<R>(&mut self, f: impl FnOnce(&IntervalSnapshot) -> R) -> R {
+        self.flush();
+        let out = f(&self.live);
+        for grid in self.live.grids_mut() {
+            grid.clear();
         }
-        let (rs_sip_dport, rs_sip_dport_verifier) = take_reversible(&mut self.rs_sip_dport);
-        let (rs_dip_dport, rs_dip_dport_verifier) = take_reversible(&mut self.rs_dip_dport);
-        let (rs_sip_dip, rs_sip_dip_verifier) = take_reversible(&mut self.rs_sip_dip);
-        IntervalSnapshot {
-            rs_sip_dport,
-            rs_sip_dport_verifier,
-            rs_dip_dport,
-            rs_dip_dport_verifier,
-            rs_sip_dip,
-            rs_sip_dip_verifier,
-            os: self.os.take_counters(),
-            twod_sipdport_dip: self.twod_sipdport_dip.take_counters(),
-            twod_sipdip_dport: self.twod_sipdip_dport.take_counters(),
-            active_services: self.active_services.clone(),
-            syn_count: std::mem::take(&mut self.syn_count),
-            syn_ack_count: std::mem::take(&mut self.syn_ack_count),
-            fin_rst_count: std::mem::take(&mut self.fin_rst_count),
-            fingerprint: self.fingerprint,
-        }
+        self.live.syn_count = 0;
+        self.live.syn_ack_count = 0;
+        self.live.fin_rst_count = 0;
+        out
     }
 
     /// The record-plane configuration fingerprint stamped on every
     /// snapshot (see [`HiFindConfig::fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.live.fingerprint
     }
 
     /// Total recording memory in bytes (§5.5.1; the Table 9 model applies
-    /// hardware counter widths to the same bucket counts).
+    /// hardware counter widths to the same bucket counts): the live grids,
+    /// the k-ary hashes of the OS sketch and the verifiers, and the
+    /// active-service filter.
     pub fn memory_bytes(&self) -> usize {
-        self.rs_sip_dport.memory_bytes()
-            + self.rs_dip_dport.memory_bytes()
-            + self.rs_sip_dip.memory_bytes()
-            + self.os.memory_bytes()
-            + self.twod_sipdport_dip.memory_bytes()
-            + self.twod_sipdip_dport.memory_bytes()
-            + self.active_services.memory_bytes()
+        let h = &self.hashes;
+        let kary = [&h.rs_sip_dport, &h.rs_dip_dport, &h.rs_sip_dip]
+            .into_iter()
+            .filter_map(ReversibleHash::verifier)
+            .chain([&h.os]);
+        let grids = self.live.grids().map(CounterGrid::memory_bytes);
+        grids.iter().sum::<usize>()
+            + kary.map(KaryHash::memory_bytes).sum::<usize>()
+            + self.live.active_services.memory_bytes()
     }
 
-    /// Counter memory accesses per recorded SYN/SYN-ACK (§5.5.2).
+    /// Counter memory accesses per recorded SYN/SYN-ACK (§5.5.2): one per
+    /// stage of every sketch and verifier.
     pub fn accesses_per_packet(&self) -> usize {
-        self.rs_sip_dport.accesses_per_update()
-            + self.rs_dip_dport.accesses_per_update()
-            + self.rs_sip_dip.accesses_per_update()
-            + self.os.accesses_per_update()
-            + self.twod_sipdport_dip.accesses_per_update()
-            + self.twod_sipdip_dport.accesses_per_update()
+        let rs =
+            |h: &ReversibleHash| h.config().stages + h.verifier().map_or(0, |v| v.config().stages);
+        rs(&self.hashes.rs_sip_dport)
+            + rs(&self.hashes.rs_dip_dport)
+            + rs(&self.hashes.rs_sip_dip)
+            + self.hashes.os.config().stages
+            + self.hashes.twod_sipdport_dip.config().stages
+            + self.hashes.twod_sipdip_dport.config().stages
     }
 }
 
@@ -483,26 +565,10 @@ mod tests {
     #[test]
     fn move_out_take_matches_clone_then_clear() {
         use hifind_flow::rng::SplitMix64;
-        // The snapshot a clone-then-clear take would have built: every
-        // grid copied as it stands, the counters read before resetting.
+        // The snapshot a clone-then-clear take would have built: the live
+        // counters copied as they stand.
         fn cloned(r: &SketchRecorder) -> IntervalSnapshot {
-            let verifier = |s: &ReversibleSketch| s.verifier().map(|v| v.grid().clone());
-            IntervalSnapshot {
-                rs_sip_dport: r.rs_sip_dport.grid().clone(),
-                rs_sip_dport_verifier: verifier(&r.rs_sip_dport).unwrap(),
-                rs_dip_dport: r.rs_dip_dport.grid().clone(),
-                rs_dip_dport_verifier: verifier(&r.rs_dip_dport).unwrap(),
-                rs_sip_dip: r.rs_sip_dip.grid().clone(),
-                rs_sip_dip_verifier: verifier(&r.rs_sip_dip).unwrap(),
-                os: r.os.grid().clone(),
-                twod_sipdport_dip: r.twod_sipdport_dip.grid().clone(),
-                twod_sipdip_dport: r.twod_sipdip_dport.grid().clone(),
-                active_services: r.active_services.clone(),
-                syn_count: r.syn_count,
-                syn_ack_count: r.syn_ack_count,
-                fin_rst_count: r.fin_rst_count,
-                fingerprint: r.fingerprint,
-            }
+            r.live.clone()
         }
         let mut r = SketchRecorder::new(&cfg()).unwrap();
         let mut rng = SplitMix64::new(41);
@@ -516,23 +582,44 @@ mod tests {
                     _ => Packet::syn(i, c, 999, s, 80),
                 });
             }
-            // The reference reads the sketches directly, so scatter the
+            // The reference reads the live grids directly, so scatter the
             // pending batch into them first (take_snapshot does the same).
             r.flush();
             let expected = cloned(&r);
             assert_eq!(r.take_snapshot(), expected, "interval {interval}");
-            for rs in [&r.rs_sip_dport, &r.rs_dip_dport, &r.rs_sip_dip] {
-                assert!(rs.grid().is_zero() && rs.total() == 0);
-                let v = rs.verifier().unwrap();
-                assert!(v.grid().is_zero() && v.total() == 0);
+            for grid in r.live.grids() {
+                assert!(grid.is_zero() && grid.stage_sum(0) == 0);
             }
-            assert!(r.os.grid().is_zero() && r.os.total() == 0);
-            for twod in [&r.twod_sipdport_dip, &r.twod_sipdip_dport] {
-                assert!(twod.grid().is_zero() && twod.total() == 0);
-            }
-            assert_eq!((r.syn_count, r.syn_ack_count, r.fin_rst_count), (0, 0, 0));
+            let counts = (r.live.syn_count, r.live.syn_ack_count);
+            assert_eq!((counts.0, counts.1, r.live.fin_rst_count), (0, 0, 0));
             // The cumulative filter stays behind untouched.
-            assert_eq!(r.active_services, expected.active_services);
+            assert_eq!(r.live.active_services, expected.active_services);
+        }
+    }
+
+    #[test]
+    fn lent_close_matches_take() {
+        // Closing by lending the live snapshot and zeroing it in place must
+        // hand out what a take returns, and start the next interval from
+        // zero as a take does.
+        use hifind_flow::rng::SplitMix64;
+        let mut taken = SketchRecorder::new(&cfg()).unwrap();
+        let mut lent = SketchRecorder::new(&cfg()).unwrap();
+        let mut rng = SplitMix64::new(43);
+        for interval in 0..3u64 {
+            for i in 0..300 * (interval + 1) {
+                let c = Ip4::new(rng.next_u32());
+                let s = Ip4::new(0x8169_0000 | (rng.next_u32() & 0xFF));
+                let packet = match rng.below(4) {
+                    0 => Packet::syn_ack(i, c, 999, s, 80),
+                    1 => Packet::rst(i, c, 999, s, 80),
+                    _ => Packet::syn(i, c, 999, s, 80),
+                };
+                taken.record(&packet);
+                lent.record(&packet);
+            }
+            let snapshot = lent.take_snapshot_with(IntervalSnapshot::clone);
+            assert_eq!(snapshot, taken.take_snapshot(), "interval {interval}");
         }
     }
 
@@ -719,6 +806,7 @@ mod tests {
         // interval checks that the snapshot left nothing behind.
         use hifind_flow::keys::{SipDip, SipDport};
         use hifind_flow::rng::SplitMix64;
+        use hifind_sketch::{KarySketch, ReversibleSketch, TwoDSketch};
 
         let config = cfg();
         let mut r = SketchRecorder::new(&config).unwrap();
@@ -778,20 +866,11 @@ mod tests {
             let snap = r.take_snapshot();
             assert!(r.pending.is_empty());
             assert_eq!(&snap.rs_sip_dport, rs_sip_dport.grid());
-            assert_eq!(
-                Some(&snap.rs_sip_dport_verifier),
-                rs_sip_dport.verifier().map(|v| v.grid())
-            );
+            assert_eq!(Some(&snap.rs_sip_dport_verifier), rs_sip_dport.verifier());
             assert_eq!(&snap.rs_dip_dport, rs_dip_dport.grid());
-            assert_eq!(
-                Some(&snap.rs_dip_dport_verifier),
-                rs_dip_dport.verifier().map(|v| v.grid())
-            );
+            assert_eq!(Some(&snap.rs_dip_dport_verifier), rs_dip_dport.verifier());
             assert_eq!(&snap.rs_sip_dip, rs_sip_dip.grid());
-            assert_eq!(
-                Some(&snap.rs_sip_dip_verifier),
-                rs_sip_dip.verifier().map(|v| v.grid())
-            );
+            assert_eq!(Some(&snap.rs_sip_dip_verifier), rs_sip_dip.verifier());
             assert_eq!(&snap.os, os.grid());
             assert_eq!(&snap.twod_sipdport_dip, twod_a.grid());
             assert_eq!(&snap.twod_sipdip_dport, twod_b.grid());
@@ -843,24 +922,41 @@ mod tests {
                 }};
             }
             println!("round {round} {:<14} {plan_ns:6.1} ns/pkt", "plan");
+            let live = &mut r.live;
             time_it!(
                 "rs_sip_dport",
-                r.rs_sip_dport
-                    .update_batch(&batch.sip_dport, &batch.sip_dport_mix, &batch.values)
+                r.hashes.rs_sip_dport.update_batch(
+                    &mut live.rs_sip_dport,
+                    Some(&mut live.rs_sip_dport_verifier),
+                    &batch.sip_dport,
+                    &batch.sip_dport_mix,
+                    &batch.values
+                )
             );
             time_it!(
                 "rs_dip_dport",
-                r.rs_dip_dport
-                    .update_batch(&batch.dip_dport, &batch.dip_dport_mix, &batch.values)
+                r.hashes.rs_dip_dport.update_batch(
+                    &mut live.rs_dip_dport,
+                    Some(&mut live.rs_dip_dport_verifier),
+                    &batch.dip_dport,
+                    &batch.dip_dport_mix,
+                    &batch.values
+                )
             );
             time_it!(
                 "rs_sip_dip",
-                r.rs_sip_dip
-                    .update_batch(&batch.sip_dip, &batch.sip_dip_mix, &batch.values)
+                r.hashes.rs_sip_dip.update_batch(
+                    &mut live.rs_sip_dip,
+                    Some(&mut live.rs_sip_dip_verifier),
+                    &batch.sip_dip,
+                    &batch.sip_dip_mix,
+                    &batch.values
+                )
             );
             time_it!(
                 "twod_a",
-                r.twod_sipdport_dip.update_batch_premixed(
+                r.hashes.twod_sipdport_dip.update_batch_premixed(
+                    &mut live.twod_sipdport_dip,
                     &batch.sip_dport_mix,
                     &batch.dip_mix,
                     &batch.values
@@ -868,7 +964,8 @@ mod tests {
             );
             time_it!(
                 "twod_b",
-                r.twod_sipdip_dport.update_batch_premixed(
+                r.hashes.twod_sipdip_dport.update_batch_premixed(
+                    &mut live.twod_sipdip_dport,
                     &batch.sip_dip_mix,
                     &batch.dport_mix,
                     &batch.values
@@ -876,12 +973,14 @@ mod tests {
             );
             time_it!(
                 "os",
-                r.os.update_batch_premixed(&batch.os_mix, &batch.os_ones)
+                r.hashes
+                    .os
+                    .update_batch_premixed(&mut live.os, &batch.os_mix, &batch.os_ones)
             );
             time_it!(
                 "bloom",
                 for &key in &batch.synack_keys {
-                    r.active_services.insert(key);
+                    live.active_services.insert(key);
                 }
             );
         }

@@ -227,22 +227,6 @@ fn register_health_gauges(
             "Largest absolute counter value in the sketch",
         )?
         .set(health.grid.max_abs);
-    if let Some(drift) = &health.drift {
-        registry
-            .gauge(
-                &format!("hifind_sketch_drift_rel_ppm_{name}"),
-                "Mean relative estimate error over sampled keys, in ppm",
-            )?
-            .set(ppm(drift.mean_rel_error));
-    }
-    if let Some(inference) = &health.inference {
-        registry
-            .gauge(
-                &format!("hifind_sketch_inference_success_ppm_{name}"),
-                "Fraction of reconstructed keys surviving filtering, in ppm",
-            )?
-            .set(ppm(inference.success_rate));
-    }
     Ok(())
 }
 

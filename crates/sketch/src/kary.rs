@@ -2,7 +2,7 @@
 
 use crate::grid::CounterGrid;
 use crate::simd::UPDATE_CHUNK;
-use crate::{median_i64, SketchError};
+use crate::{median_i64, unbiased_median, SketchError};
 use hifind_flow::rng::SplitMix64;
 use hifind_hashing::{BucketHasher, PairwiseHasher};
 use serde::{Deserialize, Serialize};
@@ -53,35 +53,18 @@ impl KaryConfig {
     }
 }
 
-/// The k-ary sketch: `H` independent hash stages over `m` counters each.
-///
-/// Supports the paper's `UPDATE(S, y, v)` and `ESTIMATE(S, y)` functions
-/// (Table 2); `COMBINE` is the sum of the sketches' grids
-/// ([`CounterGrid::add_assign_many`]). It is *not* reversible —
-/// `INFERENCE` requires [`crate::ReversibleSketch`].
-///
-/// # Example
-///
-/// ```
-/// use hifind_sketch::{KaryConfig, KarySketch};
-///
-/// let mut s = KarySketch::new(KaryConfig { stages: 4, buckets: 1024, seed: 3 }).unwrap();
-/// s.update(42, 100);
-/// for k in 0..500 { s.update(k, 1); }
-/// let est = s.estimate(42);
-/// assert!((est - 101).abs() <= 5, "estimate {est} should be close to 101");
-/// ```
+/// The hash family of a k-ary sketch: its configuration and one pairwise
+/// hash per stage. It holds no counters; UPDATE and every read take the
+/// grid they work on — a sketch's own, a recorder's, a COMBINE sum or a
+/// forecast-error grid — so each is defined once for all of them.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct KarySketch {
+pub struct KaryHash {
     config: KaryConfig,
     hashers: Vec<PairwiseHasher>,
-    grid: CounterGrid,
-    /// Total update mass (Σ v over all updates); equals each stage's sum.
-    total: i64,
 }
 
-impl KarySketch {
-    /// Creates an empty sketch.
+impl KaryHash {
+    /// Derives the stage hashes from the configuration's seed.
     ///
     /// # Errors
     ///
@@ -93,36 +76,31 @@ impl KarySketch {
         let hashers = (0..config.stages)
             .map(|i| PairwiseHasher::new(&mut rng.fork(i as u64), config.buckets))
             .collect();
-        Ok(KarySketch {
-            config,
-            hashers,
-            grid: CounterGrid::new(config.stages, config.buckets),
-            total: 0,
-        })
+        Ok(KaryHash { config, hashers })
     }
 
-    /// The configuration this sketch was built with.
+    /// The configuration the hashes were derived from.
     pub fn config(&self) -> &KaryConfig {
         &self.config
     }
 
-    /// UPDATE: adds `delta` to the key's bucket in every stage.
+    /// UPDATE into `grid`: adds `delta` to the key's bucket in every stage.
     ///
     /// The per-key primitive and the scalar reference for
-    /// [`KarySketch::update_batch_premixed`], which is what the record
-    /// plane calls.
+    /// [`KaryHash::update_batch_premixed`], which is what the record plane
+    /// calls.
     #[inline]
-    pub fn update(&mut self, key: u64, delta: i64) {
+    pub fn update(&self, grid: &mut CounterGrid, key: u64, delta: i64) {
         let premixed = PairwiseHasher::premix(key);
         for (stage, h) in self.hashers.iter().enumerate() {
-            self.grid.add(stage, h.bucket_premixed(premixed), delta);
+            grid.add(stage, h.bucket_premixed(premixed), delta);
         }
-        self.total = self.total.saturating_add(delta);
     }
 
-    /// Batched UPDATE: applies `deltas[i]` under key premix `premixed[i]`
-    /// for the whole batch, bit-identical to calling [`KarySketch::update`]
-    /// once per element (on the key `premixed[i]` was mixed from) in order.
+    /// Batched UPDATE into `grid`: applies `deltas[i]` under key premix
+    /// `premixed[i]` for the whole batch, bit-identical to calling
+    /// [`KaryHash::update`] once per element (on the key `premixed[i]` was
+    /// mixed from) in order.
     ///
     /// The batch is processed stage-major in [`UPDATE_CHUNK`]-packet runs.
     /// Each run makes two passes: first the [`crate::simd`] kernel finishes
@@ -136,7 +114,7 @@ impl KarySketch {
     /// belongs to exactly one stage and within a stage packets are applied
     /// in order, so each cell sees the same saturating-add sequence as the
     /// serial path.
-    pub fn update_batch_premixed(&mut self, premixed: &[u64], deltas: &[i64]) {
+    pub fn update_batch_premixed(&self, grid: &mut CounterGrid, premixed: &[u64], deltas: &[i64]) {
         debug_assert_eq!(premixed.len(), deltas.len());
         let n = premixed.len().min(deltas.len());
         let kernel = crate::simd::kernel();
@@ -151,77 +129,127 @@ impl KarySketch {
                 let (a, b, shift) = h.coefficients();
                 let buf = &mut idx[stage * UPDATE_CHUNK..][..pre.len()];
                 kernel.buckets_premixed(pre, a, b, shift, buf);
-                kernel.prefetch_buckets(self.grid.stage(stage), buf);
+                kernel.prefetch_buckets(grid.stage(stage), buf);
             }
             for stage in 0..stages {
-                let row = self.grid.stage_mut(stage);
+                let row = grid.stage_mut(stage);
                 for (&bucket, &d) in idx[stage * UPDATE_CHUNK..][..pre.len()].iter().zip(del) {
                     let cell = &mut row[bucket as usize];
                     *cell = cell.saturating_add(d);
                 }
-            }
-            for &d in del {
-                self.total = self.total.saturating_add(d);
             }
             start = end;
         }
     }
 
     /// ESTIMATE: the median over stages of the per-stage unbiased estimator
-    /// `(v_bucket − total/m) / (1 − 1/m)`.
-    pub fn estimate(&self, key: u64) -> i64 {
-        self.estimate_grid(&self.grid, key)
-    }
-
-    /// ESTIMATE against an external grid (e.g. a forecast-error grid) using
-    /// this sketch's hash functions.
+    /// `(v_bucket − total/m) / (1 − 1/m)`, read from `grid`.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the grid shape differs from this sketch's.
-    pub fn estimate_grid(&self, grid: &CounterGrid, key: u64) -> i64 {
-        self.estimate_grid_with_sums(grid, key, &self.stage_sums(grid))
+    /// Panics in debug builds if the grid shape differs from the
+    /// configuration's.
+    pub fn estimate(&self, grid: &CounterGrid, key: u64) -> i64 {
+        self.estimate_with_sums(grid, key, &self.stage_sums(grid))
     }
 
     /// The per-stage sums of `grid`, for amortizing many
-    /// [`KarySketch::estimate_grid_with_sums`] calls against the same grid
+    /// [`KaryHash::estimate_with_sums`] calls against the same grid
     /// (inference estimates every candidate key; the sums are identical for
     /// all of them and cost a full grid walk each time otherwise).
     pub fn stage_sums(&self, grid: &CounterGrid) -> Vec<i64> {
         (0..grid.stages()).map(|s| grid.stage_sum(s)).collect()
     }
 
-    /// [`KarySketch::estimate_grid`] with the per-stage sums precomputed by
-    /// [`KarySketch::stage_sums`]; bit-identical to `estimate_grid`.
+    /// [`KaryHash::estimate`] with the per-stage sums precomputed by
+    /// [`KaryHash::stage_sums`]; bit-identical to `estimate`.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the grid shape or `sums` length differs
-    /// from this sketch's configuration.
-    pub fn estimate_grid_with_sums(&self, grid: &CounterGrid, key: u64, sums: &[i64]) -> i64 {
+    /// from the configuration.
+    pub fn estimate_with_sums(&self, grid: &CounterGrid, key: u64, sums: &[i64]) -> i64 {
         debug_assert_eq!(grid.stages(), self.config.stages);
         debug_assert_eq!(grid.buckets(), self.config.buckets);
         debug_assert_eq!(sums.len(), self.config.stages);
-        let m = self.config.buckets as f64;
-        let mut estimates: Vec<i64> = Vec::with_capacity(self.config.stages);
-        for ((stage, h), &stage_sum) in self.hashers.iter().enumerate().zip(sums) {
-            let v = grid.get(stage, h.bucket(key)) as f64;
-            let sum = stage_sum as f64;
-            let unbiased = (v - sum / m) / (1.0 - 1.0 / m);
-            estimates.push(unbiased.round() as i64);
-        }
-        median_i64(&mut estimates)
+        let cells = self.hashers.iter().enumerate().zip(sums);
+        unbiased_median(
+            cells.map(|((stage, h), &sum)| (grid.get(stage, h.bucket(key)), sum)),
+            self.config.buckets,
+        )
     }
 
-    /// The raw median of the key's bucket values, without bias correction.
-    pub fn raw_estimate(&self, key: u64) -> i64 {
+    /// The raw median of the key's bucket values in `grid`, without bias
+    /// correction.
+    pub fn raw_estimate(&self, grid: &CounterGrid, key: u64) -> i64 {
         let mut values: Vec<i64> = self
             .hashers
             .iter()
             .enumerate()
-            .map(|(stage, h)| self.grid.get(stage, h.bucket(key)))
+            .map(|(stage, h)| grid.get(stage, h.bucket(key)))
             .collect();
         median_i64(&mut values)
+    }
+
+    /// Bytes held by the stage hashes.
+    pub fn memory_bytes(&self) -> usize {
+        self.hashers.len() * std::mem::size_of::<PairwiseHasher>()
+    }
+}
+
+/// The k-ary sketch: a [`KaryHash`] and the counter grid it records into.
+///
+/// Supports the paper's `UPDATE(S, y, v)`; `ESTIMATE(S, y)` is
+/// [`KaryHash::estimate`] over [`KarySketch::grid`], and `COMBINE` is the
+/// sum of the sketches' grids ([`CounterGrid::add_assign_many`]). It is
+/// *not* reversible — `INFERENCE` requires [`crate::ReversibleSketch`].
+///
+/// # Example
+///
+/// ```
+/// use hifind_sketch::{KaryConfig, KarySketch};
+///
+/// let mut s = KarySketch::new(KaryConfig { stages: 4, buckets: 1024, seed: 3 }).unwrap();
+/// s.update(42, 100);
+/// for k in 0..500 { s.update(k, 1); }
+/// let est = s.hash().estimate(s.grid(), 42);
+/// assert!((est - 101).abs() <= 5, "estimate {est} should be close to 101");
+/// ```
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct KarySketch {
+    hash: KaryHash,
+    grid: CounterGrid,
+}
+
+impl KarySketch {
+    /// Creates an empty sketch.
+    ///
+    /// # Errors
+    ///
+    /// As [`KaryHash::new`].
+    pub fn new(config: KaryConfig) -> Result<Self, SketchError> {
+        Ok(KarySketch {
+            hash: KaryHash::new(config)?,
+            grid: CounterGrid::new(config.stages, config.buckets),
+        })
+    }
+
+    /// The hash family every read of this sketch's grid goes through.
+    pub fn hash(&self) -> &KaryHash {
+        &self.hash
+    }
+
+    /// UPDATE ([`KaryHash::update`]) into this sketch's grid.
+    #[inline]
+    pub fn update(&mut self, key: u64, delta: i64) {
+        self.hash.update(&mut self.grid, key, delta);
+    }
+
+    /// Batched UPDATE ([`KaryHash::update_batch_premixed`]) into this
+    /// sketch's grid.
+    pub fn update_batch_premixed(&mut self, premixed: &[u64], deltas: &[i64]) {
+        self.hash
+            .update_batch_premixed(&mut self.grid, premixed, deltas);
     }
 
     /// Borrows the counter grid.
@@ -229,21 +257,15 @@ impl KarySketch {
         &self.grid
     }
 
-    /// Total update mass.
-    pub fn total(&self) -> i64 {
-        self.total
-    }
-
     /// Moves the counters out ([`CounterGrid::take`]), leaving the sketch
     /// zeroed with its hash functions intact.
     pub fn take_counters(&mut self) -> CounterGrid {
-        self.total = 0;
         self.grid.take()
     }
 
     /// Memory accounting for Table 9.
     pub fn memory_bytes(&self) -> usize {
-        self.grid.memory_bytes() + self.hashers.len() * std::mem::size_of::<PairwiseHasher>()
+        self.grid.memory_bytes() + self.hash.memory_bytes()
     }
 
     /// Number of counter memory accesses per update (one per stage).
@@ -251,11 +273,11 @@ impl KarySketch {
     /// This counts *counter* accesses only, which is what the paper's
     /// per-packet budget measures. Sharing hash work across sketches (the
     /// recorder's per-packet hash plan, fed through
-    /// [`KarySketch::update_batch_premixed`]) removes redundant ALU work but
+    /// [`KaryHash::update_batch_premixed`]) removes redundant ALU work but
     /// touches exactly the same counters, so this figure is identical on
     /// both update paths.
     pub fn accesses_per_update(&self) -> usize {
-        self.config.stages
+        self.hash.config.stages
     }
 }
 
@@ -294,8 +316,8 @@ mod tests {
         s.update(99, 1234);
         // total == bucket value, so the unbiased estimator has a tiny
         // correction; the estimate must be within 2 of the truth.
-        assert!((s.estimate(99) - 1234).abs() <= 2);
-        assert_eq!(s.raw_estimate(99), 1234);
+        assert!((s.hash().estimate(s.grid(), 99) - 1234).abs() <= 2);
+        assert_eq!(s.hash().raw_estimate(s.grid(), 99), 1234);
     }
 
     #[test]
@@ -306,7 +328,7 @@ mod tests {
         for _ in 0..5000 {
             s.update(rng.next_u64(), 1);
         }
-        let est = s.estimate(7777);
+        let est = s.hash().estimate(s.grid(), 7777);
         assert!((est - 1000).abs() < 100, "estimate {est} too far from 1000");
     }
 
@@ -315,8 +337,8 @@ mod tests {
         let mut s = small();
         s.update(1, 50);
         s.update(1, -50);
-        assert_eq!(s.raw_estimate(1), 0);
-        assert_eq!(s.total(), 0);
+        assert_eq!(s.hash().raw_estimate(s.grid(), 1), 0);
+        assert_eq!(s.grid().stage_sum(0), 0);
     }
 
     #[test]
@@ -326,7 +348,7 @@ mod tests {
         for _ in 0..2000 {
             s.update(rng.next_u64(), 1);
         }
-        let est = s.estimate(0xDEAD_BEEF_0000_0001);
+        let est = s.hash().estimate(s.grid(), 0xDEAD_BEEF_0000_0001);
         assert!(est.abs() < 50, "phantom estimate {est}");
     }
 
@@ -351,9 +373,15 @@ mod tests {
         let mut sum = a.grid().clone();
         sum.add_assign_many(&[b.grid()]).unwrap();
         assert_eq!(&sum, merged.grid());
-        assert_eq!(a.total() + b.total(), merged.total());
+        assert_eq!(
+            a.grid().stage_sum(0) + b.grid().stage_sum(0),
+            merged.grid().stage_sum(0)
+        );
         for &k in keys.iter().take(100) {
-            assert_eq!(merged.estimate_grid(&sum, k), merged.estimate(k));
+            assert_eq!(
+                merged.hash().estimate(&sum, k),
+                merged.hash().estimate(merged.grid(), k)
+            );
         }
     }
 
@@ -363,7 +391,7 @@ mod tests {
         s.update(1, 5);
         let expected = s.grid().clone();
         assert_eq!(s.take_counters(), expected);
-        assert_eq!(s.total(), 0);
+        assert_eq!(s.grid().stage_sum(0), 0);
         assert!(s.grid().is_zero());
         // The hash functions survive: the next interval records as before.
         s.update(1, 5);
@@ -384,7 +412,7 @@ mod tests {
             premixed.update_batch_premixed(&[PairwiseHasher::premix(k)], &[v]);
         }
         assert_eq!(premixed.grid(), plain.grid());
-        assert_eq!(premixed.total(), plain.total());
+        assert_eq!(premixed.grid().stage_sum(0), plain.grid().stage_sum(0));
     }
 
     #[test]
@@ -411,7 +439,11 @@ mod tests {
             }
             batched.update_batch_premixed(&premixed, &deltas);
             assert_eq!(batched.grid(), serial.grid(), "batch of {len}");
-            assert_eq!(batched.total(), serial.total(), "batch of {len}");
+            assert_eq!(
+                batched.grid().stage_sum(0),
+                serial.grid().stage_sum(0),
+                "batch of {len}"
+            );
         }
     }
 
@@ -422,11 +454,11 @@ mod tests {
         for _ in 0..3000 {
             s.update(rng.next_u64(), 1);
         }
-        let sums = s.stage_sums(s.grid());
+        let sums = s.hash().stage_sums(s.grid());
         for key in [0u64, 7777, u64::MAX, 42] {
             assert_eq!(
-                s.estimate_grid_with_sums(s.grid(), key, &sums),
-                s.estimate(key)
+                s.hash().estimate_with_sums(s.grid(), key, &sums),
+                s.hash().estimate(s.grid(), key)
             );
         }
     }
@@ -443,6 +475,6 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: KarySketch = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-        assert_eq!(back.raw_estimate(123), 7);
+        assert_eq!(back.hash().raw_estimate(back.grid(), 123), 7);
     }
 }

@@ -14,13 +14,21 @@
 //!   selected by a detected x-key reveals the *distribution* of the y
 //!   dimension (concentrated → SYN flooding, dispersed → scan).
 //!
+//! Each family is split in two. Its hash type ([`KaryHash`],
+//! [`ReversibleHash`], [`TwoDHash`]) holds the configuration and the hash
+//! functions, and defines UPDATE and every read — ESTIMATE, INFERENCE,
+//! the 2D column reads and classifier — once, over a grid it is given.
+//! The sketch type is a hash type plus the counter grid(s) it owns, for
+//! standalone use; the recorder keeps its counters in one snapshot's
+//! grids, and a detector holds hash types alone.
+//!
 //! All sketches are linear, and `COMBINE` is implemented once, over their
 //! counters: [`CounterGrid::add_assign_many`] sums per-router grids into
 //! the grid of the merged traffic, which is what makes HiFIND robust to
 //! asymmetric routing (paper §3.1, §5.3.2). The sum is taken in integers
 //! and never rounded, so ESTIMATE, INFERENCE and classification read a
-//! summed grid through any same-configuration sketch exactly as they read
-//! the merged sketch.
+//! summed grid through the hash type exactly as they read the merged
+//! sketch's own grid.
 //!
 //! # Example
 //!
@@ -34,7 +42,7 @@
 //! for k in 0..1000 {
 //!     rs.update(k, 1);
 //! }
-//! let result = rs.infer(100, &InferOptions::default());
+//! let result = rs.hash().infer(rs.grid(), rs.verifier(), 100, &InferOptions::default());
 //! assert!(result.keys.iter().any(|hk| hk.key == 0xABCD_1234_5678));
 //! ```
 
@@ -54,13 +62,13 @@ pub mod twod;
 
 pub use fingerprint::ConfigDigest;
 pub use grid::CounterGrid;
-pub use health::{DriftStats, GridHealth, InferenceHealth, SketchHealth};
-pub use kary::{KaryConfig, KarySketch};
+pub use health::{GridHealth, SketchHealth};
+pub use kary::{KaryConfig, KaryHash, KarySketch};
 pub use reversible::{
-    HeavyKey, InferOptions, InferStats, InferenceResult, ReversibleSketch, RsConfig,
+    HeavyKey, InferOptions, InferStats, InferenceResult, ReversibleHash, ReversibleSketch, RsConfig,
 };
 pub use simd::{Isa, RowMoments, SketchKernel};
-pub use twod::{ColumnShape, TwoDConfig, TwoDSketch};
+pub use twod::{ColumnShape, TwoDConfig, TwoDHash, TwoDSketch};
 
 use std::fmt;
 
@@ -71,7 +79,7 @@ pub enum SketchError {
     BadConfig(String),
     /// Attempted to combine grids (or snapshots) of different shapes.
     CombineMismatch,
-    /// Attempted to combine an empty list of sketches.
+    /// Attempted to combine an empty list of interval snapshots.
     CombineEmpty,
     /// Attempted to combine snapshots whose configuration fingerprints
     /// (shape **and** seed digests, see [`fingerprint`]) disagree. Unlike
@@ -93,7 +101,7 @@ impl fmt::Display for SketchError {
             SketchError::CombineMismatch => {
                 f.write_str("sketches must share configuration and seed to be combined")
             }
-            SketchError::CombineEmpty => f.write_str("cannot combine zero sketches"),
+            SketchError::CombineEmpty => f.write_str("cannot combine zero snapshots"),
             SketchError::FingerprintMismatch { expected, got } => write!(
                 f,
                 "configuration fingerprint mismatch: expected {expected:#018x}, got {got:#018x} \
@@ -104,6 +112,17 @@ impl fmt::Display for SketchError {
 }
 
 impl std::error::Error for SketchError {}
+
+/// ESTIMATE's combining step, shared by every hash type: the median over
+/// stages of the unbiased per-stage estimator `(v − sum/m) / (1 − 1/m)`,
+/// given each stage's `(bucket value, stage sum)` and `m` buckets.
+pub(crate) fn unbiased_median(cells: impl Iterator<Item = (i64, i64)>, buckets: usize) -> i64 {
+    let m = buckets as f64;
+    let mut estimates: Vec<i64> = cells
+        .map(|(v, sum)| ((v as f64 - sum as f64 / m) / (1.0 - 1.0 / m)).round() as i64)
+        .collect();
+    median_i64(&mut estimates)
+}
 
 /// Returns the median of a scratch slice (averaging the two middle elements
 /// for even lengths, rounding toward zero).

@@ -27,9 +27,9 @@
 //! is not actually heavy.
 
 use crate::grid::CounterGrid;
-use crate::kary::{KaryConfig, KarySketch};
+use crate::kary::{KaryConfig, KaryHash};
 use crate::simd::UPDATE_CHUNK;
-use crate::{median_i64, SketchError};
+use crate::{unbiased_median, SketchError};
 use hifind_flow::keys::SketchKey;
 use hifind_flow::rng::SplitMix64;
 use hifind_hashing::{BucketHasher, Mangler, ModularHash};
@@ -83,7 +83,7 @@ impl RsConfig {
     }
 }
 
-/// Tuning knobs for [`ReversibleSketch::infer`].
+/// Tuning knobs for [`ReversibleHash::infer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InferOptions {
     /// How many of the `H` stages a candidate may miss (have no compatible
@@ -144,7 +144,7 @@ pub struct InferStats {
     pub rejected_by_verifier: usize,
 }
 
-/// The outcome of [`ReversibleSketch::infer`].
+/// The outcome of [`ReversibleHash::infer`].
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InferenceResult {
     /// Recovered heavy keys, sorted by descending estimate.
@@ -168,23 +168,24 @@ impl InferenceResult {
     }
 }
 
-/// A reversible sketch over packed keys of a fixed bit width.
+/// The hash family of a reversible sketch: its configuration, the key
+/// mangler, one modular hash per stage and the verifier's [`KaryHash`].
 ///
-/// See the [module documentation](self) for the algorithm; see
-/// [`RsConfig::paper_48bit`] / [`RsConfig::paper_64bit`] for the paper's
-/// parameterizations.
+/// It holds no counters. UPDATE, ESTIMATE and INFERENCE are defined here
+/// once and work on whatever grids they are given — a sketch's own, a
+/// recorder's, a COMBINE sum or a forecast-error grid — so neither a
+/// recorder nor a detector needs a sketch.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ReversibleSketch {
+pub struct ReversibleHash {
     config: RsConfig,
     mangler: Mangler,
     hashes: Vec<ModularHash>,
-    grid: CounterGrid,
-    verifier: Option<KarySketch>,
-    total: i64,
+    verifier: Option<KaryHash>,
 }
 
-impl ReversibleSketch {
-    /// Creates an empty reversible sketch.
+impl ReversibleHash {
+    /// Derives the mangler, the stage hashes and the verifier's hashes from
+    /// the configuration's seed.
     ///
     /// # Errors
     ///
@@ -208,55 +209,63 @@ impl ReversibleSketch {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let verifier = match config.verifier_buckets {
-            Some(buckets) => Some(KarySketch::new(KaryConfig {
+            Some(buckets) => Some(KaryHash::new(KaryConfig {
                 stages: config.stages,
                 buckets,
                 seed: rng.fork(0xBEEF).next_u64(),
             })?),
             None => None,
         };
-        Ok(ReversibleSketch {
+        Ok(ReversibleHash {
             config,
             mangler,
             hashes,
-            grid: CounterGrid::new(config.stages, config.buckets),
             verifier,
-            total: 0,
         })
     }
 
-    /// The configuration this sketch was built with.
+    /// The configuration the hashes were derived from.
     pub fn config(&self) -> &RsConfig {
         &self.config
     }
 
-    /// UPDATE: adds `delta` under the packed key. The mangled key's byte
-    /// decomposition is computed once and shared across all modular
-    /// stages; the verifier (if any) hashes the plain key.
+    /// The verification sketch's hash family, if configured.
+    pub fn verifier(&self) -> Option<&KaryHash> {
+        self.verifier.as_ref()
+    }
+
+    /// UPDATE into `grid` and, if this family has a verifier, into
+    /// `verifier`: adds `delta` under the packed key. The mangled key's
+    /// byte decomposition is computed once and shared across all modular
+    /// stages; the verifier hashes the plain key.
     ///
     /// The per-key primitive and the scalar reference for
-    /// [`ReversibleSketch::update_batch`], which is what the record plane
+    /// [`ReversibleHash::update_batch`], which is what the record plane
     /// calls.
     ///
     /// # Panics
     ///
     /// Debug-panics if `key` has bits above the configured width.
     #[inline]
-    pub fn update(&mut self, key: u64, delta: i64) {
+    pub fn update(
+        &self,
+        grid: &mut CounterGrid,
+        verifier: Option<&mut CounterGrid>,
+        key: u64,
+        delta: i64,
+    ) {
         let mangled_bytes = self.mangler.mangle(key).to_le_bytes();
         for (stage, h) in self.hashes.iter().enumerate() {
-            self.grid
-                .add(stage, h.bucket_of_bytes(&mangled_bytes), delta);
+            grid.add(stage, h.bucket_of_bytes(&mangled_bytes), delta);
         }
-        if let Some(v) = &mut self.verifier {
-            v.update(key, delta);
+        if let (Some(v), Some(vg)) = (&self.verifier, verifier) {
+            v.update(vg, key, delta);
         }
-        self.total = self.total.saturating_add(delta);
     }
 
     /// Batched UPDATE: applies `deltas[i]` under `keys[i]` (with
     /// `premixed[i]` its [`hifind_hashing::PairwiseHasher::premix`], feeding
-    /// the verifier), bit-identical to calling [`ReversibleSketch::update`]
+    /// the verifier), bit-identical to calling [`ReversibleHash::update`]
     /// once per element in order.
     ///
     /// The modular stage hashes are byte-table lookups that live in L1, so
@@ -274,7 +283,14 @@ impl ReversibleSketch {
     /// # Panics
     ///
     /// Debug-panics if any key has bits above the configured width.
-    pub fn update_batch(&mut self, keys: &[u64], premixed: &[u64], deltas: &[i64]) {
+    pub fn update_batch(
+        &self,
+        grid: &mut CounterGrid,
+        mut verifier: Option<&mut CounterGrid>,
+        keys: &[u64],
+        premixed: &[u64],
+        deltas: &[i64],
+    ) {
         debug_assert_eq!(keys.len(), premixed.len());
         debug_assert_eq!(keys.len(), deltas.len());
         let n = keys.len().min(premixed.len()).min(deltas.len());
@@ -295,94 +311,59 @@ impl ReversibleSketch {
                 for (slot, bytes) in buf.iter_mut().zip(&mangled[..chunk.len()]) {
                     *slot = h.bucket_of_bytes(bytes) as u64;
                 }
-                kernel.prefetch_buckets(self.grid.stage(stage), buf);
+                kernel.prefetch_buckets(grid.stage(stage), buf);
             }
             for stage in 0..stages {
-                let row = self.grid.stage_mut(stage);
+                let row = grid.stage_mut(stage);
                 for (&bucket, &d) in idx[stage * UPDATE_CHUNK..][..chunk.len()].iter().zip(del) {
                     let cell = &mut row[bucket as usize];
                     *cell = cell.saturating_add(d);
                 }
             }
-            if let Some(v) = &mut self.verifier {
-                v.update_batch_premixed(&premixed[start..end], del);
-            }
-            for &d in del {
-                self.total = self.total.saturating_add(d);
+            if let (Some(v), Some(vg)) = (&self.verifier, verifier.as_deref_mut()) {
+                v.update_batch_premixed(vg, &premixed[start..end], del);
             }
             start = end;
         }
     }
 
-    /// UPDATE with a typed flow key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `K::BITS` differs from the configured key width.
-    #[inline]
-    pub fn update_key<K: SketchKey>(&mut self, key: &K, delta: i64) {
-        assert_eq!(
-            K::BITS,
-            self.config.key_bits,
-            "flow key width does not match sketch"
-        );
-        self.update(key.to_u64(), delta);
-    }
-
-    /// ESTIMATE from the sketch's own counters.
-    pub fn estimate(&self, key: u64) -> i64 {
-        self.estimate_grid(&self.grid, key)
-    }
-
-    /// ESTIMATE against an external grid (e.g. a forecast-error grid)
-    /// interpreted through this sketch's hash functions: the median over
+    /// ESTIMATE from `grid` (e.g. a forecast-error grid): the median over
     /// stages of the unbiased per-stage estimator.
-    pub fn estimate_grid(&self, grid: &CounterGrid, key: u64) -> i64 {
+    pub fn estimate(&self, grid: &CounterGrid, key: u64) -> i64 {
         let sums: Vec<i64> = (0..grid.stages()).map(|s| grid.stage_sum(s)).collect();
-        self.estimate_grid_with_sums(grid, key, &sums)
+        self.estimate_with_sums(grid, key, &sums)
     }
 
-    /// [`ReversibleSketch::estimate_grid`] with the per-stage sums
-    /// precomputed; bit-identical, and what inference uses so that
-    /// estimating hundreds of candidate keys walks the grid once instead
-    /// of once per candidate.
-    fn estimate_grid_with_sums(&self, grid: &CounterGrid, key: u64, sums: &[i64]) -> i64 {
+    /// [`ReversibleHash::estimate`] with the per-stage sums precomputed;
+    /// bit-identical, and what inference uses so that estimating hundreds
+    /// of candidate keys walks the grid once instead of once per
+    /// candidate.
+    fn estimate_with_sums(&self, grid: &CounterGrid, key: u64, sums: &[i64]) -> i64 {
         debug_assert_eq!(grid.stages(), self.config.stages);
         debug_assert_eq!(grid.buckets(), self.config.buckets);
         debug_assert_eq!(sums.len(), self.config.stages);
         let mangled = self.mangler.mangle(key);
-        let m = self.config.buckets as f64;
-        let mut estimates: Vec<i64> = Vec::with_capacity(self.config.stages);
-        for ((stage, h), &stage_sum) in self.hashes.iter().enumerate().zip(sums) {
-            let v = grid.get(stage, h.bucket(mangled)) as f64;
-            let sum = stage_sum as f64;
-            estimates.push(((v - sum / m) / (1.0 - 1.0 / m)).round() as i64);
-        }
-        median_i64(&mut estimates)
+        let cells = self.hashes.iter().enumerate().zip(sums);
+        unbiased_median(
+            cells.map(|((stage, h), &sum)| (grid.get(stage, h.bucket(mangled)), sum)),
+            self.config.buckets,
+        )
     }
 
-    /// INFERENCE over the sketch's own counters: recover all keys whose
-    /// value is at least `threshold`.
-    pub fn infer(&self, threshold: i64, opts: &InferOptions) -> InferenceResult {
-        let verifier_grid = self.verifier.as_ref().map(KarySketch::grid);
-        self.infer_grid(&self.grid, verifier_grid, threshold, opts)
-    }
-
-    /// INFERENCE over an external grid (typically the forecast-error grid)
-    /// with an optional matching external verifier grid.
+    /// INFERENCE: recovers every key whose value in `grid` (typically the
+    /// forecast-error grid) is at least `threshold`.
     ///
-    /// `verifier_grid`, when given, must have the shape of this sketch's
-    /// verification sketch; keys whose verifier estimate falls below the
-    /// threshold are dropped and counted in
-    /// [`InferStats::rejected_by_verifier`].
-    pub fn infer_grid(
+    /// `verifier_grid`, when given, must have the shape of the verification
+    /// sketch; keys whose verifier estimate falls below the threshold are
+    /// dropped and counted in [`InferStats::rejected_by_verifier`].
+    pub fn infer(
         &self,
         grid: &CounterGrid,
         verifier_grid: Option<&CounterGrid>,
         threshold: i64,
         opts: &InferOptions,
     ) -> InferenceResult {
-        self.infer_grid_with(
+        self.infer_with(
             grid,
             verifier_grid,
             threshold,
@@ -391,10 +372,10 @@ impl ReversibleSketch {
         )
     }
 
-    /// [`ReversibleSketch::infer_grid`] with step 3's per-position
-    /// extension passed in, so the tests can run the byte-by-byte
-    /// reference through the same steps 1, 2 and 4.
-    fn infer_grid_with(
+    /// [`ReversibleHash::infer`] with step 3's per-position extension
+    /// passed in, so the tests can run the byte-by-byte reference through
+    /// the same steps 1, 2 and 4.
+    fn infer_with(
         &self,
         grid: &CounterGrid,
         verifier_grid: Option<&CounterGrid>,
@@ -451,7 +432,7 @@ impl ReversibleSketch {
             if !seen.insert(key) {
                 continue;
             }
-            let estimate = self.estimate_grid_with_sums(grid, key, &grid_sums);
+            let estimate = self.estimate_with_sums(grid, key, &grid_sums);
             if estimate < threshold {
                 stats.rejected_by_estimate = stats.rejected_by_estimate.saturating_add(1);
                 continue;
@@ -460,7 +441,7 @@ impl ReversibleSketch {
                 if let (Some(v), Some(vg), Some(vsums)) =
                     (&self.verifier, verifier_grid, &verifier_sums)
                 {
-                    if v.estimate_grid_with_sums(vg, key, vsums) < threshold {
+                    if v.estimate_with_sums(vg, key, vsums) < threshold {
                         stats.rejected_by_verifier = stats.rejected_by_verifier.saturating_add(1);
                         continue;
                     }
@@ -471,38 +452,88 @@ impl ReversibleSketch {
         keys.sort_by(|a, b| b.estimate.cmp(&a.estimate).then(a.key.cmp(&b.key)));
         InferenceResult { keys, stats }
     }
+}
+
+/// A reversible sketch over packed keys of a fixed bit width: a
+/// [`ReversibleHash`] and the main and verifier grids it records into.
+///
+/// See the [module documentation](self) for the algorithm; see
+/// [`RsConfig::paper_48bit`] / [`RsConfig::paper_64bit`] for the paper's
+/// parameterizations.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ReversibleSketch {
+    hash: ReversibleHash,
+    grid: CounterGrid,
+    verifier: Option<CounterGrid>,
+}
+
+impl ReversibleSketch {
+    /// Creates an empty reversible sketch.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReversibleHash::new`].
+    pub fn new(config: RsConfig) -> Result<Self, SketchError> {
+        Ok(ReversibleSketch {
+            hash: ReversibleHash::new(config)?,
+            grid: CounterGrid::new(config.stages, config.buckets),
+            verifier: config
+                .verifier_buckets
+                .map(|buckets| CounterGrid::new(config.stages, buckets)),
+        })
+    }
+
+    /// The hash family every read of this sketch's grids goes through.
+    pub fn hash(&self) -> &ReversibleHash {
+        &self.hash
+    }
+
+    /// UPDATE ([`ReversibleHash::update`]) into this sketch's grids.
+    #[inline]
+    pub fn update(&mut self, key: u64, delta: i64) {
+        self.hash
+            .update(&mut self.grid, self.verifier.as_mut(), key, delta);
+    }
+
+    /// Batched UPDATE ([`ReversibleHash::update_batch`]) into this
+    /// sketch's grids.
+    pub fn update_batch(&mut self, keys: &[u64], premixed: &[u64], deltas: &[i64]) {
+        self.hash.update_batch(
+            &mut self.grid,
+            self.verifier.as_mut(),
+            keys,
+            premixed,
+            deltas,
+        );
+    }
 
     /// Borrows the main counter grid.
     pub fn grid(&self) -> &CounterGrid {
         &self.grid
     }
 
-    /// Borrows the verification sketch, if configured.
-    pub fn verifier(&self) -> Option<&KarySketch> {
+    /// Borrows the verification sketch's counter grid, if configured.
+    pub fn verifier(&self) -> Option<&CounterGrid> {
         self.verifier.as_ref()
-    }
-
-    /// Total update mass.
-    pub fn total(&self) -> i64 {
-        self.total
     }
 
     /// Moves the main and verifier counters out ([`CounterGrid::take`]),
     /// leaving the sketch zeroed with its hash structure intact.
     pub fn take_counters(&mut self) -> (CounterGrid, Option<CounterGrid>) {
-        self.total = 0;
-        let verifier = self.verifier.as_mut().map(KarySketch::take_counters);
+        let verifier = self.verifier.as_mut().map(CounterGrid::take);
         (self.grid.take(), verifier)
     }
 
-    /// Memory footprint in bytes (grid + verifier grid), for Table 9.
+    /// Memory footprint in bytes (grid + verifier grid and hashes), for
+    /// Table 9.
     pub fn memory_bytes(&self) -> usize {
         self.grid.memory_bytes()
+            + self.verifier.as_ref().map_or(0, CounterGrid::memory_bytes)
             + self
+                .hash
                 .verifier
                 .as_ref()
-                .map(|v| v.memory_bytes())
-                .unwrap_or(0)
+                .map_or(0, KaryHash::memory_bytes)
     }
 
     /// Counter memory accesses per update: one per stage, plus the
@@ -510,12 +541,7 @@ impl ReversibleSketch {
     /// and 16 for its 64-bit hardware configuration; the software
     /// equivalent here is `2 × stages` when a verifier is attached.
     pub fn accesses_per_update(&self) -> usize {
-        self.config.stages
-            + self
-                .verifier
-                .as_ref()
-                .map(|v| v.accesses_per_update())
-                .unwrap_or(0)
+        self.hash.config.stages + self.hash.verifier.as_ref().map_or(0, |v| v.config().stages)
     }
 }
 
@@ -906,7 +932,9 @@ mod tests {
     fn recovers_single_heavy_key() {
         let mut rs = ReversibleSketch::new(small_cfg(1)).unwrap();
         rs.update(0x0102_0304_0506, 1000);
-        let result = rs.infer(500, &InferOptions::default());
+        let result = rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 500, &InferOptions::default());
         assert_eq!(result.keys.len(), 1);
         assert_eq!(result.keys[0].key, 0x0102_0304_0506);
         assert!(result.keys[0].estimate >= 990);
@@ -923,7 +951,9 @@ mod tests {
         for _ in 0..20_000 {
             rs.update(rng.next_u64() & ((1 << 48) - 1), 1);
         }
-        let result = rs.infer(300, &InferOptions::default());
+        let result = rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 300, &InferOptions::default());
         for &k in &heavy {
             assert!(
                 result.keys.iter().any(|hk| hk.key == k),
@@ -942,7 +972,9 @@ mod tests {
         for _ in 0..5000 {
             rs.update(rng.next_u64() & ((1 << 48) - 1), 1);
         }
-        let result = rs.infer(100, &InferOptions::default());
+        let result = rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 100, &InferOptions::default());
         assert!(result.keys.is_empty(), "got {:?}", result.keys);
     }
 
@@ -959,7 +991,9 @@ mod tests {
             rs.update(k, 1);
             rs.update(k, -1);
         }
-        let result = rs.infer(400, &InferOptions::default());
+        let result = rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 400, &InferOptions::default());
         assert!(result.keys.iter().any(|hk| hk.key == 0x0666_0000_0050));
     }
 
@@ -967,8 +1001,10 @@ mod tests {
     fn typed_inference_round_trips_flow_keys() {
         let mut rs = ReversibleSketch::new(small_cfg(7)).unwrap();
         let key = SipDport::new([204, 10, 110, 38].into(), 1433);
-        rs.update_key(&key, 900);
-        let result = rs.infer(100, &InferOptions::default());
+        rs.update(key.to_u64(), 900);
+        let result = rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 100, &InferOptions::default());
         let typed = result.typed::<SipDport>();
         assert_eq!(typed.len(), 1);
         assert_eq!(typed[0].0, key);
@@ -986,21 +1022,15 @@ mod tests {
         };
         let mut rs = ReversibleSketch::new(cfg).unwrap();
         let key = SipDip::new([1, 2, 3, 4].into(), [5, 6, 7, 8].into());
-        rs.update_key(&key, 700);
+        rs.update(key.to_u64(), 700);
         let mut rng = SplitMix64::new(12);
         for _ in 0..10_000 {
             rs.update(rng.next_u64(), 1);
         }
-        let result = rs.infer(300, &InferOptions::default());
+        let result = rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 300, &InferOptions::default());
         assert!(result.typed::<SipDip>().iter().any(|(k, _)| *k == key));
-    }
-
-    #[test]
-    #[should_panic(expected = "flow key width")]
-    fn update_key_rejects_wrong_width() {
-        let mut rs = ReversibleSketch::new(small_cfg(8)).unwrap();
-        let key = SipDip::new([1, 1, 1, 1].into(), [2, 2, 2, 2].into()); // 64-bit
-        rs.update_key(&key, 1);
     }
 
     #[test]
@@ -1022,11 +1052,8 @@ mod tests {
                 premixed.update_batch(&[k], &[PairwiseHasher::premix(k)], &[v]);
             }
             assert_eq!(premixed.grid(), plain.grid());
-            assert_eq!(
-                premixed.verifier().map(|v| v.grid()),
-                plain.verifier().map(|v| v.grid())
-            );
-            assert_eq!(premixed.total(), plain.total());
+            assert_eq!(premixed.verifier(), plain.verifier());
+            assert_eq!(premixed.grid().stage_sum(0), plain.grid().stage_sum(0));
         }
     }
 
@@ -1055,12 +1082,12 @@ mod tests {
                 }
                 batched.update_batch(&keys, &premixed, &deltas);
                 assert_eq!(batched.grid(), serial.grid(), "batch of {len}");
+                assert_eq!(batched.verifier(), serial.verifier(), "batch of {len}");
                 assert_eq!(
-                    batched.verifier().map(|v| v.grid()),
-                    serial.verifier().map(|v| v.grid()),
+                    batched.grid().stage_sum(0),
+                    serial.grid().stage_sum(0),
                     "batch of {len}"
                 );
-                assert_eq!(batched.total(), serial.total(), "batch of {len}");
             }
         }
     }
@@ -1086,17 +1113,25 @@ mod tests {
         merged.update(0x0042_0042_0042, 600);
         let mut sum = a.grid().clone();
         sum.add_assign_many(&[b.grid()]).unwrap();
-        let mut verifier_sum = a.verifier().unwrap().grid().clone();
+        let mut verifier_sum = a.verifier().unwrap().clone();
         verifier_sum
-            .add_assign_many(&[b.verifier().unwrap().grid()])
+            .add_assign_many(&[b.verifier().unwrap()])
             .unwrap();
         assert_eq!(&sum, merged.grid());
-        assert_eq!(&verifier_sum, merged.verifier().unwrap().grid());
-        assert_eq!(a.total() + b.total(), merged.total());
+        assert_eq!(&verifier_sum, merged.verifier().unwrap());
+        assert_eq!(
+            a.grid().stage_sum(0) + b.grid().stage_sum(0),
+            merged.grid().stage_sum(0)
+        );
         // INFERENCE on the sum is INFERENCE on the merged stream.
         let opts = InferOptions::default();
-        let result = merged.infer_grid(&sum, Some(&verifier_sum), 500, &opts);
-        assert_eq!(result, merged.infer(500, &opts));
+        let result = merged.hash().infer(&sum, Some(&verifier_sum), 500, &opts);
+        assert_eq!(
+            result,
+            merged
+                .hash()
+                .infer(merged.grid(), merged.verifier(), 500, &opts)
+        );
         assert!(result.keys.iter().any(|hk| hk.key == 0x0042_0042_0042));
     }
 
@@ -1120,11 +1155,10 @@ mod tests {
             CounterGrid::from_data(c.stages(), c.buckets(), data).unwrap()
         };
         let error = minus(curr.grid(), prev.grid());
-        let verr = minus(
-            curr.verifier().unwrap().grid(),
-            prev.verifier().unwrap().grid(),
-        );
-        let result = curr.infer_grid(&error, Some(&verr), 250, &InferOptions::default());
+        let verr = minus(curr.verifier().unwrap(), prev.verifier().unwrap());
+        let result = curr
+            .hash()
+            .infer(&error, Some(&verr), 250, &InferOptions::default());
         assert_eq!(result.keys.len(), 1);
         assert_eq!(result.keys[0].key, 0x0777_0000_1389);
     }
@@ -1141,7 +1175,7 @@ mod tests {
             max_candidates: 64,
             ..InferOptions::default()
         };
-        let result = rs.infer(50, &opts);
+        let result = rs.hash().infer(rs.grid(), rs.verifier(), 50, &opts);
         assert!(result.stats.truncated);
     }
 
@@ -1151,7 +1185,9 @@ mod tests {
         cfg.mangle = false;
         let mut rs = ReversibleSketch::new(cfg).unwrap();
         rs.update(0x0101_0101_0101, 400);
-        let result = rs.infer(200, &InferOptions::default());
+        let result = rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 200, &InferOptions::default());
         assert!(result.keys.iter().any(|hk| hk.key == 0x0101_0101_0101));
     }
 
@@ -1160,15 +1196,19 @@ mod tests {
         let mut rs = ReversibleSketch::new(small_cfg(50)).unwrap();
         rs.update(1, 100);
         let grid = rs.grid().clone();
-        let verifier = rs.verifier().map(|v| v.grid().clone());
+        let verifier = rs.verifier().cloned();
         assert!(verifier.is_some());
         assert_eq!(rs.take_counters(), (grid, verifier));
-        assert_eq!(rs.total(), 0);
+        assert_eq!(rs.grid().stage_sum(0), 0);
         assert!(rs.grid().is_zero());
         assert!(rs
             .verifier()
-            .is_some_and(|v| v.total() == 0 && v.grid().is_zero()));
-        assert!(rs.infer(50, &InferOptions::default()).keys.is_empty());
+            .is_some_and(|v| v.stage_sum(0) == 0 && v.is_zero()));
+        assert!(rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 50, &InferOptions::default())
+            .keys
+            .is_empty());
     }
 
     #[test]
@@ -1186,7 +1226,9 @@ mod tests {
     fn stats_track_search_effort() {
         let mut rs = ReversibleSketch::new(small_cfg(60)).unwrap();
         rs.update(0x00AB_CDEF_0123, 300);
-        let result = rs.infer(100, &InferOptions::default());
+        let result = rs
+            .hash()
+            .infer(rs.grid(), rs.verifier(), 100, &InferOptions::default());
         assert_eq!(result.stats.heavy_buckets.len(), 6);
         assert!(result.stats.candidates_explored > 0);
         assert!(!result.stats.truncated);
@@ -1202,9 +1244,9 @@ mod tests {
         threshold: i64,
         opts: &InferOptions,
     ) -> InferenceResult {
-        let verifier = rs.verifier().map(KarySketch::grid);
-        let factored = rs.infer_grid(grid, verifier, threshold, opts);
-        let reference = rs.infer_grid_with(
+        let verifier = rs.verifier();
+        let factored = rs.hash().infer(grid, verifier, threshold, opts);
+        let reference = rs.hash().infer_with(
             grid,
             verifier,
             threshold,

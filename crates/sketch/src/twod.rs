@@ -66,33 +66,22 @@ pub enum ColumnShape {
     Dispersed,
 }
 
-/// A two-dimensional k-ary sketch.
+/// The hash family of a two-dimensional sketch: its configuration and one
+/// x/y pairwise hash pair per matrix.
 ///
-/// # Example
-///
-/// ```
-/// use hifind_sketch::{ColumnShape, TwoDConfig, TwoDSketch};
-///
-/// let mut s = TwoDSketch::new(TwoDConfig::paper(5)).unwrap();
-/// // Flooding: one x-key, one y value, lots of mass.
-/// for _ in 0..500 { s.update(42, 80, 1); }
-/// assert_eq!(s.classify(42, 5, 0.8), ColumnShape::Concentrated);
-/// // Vertical scan: one x-key, many y values.
-/// for port in 0..500 { s.update(77, port, 1); }
-/// assert_eq!(s.classify(77, 5, 0.8), ColumnShape::Dispersed);
-/// ```
+/// It holds no counters. UPDATE, the column reads and the paper's
+/// classifier are defined here once and work on whatever grid they are
+/// given — a sketch's own, a recorder's, a COMBINE sum or a
+/// forecast-error grid.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TwoDSketch {
+pub struct TwoDHash {
     config: TwoDConfig,
     x_hashers: Vec<PairwiseHasher>,
     y_hashers: Vec<PairwiseHasher>,
-    /// Stage s, cell (x, y) ↦ grid bucket `x * y_buckets + y`.
-    grid: CounterGrid,
-    total: i64,
 }
 
-impl TwoDSketch {
-    /// Creates an empty 2D sketch.
+impl TwoDHash {
+    /// Derives the per-matrix hash pairs from the configuration's seed.
     ///
     /// # Errors
     ///
@@ -107,44 +96,42 @@ impl TwoDSketch {
         let y_hashers = (0..config.stages)
             .map(|i| PairwiseHasher::new(&mut rng.fork(2 * i as u64 + 1), config.y_buckets))
             .collect();
-        Ok(TwoDSketch {
+        Ok(TwoDHash {
             config,
             x_hashers,
             y_hashers,
-            grid: CounterGrid::new(config.stages, config.x_buckets * config.y_buckets),
-            total: 0,
         })
     }
 
-    /// The configuration this sketch was built with.
+    /// The configuration the hashes were derived from.
     pub fn config(&self) -> &TwoDConfig {
         &self.config
     }
 
-    /// UPDATE: adds `delta` at (x-key, y-key) in every matrix — one memory
-    /// access per matrix (paper §5.5.2: 5 accesses per packet).
+    /// UPDATE into `grid`: adds `delta` at (x-key, y-key) in every matrix
+    /// — one memory access per matrix (paper §5.5.2: 5 accesses per
+    /// packet).
     ///
     /// The per-key primitive and the scalar reference for
-    /// [`TwoDSketch::update_batch_premixed`], which is what the record
-    /// plane calls.
+    /// [`TwoDHash::update_batch_premixed`], which is what the record plane
+    /// calls.
     #[inline]
-    pub fn update(&mut self, x_key: u64, y_key: u64, delta: i64) {
+    pub fn update(&self, grid: &mut CounterGrid, x_key: u64, y_key: u64, delta: i64) {
         let x_premixed = PairwiseHasher::premix(x_key);
         let y_premixed = PairwiseHasher::premix(y_key);
         for stage in 0..self.config.stages {
             let x = self.x_hashers[stage].bucket_premixed(x_premixed);
             let y = self.y_hashers[stage].bucket_premixed(y_premixed);
-            self.grid.add(stage, x * self.config.y_buckets + y, delta);
+            grid.add(stage, x * self.config.y_buckets + y, delta);
         }
-        self.total = self.total.saturating_add(delta);
     }
 
     /// Batched UPDATE: applies `deltas[i]` at `(x_premixed[i],
-    /// y_premixed[i])`, bit-identical to calling [`TwoDSketch::update`]
+    /// y_premixed[i])`, bit-identical to calling [`TwoDHash::update`]
     /// once per element (on the keys the columns were mixed from) in order.
     ///
     /// Stage-major over [`UPDATE_CHUNK`]-packet runs like
-    /// [`crate::KarySketch::update_batch_premixed`]: a first pass finishes
+    /// [`crate::KaryHash::update_batch_premixed`]: a first pass finishes
     /// the chunk's x- and y-bucket indices for every stage (two kernel
     /// calls each), folds them into flat matrix indices and prefetches all
     /// of the touched cells, then the scatter pass applies the saturating
@@ -152,7 +139,8 @@ impl TwoDSketch {
     /// delta order matches the serial path (each cell lives in one stage;
     /// within a stage packets apply in order).
     pub fn update_batch_premixed(
-        &mut self,
+        &self,
+        grid: &mut CounterGrid,
         x_premixed: &[u64],
         y_premixed: &[u64],
         deltas: &[i64],
@@ -181,35 +169,27 @@ impl TwoDSketch {
                 for ((flat, &x), &y) in buf.iter_mut().zip(&xi[..xs.len()]).zip(&yi[..ys.len()]) {
                     *flat = x * y_buckets as u64 + y;
                 }
-                kernel.prefetch_buckets(self.grid.stage(stage), buf);
+                kernel.prefetch_buckets(grid.stage(stage), buf);
             }
             for stage in 0..stages {
-                let row = self.grid.stage_mut(stage);
+                let row = grid.stage_mut(stage);
                 for (&flat, &d) in idx[stage * UPDATE_CHUNK..][..xs.len()].iter().zip(del) {
                     let cell = &mut row[flat as usize];
                     *cell = cell.saturating_add(d);
                 }
-            }
-            for &d in del {
-                self.total = self.total.saturating_add(d);
             }
             start = end;
         }
     }
 
     /// The column of `y_buckets` cell values selected by `x_key` in one
-    /// matrix.
+    /// matrix of `grid`.
     ///
     /// # Panics
     ///
-    /// Panics if `stage >= config.stages`.
-    pub fn column(&self, stage: usize, x_key: u64) -> Vec<i64> {
-        self.column_grid(&self.grid, stage, x_key)
-    }
-
-    /// [`TwoDSketch::column`] against an external grid of this sketch's
-    /// shape (e.g. an aggregated or forecast-error grid).
-    pub fn column_grid(&self, grid: &CounterGrid, stage: usize, x_key: u64) -> Vec<i64> {
+    /// Panics if `stage >= config.stages`, and in debug builds if the grid
+    /// shape differs from the configuration's.
+    pub fn column(&self, grid: &CounterGrid, stage: usize, x_key: u64) -> Vec<i64> {
         debug_assert_eq!(grid.stages(), self.config.stages);
         debug_assert_eq!(
             grid.buckets(),
@@ -227,12 +207,7 @@ impl TwoDSketch {
     /// into the column — are ignored so they cannot hide attack mass).
     ///
     /// Returns `None` for a matrix whose column has no positive mass.
-    pub fn concentration(&self, stage: usize, x_key: u64, top_p: usize) -> Option<f64> {
-        self.concentration_grid(&self.grid, stage, x_key, top_p)
-    }
-
-    /// [`TwoDSketch::concentration`] against an external grid.
-    pub fn concentration_grid(
+    pub fn concentration(
         &self,
         grid: &CounterGrid,
         stage: usize,
@@ -240,7 +215,7 @@ impl TwoDSketch {
         top_p: usize,
     ) -> Option<f64> {
         let mut col: Vec<i64> = self
-            .column_grid(grid, stage, x_key)
+            .column(grid, stage, x_key)
             .into_iter()
             .filter(|&v| v > 0)
             .collect();
@@ -259,22 +234,11 @@ impl TwoDSketch {
     /// Matrices with empty columns abstain; an x-key with no recorded mass
     /// at all classifies as [`ColumnShape::Concentrated`] (vacuously — a
     /// single unresponded service lookup is not a scan).
-    pub fn classify(&self, x_key: u64, top_p: usize, phi: f64) -> ColumnShape {
-        self.classify_grid(&self.grid, x_key, top_p, phi)
-    }
-
-    /// [`TwoDSketch::classify`] against an external grid.
-    pub fn classify_grid(
-        &self,
-        grid: &CounterGrid,
-        x_key: u64,
-        top_p: usize,
-        phi: f64,
-    ) -> ColumnShape {
+    pub fn classify(&self, grid: &CounterGrid, x_key: u64, top_p: usize, phi: f64) -> ColumnShape {
         let mut concentrated = 0usize;
         let mut dispersed = 0usize;
         for stage in 0..self.config.stages {
-            match self.concentration_grid(grid, stage, x_key, top_p) {
+            match self.concentration(grid, stage, x_key, top_p) {
                 Some(ratio) if ratio > phi => concentrated = concentrated.saturating_add(1),
                 Some(_) => dispersed = dispersed.saturating_add(1),
                 None => {}
@@ -289,16 +253,11 @@ impl TwoDSketch {
 
     /// An estimate of how many distinct y-buckets the x-key's updates
     /// touched: the median over matrices of the count of positive cells in
-    /// the selected column. Used for Figure 4 (unique-port distribution).
-    pub fn active_y_buckets(&self, x_key: u64) -> usize {
-        self.active_y_buckets_grid(&self.grid, x_key)
-    }
-
-    /// [`TwoDSketch::active_y_buckets`] against an external grid.
-    pub fn active_y_buckets_grid(&self, grid: &CounterGrid, x_key: u64) -> usize {
+    /// the selected column.
+    pub fn active_y_buckets(&self, grid: &CounterGrid, x_key: u64) -> usize {
         let mut counts: Vec<usize> = (0..self.config.stages)
             .map(|s| {
-                self.column_grid(grid, s, x_key)
+                self.column(grid, s, x_key)
                     .iter()
                     .filter(|&&v| v > 0)
                     .count()
@@ -307,21 +266,75 @@ impl TwoDSketch {
         counts.sort_unstable();
         counts[counts.len() / 2]
     }
+}
+
+/// A two-dimensional k-ary sketch: a [`TwoDHash`] and the counter grid it
+/// records into.
+///
+/// # Example
+///
+/// ```
+/// use hifind_sketch::{ColumnShape, TwoDConfig, TwoDSketch};
+///
+/// let mut s = TwoDSketch::new(TwoDConfig::paper(5)).unwrap();
+/// // Flooding: one x-key, one y value, lots of mass.
+/// for _ in 0..500 { s.update(42, 80, 1); }
+/// assert_eq!(s.hash().classify(s.grid(), 42, 5, 0.8), ColumnShape::Concentrated);
+/// // Vertical scan: one x-key, many y values.
+/// for port in 0..500 { s.update(77, port, 1); }
+/// assert_eq!(s.hash().classify(s.grid(), 77, 5, 0.8), ColumnShape::Dispersed);
+/// ```
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct TwoDSketch {
+    hash: TwoDHash,
+    /// Stage s, cell (x, y) ↦ grid bucket `x * y_buckets + y`.
+    grid: CounterGrid,
+}
+
+impl TwoDSketch {
+    /// Creates an empty 2D sketch.
+    ///
+    /// # Errors
+    ///
+    /// As [`TwoDHash::new`].
+    pub fn new(config: TwoDConfig) -> Result<Self, SketchError> {
+        Ok(TwoDSketch {
+            hash: TwoDHash::new(config)?,
+            grid: CounterGrid::new(config.stages, config.x_buckets * config.y_buckets),
+        })
+    }
+
+    /// The hash family every read of this sketch's grid goes through.
+    pub fn hash(&self) -> &TwoDHash {
+        &self.hash
+    }
+
+    /// UPDATE ([`TwoDHash::update`]) into this sketch's grid.
+    #[inline]
+    pub fn update(&mut self, x_key: u64, y_key: u64, delta: i64) {
+        self.hash.update(&mut self.grid, x_key, y_key, delta);
+    }
+
+    /// Batched UPDATE ([`TwoDHash::update_batch_premixed`]) into this
+    /// sketch's grid.
+    pub fn update_batch_premixed(
+        &mut self,
+        x_premixed: &[u64],
+        y_premixed: &[u64],
+        deltas: &[i64],
+    ) {
+        self.hash
+            .update_batch_premixed(&mut self.grid, x_premixed, y_premixed, deltas);
+    }
 
     /// Borrows the underlying grid (stage × (x·Ky + y)).
     pub fn grid(&self) -> &CounterGrid {
         &self.grid
     }
 
-    /// Total update mass.
-    pub fn total(&self) -> i64 {
-        self.total
-    }
-
     /// Moves the counters out ([`CounterGrid::take`]), leaving the sketch
     /// zeroed with its hash functions intact.
     pub fn take_counters(&mut self) -> CounterGrid {
-        self.total = 0;
         self.grid.take()
     }
 
@@ -332,7 +345,7 @@ impl TwoDSketch {
 
     /// Counter memory accesses per update (one per matrix).
     pub fn accesses_per_update(&self) -> usize {
-        self.config.stages
+        self.hash.config.stages
     }
 }
 
@@ -374,13 +387,19 @@ mod tests {
         for _ in 0..1000 {
             s.update(0xF100D, 80, 1);
         }
-        assert_eq!(s.classify(0xF100D, 5, 0.8), ColumnShape::Concentrated);
+        assert_eq!(
+            s.hash().classify(s.grid(), 0xF100D, 5, 0.8),
+            ColumnShape::Concentrated
+        );
         // Two ports is still concentrated.
         let mut s2 = small();
         for i in 0..1000 {
             s2.update(0xF200D, if i % 2 == 0 { 80 } else { 443 }, 1);
         }
-        assert_eq!(s2.classify(0xF200D, 5, 0.8), ColumnShape::Concentrated);
+        assert_eq!(
+            s2.hash().classify(s2.grid(), 0xF200D, 5, 0.8),
+            ColumnShape::Concentrated
+        );
     }
 
     #[test]
@@ -389,7 +408,10 @@ mod tests {
         for port in 1..=1024u64 {
             s.update(0x5CA9, port, 1);
         }
-        assert_eq!(s.classify(0x5CA9, 5, 0.8), ColumnShape::Dispersed);
+        assert_eq!(
+            s.hash().classify(s.grid(), 0x5CA9, 5, 0.8),
+            ColumnShape::Dispersed
+        );
     }
 
     #[test]
@@ -405,15 +427,24 @@ mod tests {
         for port in 0..2000u64 {
             s.update(0x5CA9, port, 1);
         }
-        assert_eq!(s.classify(0xF100D, 5, 0.8), ColumnShape::Concentrated);
-        assert_eq!(s.classify(0x5CA9, 5, 0.8), ColumnShape::Dispersed);
+        assert_eq!(
+            s.hash().classify(s.grid(), 0xF100D, 5, 0.8),
+            ColumnShape::Concentrated
+        );
+        assert_eq!(
+            s.hash().classify(s.grid(), 0x5CA9, 5, 0.8),
+            ColumnShape::Dispersed
+        );
     }
 
     #[test]
     fn unknown_key_is_vacuously_concentrated() {
         let s = small();
-        assert_eq!(s.classify(123456, 5, 0.8), ColumnShape::Concentrated);
-        assert_eq!(s.concentration(0, 123456, 5), None);
+        assert_eq!(
+            s.hash().classify(s.grid(), 123456, 5, 0.8),
+            ColumnShape::Concentrated
+        );
+        assert_eq!(s.hash().concentration(s.grid(), 0, 123456, 5), None);
     }
 
     #[test]
@@ -426,7 +457,10 @@ mod tests {
         for _ in 0..100 {
             s.update(0xBEEF, 4444, 1);
         }
-        assert_eq!(s.classify(0xBEEF, 5, 0.8), ColumnShape::Concentrated);
+        assert_eq!(
+            s.hash().classify(s.grid(), 0xBEEF, 5, 0.8),
+            ColumnShape::Concentrated
+        );
     }
 
     #[test]
@@ -435,14 +469,14 @@ mod tests {
         for port in 0..40u64 {
             s.update(0xAA, port, 3);
         }
-        let active = s.active_y_buckets(0xAA);
+        let active = s.hash().active_y_buckets(s.grid(), 0xAA);
         assert!(
             (30..=40).contains(&active),
             "expected ~40 active buckets (minus collisions), got {active}"
         );
         let mut s2 = small();
         s2.update(0xBB, 80, 100);
-        assert_eq!(s2.active_y_buckets(0xBB), 1);
+        assert_eq!(s2.hash().active_y_buckets(s2.grid(), 0xBB), 1);
     }
 
     #[test]
@@ -452,7 +486,7 @@ mod tests {
             s.update(0xC0, 80, 2);
         }
         for stage in 0..5 {
-            let col = s.column(stage, 0xC0);
+            let col = s.hash().column(s.grid(), stage, 0xC0);
             assert_eq!(col.iter().sum::<i64>(), 14);
         }
     }
@@ -483,19 +517,22 @@ mod tests {
         let mut sum = a.grid().clone();
         sum.add_assign_many(&[b.grid()]).unwrap();
         assert_eq!(&sum, merged.grid());
-        assert_eq!(a.total() + b.total(), merged.total());
+        assert_eq!(
+            a.grid().stage_sum(0) + b.grid().stage_sum(0),
+            merged.grid().stage_sum(0)
+        );
         for x in (0..100).chain([500, 600]) {
             assert_eq!(
-                merged.classify_grid(&sum, x, 2, 0.8),
-                merged.classify(x, 2, 0.8)
+                merged.hash().classify(&sum, x, 2, 0.8),
+                merged.hash().classify(merged.grid(), x, 2, 0.8)
             );
         }
         assert_eq!(
-            merged.classify_grid(&sum, 500, 2, 0.8),
+            merged.hash().classify(&sum, 500, 2, 0.8),
             ColumnShape::Dispersed
         );
         assert_eq!(
-            merged.classify_grid(&sum, 600, 2, 0.8),
+            merged.hash().classify(&sum, 600, 2, 0.8),
             ColumnShape::Concentrated
         );
     }
@@ -518,7 +555,7 @@ mod tests {
             );
         }
         assert_eq!(premixed.grid(), plain.grid());
-        assert_eq!(premixed.total(), plain.total());
+        assert_eq!(premixed.grid().stage_sum(0), plain.grid().stage_sum(0));
     }
 
     #[test]
@@ -546,7 +583,11 @@ mod tests {
             }
             batched.update_batch_premixed(&xs, &ys, &deltas);
             assert_eq!(batched.grid(), serial.grid(), "batch of {len}");
-            assert_eq!(batched.total(), serial.total(), "batch of {len}");
+            assert_eq!(
+                batched.grid().stage_sum(0),
+                serial.grid().stage_sum(0),
+                "batch of {len}"
+            );
         }
     }
 
@@ -564,7 +605,7 @@ mod tests {
         s.update(1, 2, 3);
         let expected = s.grid().clone();
         assert_eq!(s.take_counters(), expected);
-        assert_eq!(s.total(), 0);
+        assert_eq!(s.grid().stage_sum(0), 0);
         assert!(s.grid().is_zero());
         s.update(1, 2, 3);
         assert_eq!(s.grid(), &expected);

@@ -30,7 +30,7 @@ fn mean_abs_error(buckets: usize, noise: usize, seed: u64) -> f64 {
     }
     truth
         .iter()
-        .map(|&(k, v)| (s.estimate(k) - v).abs() as f64)
+        .map(|&(k, v)| (s.hash().estimate(s.grid(), k) - v).abs() as f64)
         .sum::<f64>()
         / truth.len() as f64
 }
@@ -78,7 +78,7 @@ fn unbiased_estimator_centers_on_truth() {
     }
     let signed_mean = truth
         .iter()
-        .map(|&(k, v)| (s.estimate(k) - v) as f64)
+        .map(|&(k, v)| (s.hash().estimate(s.grid(), k) - v) as f64)
         .sum::<f64>()
         / truth.len() as f64;
     assert!(
@@ -103,7 +103,9 @@ fn inference_recall_and_precision_at_paper_config() {
     for _ in 0..200_000 {
         rs.update(rng.next_u64() & ((1 << 48) - 1), 1);
     }
-    let result = rs.infer(250, &InferOptions::default());
+    let result = rs
+        .hash()
+        .infer(rs.grid(), rs.verifier(), 250, &InferOptions::default());
     let found = heavy
         .iter()
         .filter(|&&k| result.keys.iter().any(|hk| hk.key == k))
@@ -140,7 +142,9 @@ fn inference_handles_many_heavy_keys() {
     for _ in 0..200_000 {
         rs.update(rng.next_u64() & ((1 << 48) - 1), 1);
     }
-    let result = rs.infer(500, &InferOptions::default());
+    let result = rs
+        .hash()
+        .infer(rs.grid(), rs.verifier(), 500, &InferOptions::default());
     let found = heavy
         .iter()
         .filter(|&&k| result.keys.iter().any(|hk| hk.key == k))
@@ -178,7 +182,8 @@ fn verifier_reduces_false_positives_under_overload() {
             max_candidates: 1 << 13,
             ..InferOptions::default()
         };
-        rs.infer(1000, &opts)
+        rs.hash()
+            .infer(rs.grid(), rs.verifier(), 1000, &opts)
             .keys
             .iter()
             .filter(|hk| !heavy.contains(&hk.key))

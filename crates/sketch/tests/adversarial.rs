@@ -41,12 +41,14 @@ fn spoofed_flood_does_not_mask_real_attack() {
     }
     // Expected flood mass per bucket: 1e6 / 4096 ≈ 244 — well under the
     // attack's 1000. The unbiased estimator subtracts that baseline.
-    let est = rs.estimate(attack_key);
+    let est = rs.hash().estimate(rs.grid(), attack_key);
     assert!(
         (est - 1000).abs() < 300,
         "estimate {est} drifted too far under flood"
     );
-    let result = rs.infer(600, &InferOptions::default());
+    let result = rs
+        .hash()
+        .infer(rs.grid(), rs.verifier(), 600, &InferOptions::default());
     assert!(
         result.keys.iter().any(|hk| hk.key == attack_key),
         "inference lost the real attack under the flood: {result:?}"
@@ -136,7 +138,7 @@ fn inference_survives_everything_heavy() {
         max_candidates: 5_000,
         ..InferOptions::default()
     };
-    let result = rs.infer(100, &opts);
+    let result = rs.hash().infer(rs.grid(), rs.verifier(), 100, &opts);
     assert!(result.stats.truncated);
     assert!(result.keys.len() <= 5_001);
 }

@@ -187,7 +187,11 @@ fn record_estimate_combine(
         .iter()
         .take(8)
         .chain([0u64, 1 << 20, (1 << 48) - 1].iter())
-        .map(|&k| rs.estimate(k).wrapping_add(kary.estimate(k)))
+        .map(|&k| {
+            rs.hash()
+                .estimate(rs.grid(), k)
+                .wrapping_add(kary.hash().estimate(kary.grid(), k))
+        })
         .collect();
     // COMBINE: fold shifted copies of the k-ary grid into the reversible
     // grid's shape-mate via the cache-blocked kernel path, plus an

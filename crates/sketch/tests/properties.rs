@@ -39,15 +39,15 @@ proptest! {
         }
         let mut sum = a.grid().clone();
         sum.add_assign_many(&[b.grid()]).unwrap();
-        let mut verifier_sum = a.verifier().unwrap().grid().clone();
-        verifier_sum.add_assign_many(&[b.verifier().unwrap().grid()]).unwrap();
+        let mut verifier_sum = a.verifier().unwrap().clone();
+        verifier_sum.add_assign_many(&[b.verifier().unwrap()]).unwrap();
         prop_assert_eq!(&sum, merged.grid());
-        prop_assert_eq!(&verifier_sum, merged.verifier().unwrap().grid());
-        prop_assert_eq!(a.total() + b.total(), merged.total());
+        prop_assert_eq!(&verifier_sum, merged.verifier().unwrap());
+        prop_assert_eq!(a.grid().stage_sum(0) + b.grid().stage_sum(0), merged.grid().stage_sum(0));
         let opts = InferOptions::default();
         prop_assert_eq!(
-            merged.infer_grid(&sum, Some(&verifier_sum), 150, &opts),
-            merged.infer(150, &opts)
+            merged.hash().infer(&sum, Some(&verifier_sum), 150, &opts),
+            merged.hash().infer(merged.grid(), merged.verifier(), 150, &opts)
         );
     }
 
@@ -67,7 +67,7 @@ proptest! {
                 s.update(n, 1);
             }
         }
-        prop_assert!(s.raw_estimate(key) >= true_value);
+        prop_assert!(s.hash().raw_estimate(s.grid(), key) >= true_value);
     }
 
     /// A single recorded key is recovered exactly by inference and its
@@ -77,7 +77,7 @@ proptest! {
         let key = key & ((1 << 48) - 1);
         let mut rs = small_rs(seed);
         rs.update(key, value);
-        let result = rs.infer(value / 2, &InferOptions::default());
+        let result = rs.hash().infer(rs.grid(), rs.verifier(), value / 2, &InferOptions::default());
         prop_assert_eq!(result.keys.len(), 1);
         prop_assert_eq!(result.keys[0].key, key);
         prop_assert!((result.keys[0].estimate - value).abs() <= 2);
@@ -95,7 +95,7 @@ proptest! {
         for &(k, v) in &updates {
             rs.update(k & ((1 << 48) - 1), v);
         }
-        let result = rs.infer(threshold, &InferOptions::default());
+        let result = rs.hash().infer(rs.grid(), rs.verifier(), threshold, &InferOptions::default());
         for hk in &result.keys {
             prop_assert!(hk.estimate >= threshold);
         }
@@ -115,7 +115,7 @@ proptest! {
             rs.update(k & ((1 << 48) - 1), -v);
         }
         prop_assert!(rs.grid().is_zero());
-        prop_assert_eq!(rs.total(), 0);
+        prop_assert_eq!(rs.grid().stage_sum(0), 0);
     }
 
     /// 2D sketch: column mass equals recorded mass for an isolated x-key.
@@ -128,7 +128,7 @@ proptest! {
             mass += v;
         }
         for stage in 0..5 {
-            prop_assert_eq!(s.column(stage, x).iter().sum::<i64>(), mass);
+            prop_assert_eq!(s.hash().column(s.grid(), stage, x).iter().sum::<i64>(), mass);
         }
     }
 
@@ -151,9 +151,9 @@ proptest! {
         let mut sum = a.grid().clone();
         sum.add_assign_many(&[b.grid()]).unwrap();
         prop_assert_eq!(&sum, merged.grid());
-        prop_assert_eq!(a.total() + b.total(), merged.total());
+        prop_assert_eq!(a.grid().stage_sum(0) + b.grid().stage_sum(0), merged.grid().stage_sum(0));
         for &(x, _, _) in &updates {
-            prop_assert_eq!(merged.classify_grid(&sum, x, 2, 0.8), merged.classify(x, 2, 0.8));
+            prop_assert_eq!(merged.hash().classify(&sum, x, 2, 0.8), merged.hash().classify(merged.grid(), x, 2, 0.8));
         }
     }
 }

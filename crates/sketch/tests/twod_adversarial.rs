@@ -20,7 +20,10 @@ fn decoy_ports_do_not_disguise_flooding() {
     for port in 0..20u64 {
         s.update(x, 1000 + port, 20);
     }
-    assert_eq!(s.classify(x, 5, 0.8), ColumnShape::Concentrated);
+    assert_eq!(
+        s.hash().classify(s.grid(), x, 5, 0.8),
+        ColumnShape::Concentrated
+    );
 }
 
 /// Conversely, a vertical scanner concentrating 30% of probes on one port
@@ -35,7 +38,10 @@ fn skewed_vertical_scan_still_dispersed() {
     for port in 0..1400u64 {
         s.update(x, port, 1);
     }
-    assert_eq!(s.classify(x, 5, 0.8), ColumnShape::Dispersed);
+    assert_eq!(
+        s.hash().classify(s.grid(), x, 5, 0.8),
+        ColumnShape::Dispersed
+    );
 }
 
 /// An attacker flooding *other* x-keys that collide into the same columns
@@ -50,7 +56,10 @@ fn column_pollution_does_not_transfer_across_matrices() {
     for port in 0..500u64 {
         s.update(scan_key, port, 1);
     }
-    assert_eq!(s.classify(scan_key, 5, 0.8), ColumnShape::Dispersed);
+    assert_eq!(
+        s.hash().classify(s.grid(), scan_key, 5, 0.8),
+        ColumnShape::Dispersed
+    );
     // Adversarial pollution: a million updates from random x-keys on one
     // port. Some land in scan_key's column in *one* matrix, but the
     // majority vote over 5 independent matrices holds.
@@ -59,7 +68,7 @@ fn column_pollution_does_not_transfer_across_matrices() {
         s.update(rng.next_u64(), 80, 1);
     }
     assert_eq!(
-        s.classify(scan_key, 5, 0.8),
+        s.hash().classify(s.grid(), scan_key, 5, 0.8),
         ColumnShape::Dispersed,
         "random-key pollution must not flip the majority vote"
     );
@@ -79,5 +88,8 @@ fn negative_mass_cannot_hide_flooding() {
     for port in 0..63u64 {
         s.update(x, 200 + port, -50);
     }
-    assert_eq!(s.classify(x, 5, 0.8), ColumnShape::Concentrated);
+    assert_eq!(
+        s.hash().classify(s.grid(), x, 5, 0.8),
+        ColumnShape::Concentrated
+    );
 }

@@ -64,14 +64,16 @@ fn main() {
     }
 
     // INFERENCE: reconstruct the heavy keys from the counters alone.
-    let result = rs.infer(300, &InferOptions::default());
+    let result = rs
+        .hash()
+        .infer(rs.grid(), rs.verifier(), 300, &InferOptions::default());
     println!(
         "inference explored {} candidates over heavy buckets {:?}",
         result.stats.candidates_explored, result.stats.heavy_buckets
     );
     println!("\nrecovered culprit keys:");
     for (key, estimate) in result.typed::<SipDport>() {
-        let shape = twod.classify(key.to_u64(), 5, 0.8);
+        let shape = twod.hash().classify(twod.grid(), key.to_u64(), 5, 0.8);
         let verdict = match shape {
             ColumnShape::Dispersed => "horizontal scan (many targets)",
             ColumnShape::Concentrated => "SYN flooding (single target)",
