@@ -2,10 +2,13 @@
 //! paper (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 //! recorded results).
 //!
-//! Each `src/bin/table*.rs` / `src/bin/figure*.rs` binary regenerates one
-//! table or figure. Per-layer performance (§5.5.3) is the end-to-end
-//! benchmark's (`benchmark/`, `--trace 1`); what it cannot answer is left
-//! here, each file opening with its question: the perf bins
+//! `src/bin/paper_traces.rs` regenerates every table and figure read off
+//! the two paper traces (Tables 4–8, Figure 4, §5.2, §5.4) from one
+//! detection run per trace; `table1`, `table9`, `mem_accesses` and
+//! `ablation_accuracy` regenerate the rest. Per-layer performance
+//! (§5.5.3) is the end-to-end benchmark's (`benchmark/`, `--trace 1`);
+//! what it cannot answer is left here, each file opening with its
+//! question: the perf bins
 //! `multi_router`, `hierarchy`, `parallel_record` and
 //! `telemetry_overhead`, whose `results/BENCH_*.json` carry a
 //! [`harness::Provenance`] header, and the Criterion benches under

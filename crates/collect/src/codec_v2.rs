@@ -797,8 +797,9 @@ impl Default for SnapshotEncoder {
 }
 
 impl SnapshotEncoder {
-    /// An encoder emitting a keyframe at least every `keyframe_every`
-    /// frames (`0` behaves as `1`: every frame a keyframe).
+    /// An encoder that lets at most `keyframe_every` consecutive deltas
+    /// through before it emits a keyframe (`0` is treated as `1`, which
+    /// alternates keyframe and delta).
     pub fn new(keyframe_every: u32) -> Self {
         SnapshotEncoder {
             keyframe_every: keyframe_every.max(1),

@@ -75,6 +75,11 @@ impl FloodFpFilter {
         candidates: &[Alert],
     ) -> FilteredFloodings {
         let cfg = detector.config();
+        // A streak not flagged last interval is broken: it would restart
+        // at count 1 anyway, so dropping it keeps the map to the live
+        // candidates (a rotating-victim flood adds one victim per interval).
+        self.streaks
+            .retain(|_, &mut (last, _)| last.saturating_add(1) >= interval);
         let mut out = FilteredFloodings::default();
         for alert in candidates {
             let (Some(dip), Some(dport)) = (alert.dip, alert.dport) else {
@@ -374,5 +379,27 @@ mod tests {
         let snap = flooded_snapshot(&cfg, &mut rec, victim, 80, 300, 10);
         filter.filter(&det, &snap, 1, &[flood_alert(victim, 80, 1)]);
         assert_eq!(filter.tracked(), 1);
+    }
+
+    #[test]
+    fn rotating_victims_do_not_accumulate_streaks() {
+        // Regression: a flood that hits a fresh victim every interval left
+        // one dead streak per victim behind, growing the map (and every
+        // checkpoint) without bound.
+        let cfg = HiFindConfig::small(39);
+        let mut rec = SketchRecorder::new(&cfg).unwrap();
+        let det = Detector::new(&cfg).unwrap();
+        let mut filter = FloodFpFilter::new();
+        for interval in 0..12u64 {
+            let victim: Ip4 = [129, 105, 1, interval as u8].into();
+            let snap = flooded_snapshot(&cfg, &mut rec, victim, 80, 400, 2);
+            let r = filter.filter(&det, &snap, interval, &[flood_alert(victim, 80, interval)]);
+            assert_eq!(r.pending_persistence.len(), 1, "{r:?}");
+            assert!(
+                filter.tracked() <= 2,
+                "interval {interval}: {}",
+                filter.tracked()
+            );
+        }
     }
 }

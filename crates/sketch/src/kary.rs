@@ -29,16 +29,6 @@ impl KaryConfig {
         }
     }
 
-    /// The paper's verification-sketch configuration: 6 stages × 2^14
-    /// buckets (used to cross-check keys recovered by inference).
-    pub fn paper_verification(seed: u64) -> Self {
-        KaryConfig {
-            stages: 6,
-            buckets: 1 << 14,
-            seed,
-        }
-    }
-
     fn validate(&self) -> Result<(), SketchError> {
         if self.stages == 0 {
             return Err(SketchError::BadConfig("stages must be positive".into()));
