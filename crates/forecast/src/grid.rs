@@ -5,12 +5,17 @@ use serde::{Deserialize, Serialize};
 
 /// Element-wise EWMA over grids (paper eq. 1). Forecast state is kept in
 /// `f64` so repeated smoothing does not accumulate integer rounding error;
-/// only the returned error grid is rounded.
+/// only the error grid is rounded.
+///
+/// The state is one f64 per cell: the forecast `M_f(t+1)` for the next
+/// interval. Eq. 1's `M_f(t+1) = α·M_0(t) + (1−α)·M_f(t)` needs only this
+/// interval's observation and forecast, so each step computes the error
+/// against the stored forecast and then replaces it with the next one; the
+/// first observation is the first forecast (`M_f(2) = M_0(1)`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GridEwma {
     alpha: f64,
-    prev_observed: Option<Vec<f64>>,
-    prev_forecast: Option<Vec<f64>>,
+    forecast: Option<Vec<f64>>,
     shape: Option<(usize, usize)>,
 }
 
@@ -22,11 +27,9 @@ pub struct GridEwma {
 pub struct GridEwmaState {
     /// Smoothing factor α.
     pub alpha: f64,
-    /// Last observed grid, flattened stage-major (`None` before warm-up).
-    pub prev_observed: Option<Vec<f64>>,
-    /// Last forecast grid, flattened stage-major (`None` until the second
-    /// interval).
-    pub prev_forecast: Option<Vec<f64>>,
+    /// Forecast for the next interval, `M_f(t+1)`, flattened stage-major
+    /// (`None` before warm-up).
+    pub next_forecast: Option<Vec<f64>>,
     /// Grid shape `(stages, buckets)` pinned by the first observation.
     pub shape: Option<(usize, usize)>,
 }
@@ -44,8 +47,7 @@ impl GridEwma {
         );
         GridEwma {
             alpha,
-            prev_observed: None,
-            prev_forecast: None,
+            forecast: None,
             shape: None,
         }
     }
@@ -54,8 +56,7 @@ impl GridEwma {
     pub fn state(&self) -> GridEwmaState {
         GridEwmaState {
             alpha: self.alpha,
-            prev_observed: self.prev_observed.clone(),
-            prev_forecast: self.prev_forecast.clone(),
+            next_forecast: self.forecast.clone(),
             shape: self.shape,
         }
     }
@@ -65,98 +66,74 @@ impl GridEwma {
     /// # Errors
     ///
     /// Returns a human-readable message when the state is internally
-    /// inconsistent: α outside `[0, 1]`, a state vector whose length does
-    /// not match the recorded shape, a forecast without an observation, or
-    /// a non-finite state element (all of which would poison every later
+    /// inconsistent: α outside `[0, 1]`, a forecast without a shape (or the
+    /// reverse), a forecast whose length does not match the shape, or a
+    /// non-finite forecast element (all of which would poison every later
     /// error grid).
     pub fn from_state(state: GridEwmaState) -> Result<Self, String> {
         if !state.alpha.is_finite() || !(0.0..=1.0).contains(&state.alpha) {
             return Err(format!("alpha {} outside [0, 1]", state.alpha));
         }
-        if state.prev_observed.is_some() != state.shape.is_some() {
-            return Err("observation history and shape must be set together".into());
-        }
-        if state.prev_forecast.is_some() && state.prev_observed.is_none() {
-            return Err("forecast state without an observed grid".into());
-        }
-        if let Some((stages, buckets)) = state.shape {
-            let cells = stages.checked_mul(buckets).ok_or("shape overflows")?;
-            for (name, vec) in [
-                ("prev_observed", &state.prev_observed),
-                ("prev_forecast", &state.prev_forecast),
-            ] {
-                if let Some(v) = vec {
-                    if v.len() != cells {
-                        return Err(format!(
-                            "{name} holds {} cells for a {stages}×{buckets} grid",
-                            v.len()
-                        ));
-                    }
-                    if v.iter().any(|x| !x.is_finite()) {
-                        return Err(format!("{name} contains a non-finite value"));
-                    }
+        match (&state.next_forecast, state.shape) {
+            (None, None) => {}
+            (Some(v), Some((stages, buckets))) => {
+                let cells = stages.checked_mul(buckets).ok_or("shape overflows")?;
+                if v.len() != cells {
+                    return Err(format!(
+                        "next_forecast holds {} cells for a {stages}×{buckets} grid",
+                        v.len()
+                    ));
+                }
+                if v.iter().any(|x| !x.is_finite()) {
+                    return Err("next_forecast contains a non-finite value".into());
                 }
             }
+            _ => return Err("forecast state and shape must be set together".into()),
         }
         Ok(GridEwma {
             alpha: state.alpha,
-            prev_observed: state.prev_observed,
-            prev_forecast: state.prev_forecast,
+            forecast: state.next_forecast,
             shape: state.shape,
         })
     }
 
-    fn check_shape(&mut self, g: &CounterGrid) {
-        let shape = (g.stages(), g.buckets());
-        match self.shape {
-            None => self.shape = Some(shape),
-            Some(s) => assert_eq!(s, shape, "grid shape changed mid-stream"),
-        }
-    }
-
-    /// Feeds one interval's recorded grid and returns the *forecast-error
-    /// grid* `observed − forecast` (rounded to integers), or `None` while
-    /// warming up. The error grid is what `ReversibleHash::infer` runs
-    /// INFERENCE over.
+    /// Feeds one interval's recorded grid and writes the *forecast-error
+    /// grid* `observed − forecast` (rounded half away from zero) into
+    /// `error`, returning `true`; returns `false` and leaves `error`
+    /// untouched while warming up. The error grid is what
+    /// `ReversibleHash::infer` runs INFERENCE over.
     ///
-    /// One pass over the grid: each cell's forecast `α·o + (1−α)·f` (on
-    /// the first forecasting step, `f = o`: the last observation) is
-    /// written into the error grid and the model state in place, so a
-    /// step allocates nothing but the returned error grid.
+    /// One pass over the grid through the dispatched
+    /// [`SketchKernel::ewma_step`](hifind_sketch::simd::SketchKernel::ewma_step):
+    /// each cell's error is taken against the stored forecast, which is then
+    /// replaced in place by the next one, `α·o + (1−α)·f`. A step allocates
+    /// nothing; warm-up allocates the state once.
     ///
     /// # Panics
     ///
-    /// Panics if the grid shape changes between calls.
-    pub fn step(&mut self, observed: &CounterGrid) -> Option<CounterGrid> {
-        self.check_shape(observed);
-        let Some(prev_observed) = self.prev_observed.as_mut() else {
-            self.prev_observed = Some(to_f64(observed));
-            return None;
+    /// Panics if the grid shape changes between calls, or if `error` is
+    /// not the observed grid's shape.
+    pub fn step(&mut self, observed: &CounterGrid, error: &mut CounterGrid) -> bool {
+        let shape = (observed.stages(), observed.buckets());
+        assert_eq!(
+            *self.shape.get_or_insert(shape),
+            shape,
+            "grid shape changed mid-stream"
+        );
+        assert_eq!(
+            (error.stages(), error.buckets()),
+            shape,
+            "error grid shape differs from the observed grid"
+        );
+        let Some(forecast) = self.forecast.as_mut() else {
+            self.forecast = Some(to_f64(observed));
+            return false;
         };
-        let first = self.prev_forecast.is_none();
-        let prev_forecast = self
-            .prev_forecast
-            .get_or_insert_with(|| vec![0.0; prev_observed.len()]);
-        let alpha = self.alpha;
-        let buckets = observed.buckets();
-        let mut error = CounterGrid::new(observed.stages(), buckets);
-        let state = prev_observed
-            .chunks_exact_mut(buckets)
-            .zip(prev_forecast.chunks_exact_mut(buckets));
-        for (s, (po, pf)) in state.enumerate() {
-            let cells = observed.stage(s).iter().zip(po).zip(pf);
-            for (((&v, o), f), e) in cells.zip(error.stage_mut(s)) {
-                let forecast = if first {
-                    *o
-                } else {
-                    alpha * *o + (1.0 - alpha) * *f
-                };
-                *e = (v as f64 - forecast).round() as i64;
-                *f = forecast;
-                *o = v as f64;
-            }
+        let kernel = hifind_sketch::simd::kernel();
+        for (s, next) in forecast.chunks_exact_mut(shape.1).enumerate() {
+            kernel.ewma_step(observed.stage(s), self.alpha, next, error.stage_mut(s));
         }
-        Some(error)
+        true
     }
 }
 
@@ -193,11 +170,17 @@ mod tests {
         g
     }
 
+    /// One step into a fresh error grid; `None` while warming up.
+    fn step(f: &mut GridEwma, g: &CounterGrid) -> Option<CounterGrid> {
+        let mut error = CounterGrid::new(g.stages(), g.buckets());
+        f.step(g, &mut error).then_some(error)
+    }
+
     #[test]
     fn warmup_then_error() {
         let mut f = GridEwma::new(0.5);
-        assert!(f.step(&grid(&[10, 20])).is_none());
-        let e = f.step(&grid(&[12, 20])).unwrap();
+        assert!(step(&mut f, &grid(&[10, 20])).is_none());
+        let e = step(&mut f, &grid(&[12, 20])).unwrap();
         assert_eq!(e.get(0, 0), 2);
         assert_eq!(e.get(0, 1), 0);
     }
@@ -209,7 +192,7 @@ mod tests {
         let mut sf = Ewma::new(0.3);
         let series = [5i64, 8, 2, 14, 7, 7, 100, 3];
         for &v in &series {
-            let ge = gf.step(&grid(&[v, 0]));
+            let ge = step(&mut gf, &grid(&[v, 0]));
             let se = sf.step(v as f64);
             match (ge, se) {
                 (None, None) => {}
@@ -226,9 +209,12 @@ mod tests {
     fn constant_traffic_zero_error() {
         let mut f = GridEwma::new(0.5);
         let g = grid(&[100, 200, 300, 0]);
-        f.step(&g);
+        let mut e = CounterGrid::new(1, 4);
+        assert!(!f.step(&g, &mut e));
         for _ in 0..10 {
-            let e = f.step(&g).unwrap();
+            // The same error grid is rewritten every interval.
+            e.add(0, 0, 7);
+            assert!(f.step(&g, &mut e));
             assert!(e.is_zero(), "expected zero error for constant traffic");
         }
     }
@@ -237,11 +223,10 @@ mod tests {
     fn surge_appears_in_error_grid() {
         let mut f = GridEwma::new(0.5);
         let quiet = grid(&[10, 10, 10, 10]);
-        f.step(&quiet);
-        for _ in 0..5 {
-            f.step(&quiet);
+        for _ in 0..6 {
+            step(&mut f, &quiet);
         }
-        let e = f.step(&grid(&[10, 510, 10, 10])).unwrap();
+        let e = step(&mut f, &grid(&[10, 510, 10, 10])).unwrap();
         assert!((e.get(0, 1) - 500).abs() <= 1);
         assert_eq!(e.get(0, 0), 0);
     }
@@ -250,21 +235,40 @@ mod tests {
     #[should_panic(expected = "shape changed")]
     fn shape_change_panics() {
         let mut f = GridEwma::new(0.5);
-        f.step(&CounterGrid::new(1, 4));
-        f.step(&CounterGrid::new(2, 4));
+        step(&mut f, &CounterGrid::new(1, 4));
+        step(&mut f, &CounterGrid::new(2, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "error grid shape")]
+    fn mis_shaped_error_grid_panics() {
+        let mut f = GridEwma::new(0.5);
+        f.step(&CounterGrid::new(1, 4), &mut CounterGrid::new(1, 8));
     }
 
     #[test]
     fn in_place_ewma_matches_the_three_pass_reference() {
-        // The forecast built as its own grid, the error grid from it, then
-        // the state replaced — per cell the same `α·o + (1−α)·f` — must
-        // give bit-identical error grids and state.
+        // The forecast built as its own grid from the last observation and
+        // the last forecast, the error grid from it, then the state
+        // replaced — per cell the same `α·o + (1−α)·f` — must give
+        // bit-identical error grids, and the model's one state vector must
+        // equal the reference's forecast for the next interval.
         let (stages, buckets) = (3, 64);
         let alpha = 0.3;
         let mut model = GridEwma::new(alpha);
         let mut po: Option<Vec<f64>> = None;
         let mut pf: Option<Vec<f64>> = None;
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let next_forecast = |o: &Option<Vec<f64>>, f: &Option<Vec<f64>>| match (o, f) {
+            (None, _) => None,
+            (Some(o), None) => Some(o.clone()),
+            (Some(o), Some(f)) => Some(
+                o.iter()
+                    .zip(f)
+                    .map(|(&o, &f)| alpha * o + (1.0 - alpha) * f)
+                    .collect::<Vec<f64>>(),
+            ),
+        };
         for _ in 0..12 {
             let mut g = CounterGrid::new(stages, buckets);
             for s in 0..stages {
@@ -273,36 +277,41 @@ mod tests {
                     *cell = (seed >> 40) as i64 - (1 << 23);
                 }
             }
-            let forecast = match (&po, &pf) {
-                (None, _) => None,
-                (Some(o), None) => Some(o.clone()),
-                (Some(o), Some(f)) => Some(
-                    o.iter()
-                        .zip(f)
-                        .map(|(&o, &f)| alpha * o + (1.0 - alpha) * f)
-                        .collect::<Vec<f64>>(),
-                ),
-            };
+            let forecast = next_forecast(&po, &pf);
             let expected = forecast.as_ref().map(|f| error_grid(&g, f));
             if forecast.is_some() {
                 pf = forecast;
             }
             po = Some(to_f64(&g));
-            assert_eq!(model.step(&g), expected);
-            let state = model.state();
-            assert_eq!(
-                (state.prev_observed, state.prev_forecast),
-                (po.clone(), pf.clone())
-            );
+            assert_eq!(step(&mut model, &g), expected);
+            assert_eq!(model.state().next_forecast, next_forecast(&po, &pf));
         }
+    }
+
+    #[test]
+    fn state_round_trips_and_rejects_inconsistency() {
+        let mut f = GridEwma::new(0.25);
+        step(&mut f, &grid(&[3, 9]));
+        step(&mut f, &grid(&[5, 1]));
+        let state = f.state();
+        assert_eq!(GridEwma::from_state(state.clone()).unwrap(), f);
+        let bad = |edit: fn(&mut GridEwmaState)| {
+            let mut s = state.clone();
+            edit(&mut s);
+            GridEwma::from_state(s).unwrap_err()
+        };
+        assert!(bad(|s| s.alpha = 1.5).contains("alpha"));
+        assert!(bad(|s| s.shape = None).contains("together"));
+        assert!(bad(|s| s.next_forecast = Some(vec![1.0])).contains("cells"));
+        assert!(bad(|s| s.next_forecast = Some(vec![f64::NAN, 0.0])).contains("non-finite"));
     }
 
     #[test]
     fn error_grids_preserve_negative_changes() {
         // Traffic dropping (e.g. flooding stops) gives negative error.
         let mut f = GridEwma::new(0.5);
-        f.step(&grid(&[100, 0]));
-        let e = f.step(&grid(&[0, 0])).unwrap();
+        step(&mut f, &grid(&[100, 0]));
+        let e = step(&mut f, &grid(&[0, 0])).unwrap();
         assert_eq!(e.get(0, 0), -100);
     }
 }

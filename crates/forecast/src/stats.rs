@@ -27,8 +27,7 @@ pub struct ErrorStats {
 }
 
 impl ErrorStats {
-    /// Measures an error grid (as returned by
-    /// [`crate::GridEwma::step`]).
+    /// Measures an error grid (as written by [`crate::GridEwma::step`]).
     ///
     /// Each stage row is condensed by the dispatched
     /// [`hifind_sketch::SketchKernel::row_moments`] (the vectorized

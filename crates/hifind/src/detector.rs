@@ -6,26 +6,54 @@ use crate::recorder::SketchHashes;
 use crate::report::{Alert, AlertKind};
 use hifind_flow::keys::{DipDport, SipDip, SipDport};
 use hifind_flow::Ip4;
-use hifind_sketch::{SketchError, TwoDHash};
+use hifind_forecast::GridEwma;
+use hifind_sketch::{CounterGrid, SketchError, TwoDHash};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
-/// The forecast-error grids for one interval (produced by the pipeline's
-/// EWMA stage from an [`IntervalSnapshot`] stream).
+/// The forecast-error grids for one interval, written in place by
+/// [`ErrorGrids::forecast`] from an [`IntervalSnapshot`] stream; one set
+/// is allocated up front and rewritten every interval.
 #[derive(Clone, Debug)]
 pub struct ErrorGrids {
     /// Error grid of the `{SIP,Dport}` sketch.
-    pub rs_sip_dport: hifind_sketch::CounterGrid,
+    pub rs_sip_dport: CounterGrid,
     /// Error grid of its verifier.
-    pub rs_sip_dport_verifier: hifind_sketch::CounterGrid,
+    pub rs_sip_dport_verifier: CounterGrid,
     /// Error grid of the `{DIP,Dport}` sketch.
-    pub rs_dip_dport: hifind_sketch::CounterGrid,
+    pub rs_dip_dport: CounterGrid,
     /// Error grid of its verifier.
-    pub rs_dip_dport_verifier: hifind_sketch::CounterGrid,
+    pub rs_dip_dport_verifier: CounterGrid,
     /// Error grid of the `{SIP,DIP}` sketch.
-    pub rs_sip_dip: hifind_sketch::CounterGrid,
+    pub rs_sip_dip: CounterGrid,
     /// Error grid of its verifier.
-    pub rs_sip_dip_verifier: hifind_sketch::CounterGrid,
+    pub rs_sip_dip_verifier: CounterGrid,
+}
+
+impl ErrorGrids {
+    /// Steps each of the six forecasters over its reversible-sketch grid
+    /// of `snapshot` (in [`IntervalSnapshot::grids`] order) into these
+    /// grids. Returns `false` while any forecaster is still warming up
+    /// (paper eq. 1, `t = 1`), when the grids hold no complete interval.
+    pub fn forecast(
+        &mut self,
+        forecasters: &mut [GridEwma; 6],
+        snapshot: &IntervalSnapshot,
+    ) -> bool {
+        let errors = [
+            &mut self.rs_sip_dport,
+            &mut self.rs_sip_dport_verifier,
+            &mut self.rs_dip_dport,
+            &mut self.rs_dip_dport_verifier,
+            &mut self.rs_sip_dip,
+            &mut self.rs_sip_dip_verifier,
+        ];
+        let mut warm = true;
+        for ((f, observed), error) in forecasters.iter_mut().zip(snapshot.grids()).zip(errors) {
+            warm &= f.step(observed, error);
+        }
+        warm
+    }
 }
 
 /// Raw (phase-1) detection output for one interval.
@@ -78,6 +106,21 @@ impl Detector {
     /// The configuration in use.
     pub fn config(&self) -> &HiFindConfig {
         &self.cfg
+    }
+
+    /// All-zero error grids of the six reversible-sketch shapes this
+    /// detector reads, for [`ErrorGrids::forecast`] to write into.
+    pub fn zeroed_errors(&self) -> ErrorGrids {
+        let [a, av, b, bv, c, cv, ..] = self.hashes.grid_shapes();
+        let grid = |(stages, buckets)| CounterGrid::new(stages, buckets);
+        ErrorGrids {
+            rs_sip_dport: grid(a),
+            rs_sip_dport_verifier: grid(av),
+            rs_dip_dport: grid(b),
+            rs_dip_dport_verifier: grid(bv),
+            rs_sip_dip: grid(c),
+            rs_sip_dip_verifier: grid(cv),
+        }
     }
 
     /// Runs the three detection steps over one interval's forecast-error
@@ -211,7 +254,6 @@ mod tests {
     use super::*;
     use crate::recorder::SketchRecorder;
     use hifind_flow::Packet;
-    use hifind_forecast::GridEwma;
 
     /// Drives recorder + EWMA for a closure-generated interval stream and
     /// returns the detections of the last interval.
@@ -221,7 +263,8 @@ mod tests {
     ) -> (RawDetections, IntervalSnapshot) {
         let mut rec = SketchRecorder::new(cfg).unwrap();
         let det = Detector::new(cfg).unwrap();
-        let mut fc: Vec<GridEwma> = (0..6).map(|_| GridEwma::new(cfg.ewma_alpha)).collect();
+        let mut fc = std::array::from_fn(|_| GridEwma::new(cfg.ewma_alpha));
+        let mut grids = det.zeroed_errors();
         let mut last = None;
         let n = intervals.len();
         for (i, packets) in intervals.into_iter().enumerate() {
@@ -229,24 +272,9 @@ mod tests {
                 rec.record(p);
             }
             let snap = rec.take_snapshot();
-            let errs = [
-                fc[0].step(&snap.rs_sip_dport),
-                fc[1].step(&snap.rs_sip_dport_verifier),
-                fc[2].step(&snap.rs_dip_dport),
-                fc[3].step(&snap.rs_dip_dport_verifier),
-                fc[4].step(&snap.rs_sip_dip),
-                fc[5].step(&snap.rs_sip_dip_verifier),
-            ];
+            let warm = grids.forecast(&mut fc, &snap);
             if i + 1 == n {
-                let mut it = errs.into_iter().map(|e| e.expect("past warmup"));
-                let grids = ErrorGrids {
-                    rs_sip_dport: it.next().unwrap(),
-                    rs_sip_dport_verifier: it.next().unwrap(),
-                    rs_dip_dport: it.next().unwrap(),
-                    rs_dip_dport_verifier: it.next().unwrap(),
-                    rs_sip_dip: it.next().unwrap(),
-                    rs_sip_dip_verifier: it.next().unwrap(),
-                };
+                assert!(warm, "past warmup");
                 last = Some((det.detect(i as u64, &grids), snap));
             }
         }

@@ -25,6 +25,8 @@ use std::time::Instant;
 pub struct DetectionCore {
     detector: Detector,
     forecasters: [GridEwma; 6],
+    /// The forecasters' output, rewritten in place every interval.
+    errors: ErrorGrids,
     flood_filter: FloodFpFilter,
     log: AlertLog,
     interval: u64,
@@ -62,9 +64,12 @@ impl DetectionCore {
     pub fn new(cfg: HiFindConfig) -> Result<Self, SketchError> {
         cfg.validate().map_err(SketchError::BadConfig)?;
         let alpha = cfg.ewma_alpha;
+        let detector = Detector::new(&cfg)?;
+        let errors = detector.zeroed_errors();
         Ok(DetectionCore {
-            detector: Detector::new(&cfg)?,
+            detector,
             forecasters: std::array::from_fn(|_| GridEwma::new(alpha)),
+            errors,
             flood_filter: FloodFpFilter::new(),
             log: AlertLog::new(),
             interval: 0,
@@ -82,18 +87,9 @@ impl DetectionCore {
         self.interval += 1;
         let started = Instant::now();
         let mut phase_ns = PhaseNanos::default();
-        let errors = [
-            self.forecasters[0].step(&snapshot.rs_sip_dport),
-            self.forecasters[1].step(&snapshot.rs_sip_dport_verifier),
-            self.forecasters[2].step(&snapshot.rs_dip_dport),
-            self.forecasters[3].step(&snapshot.rs_dip_dport_verifier),
-            self.forecasters[4].step(&snapshot.rs_sip_dip),
-            self.forecasters[5].step(&snapshot.rs_sip_dip_verifier),
-        ];
+        let warm = self.errors.forecast(&mut self.forecasters, snapshot);
         phase_ns.forecast = started.elapsed().as_nanos() as u64;
-        let [Some(rs_sip_dport), Some(rs_sip_dport_verifier), Some(rs_dip_dport), Some(rs_dip_dport_verifier), Some(rs_sip_dip), Some(rs_sip_dip_verifier)] =
-            errors
-        else {
+        if !warm {
             // Warm-up interval: no forecast yet (paper eq. 1, t = 1).
             phase_ns.total = started.elapsed().as_nanos() as u64;
             return IntervalOutcome {
@@ -101,15 +97,8 @@ impl DetectionCore {
                 phase_ns,
                 ..IntervalOutcome::default()
             };
-        };
-        let grids = ErrorGrids {
-            rs_sip_dport,
-            rs_sip_dport_verifier,
-            rs_dip_dport,
-            rs_dip_dport_verifier,
-            rs_sip_dip,
-            rs_sip_dip_verifier,
-        };
+        }
+        let grids = &self.errors;
 
         let forecast_error = vec![
             ErrorStats::measure(&grids.rs_sip_dport),
@@ -119,7 +108,7 @@ impl DetectionCore {
 
         // Phase 1: raw three-step detection.
         let phase_start = Instant::now();
-        let raw = self.detector.detect(interval, &grids);
+        let raw = self.detector.detect(interval, grids);
         phase_ns.detect = phase_start.elapsed().as_nanos() as u64;
         for a in raw.all() {
             self.log.record(Phase::Raw, *a);
@@ -183,6 +172,13 @@ impl DetectionCore {
             interval,
             ..IntervalOutcome::default()
         }
+    }
+
+    /// The forecast-error grids of the last interval that was forecast
+    /// (all zero before the first forecast). They are the same buffers
+    /// every interval: the forecasters rewrite them in place.
+    pub fn error_grids(&self) -> &ErrorGrids {
+        &self.errors
     }
 
     /// The deduplicated alert log across all processed intervals.

@@ -263,7 +263,7 @@ impl SketchHashes {
     /// `(stages, buckets)` of the nine grids, in [`IntervalSnapshot::grids`]
     /// order. A verifier-less family's verifier slot is a minimal 1×1 grid,
     /// so snapshots stay structurally complete either way.
-    fn grid_shapes(&self) -> [(usize, usize); 9] {
+    pub(crate) fn grid_shapes(&self) -> [(usize, usize); 9] {
         let rs = |h: &ReversibleHash| {
             let verifier = h.verifier().map(KaryHash::config);
             [

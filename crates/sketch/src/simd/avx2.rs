@@ -12,8 +12,9 @@
 //!    the static instance — the feature is guaranteed present on every call.
 //! 2. **Unaligned vector loads/stores through raw pointers derived from the
 //!    argument slices.** Every access is at `ptr.add(i)` with `i + 4 <=
-//!    len`, i.e. strictly inside the slice; `loadu`/`storeu` have no
-//!    alignment requirement; `i64`/`u64` have no invalid bit patterns, so no
+//!    len`, or at the start of a four-element `chunks_exact` chunk, i.e.
+//!    strictly inside the slice; `loadu`/`storeu` have no alignment
+//!    requirement; `i64`/`u64`/`f64` have no invalid bit patterns, so no
 //!    value-level UB is possible.
 //!
 //! There is no FFI, no allocation, no transmute of non-POD types, and no
@@ -28,11 +29,15 @@
 //! sign-overflow identity `ovf = (a ⊕ r) & (b ⊕ r)`, saturating toward
 //! `a`'s sign. 64×64→64
 //! multiplication is emulated from `_mm256_mul_epu32` partial products,
-//! which is exactly wrapping multiplication mod 2⁶⁴.
+//! which is exactly wrapping multiplication mod 2⁶⁴. The EWMA step rounds
+//! half away from zero as truncate + exact fraction test, and converts the
+//! rounded f64 to i64 with the 2⁵² + 2⁵¹ magic-number trick, exact below
+//! 2⁵¹ in magnitude; a group of four with any larger (or NaN) difference
+//! takes the scalar rounding instead.
 
 use core::arch::x86_64::*;
 
-use super::scalar::F64_LANES;
+use super::scalar::{round_to_i64, F64_LANES};
 use super::{Isa, RowMoments, SketchKernel};
 
 /// The AVX2 kernel; constructed only as a static handed out by
@@ -64,6 +69,11 @@ impl SketchKernel for Avx2Kernel {
     fn row_moments(&self, row: &[i64]) -> RowMoments {
         // SAFETY: as above — dispatch guarantees AVX2.
         unsafe { row_moments(row) }
+    }
+
+    fn ewma_step(&self, observed: &[i64], alpha: f64, forecast: &mut [f64], error: &mut [i64]) {
+        // SAFETY: as above — dispatch guarantees AVX2.
+        unsafe { ewma_step(observed, alpha, forecast, error) }
     }
 
     fn buckets_premixed(&self, premixed: &[u64], a: u64, b: u64, shift: u32, out: &mut [u64]) {
@@ -244,6 +254,65 @@ unsafe fn row_moments(row: &[i64]) -> RowMoments {
 }
 
 #[target_feature(enable = "avx2")]
+unsafe fn ewma_step(observed: &[i64], alpha: f64, forecast: &mut [f64], error: &mut [i64]) {
+    let n = observed.len().min(forecast.len()).min(error.len());
+    let (observed, forecast, error) = (&observed[..n], &mut forecast[..n], &mut error[..n]);
+    let av = _mm256_set1_pd(alpha);
+    let bv = _mm256_set1_pd(1.0 - alpha);
+    let sign = _mm256_set1_pd(-0.0);
+    let half = _mm256_set1_pd(0.5);
+    let one = _mm256_set1_pd(1.0);
+    // Below 2^51 in magnitude a rounded difference r lands r + magic in
+    // [2^52, 2^53], where the f64 bit pattern is linear in r.
+    let limit = _mm256_set1_pd((1u64 << 51) as f64);
+    let magic = _mm256_set1_pd(((1u64 << 52) + (1u64 << 51)) as f64);
+    let mut o4 = observed.chunks_exact(4);
+    let mut f4 = forecast.chunks_exact_mut(4);
+    let mut e4 = error.chunks_exact_mut(4);
+    for ((oc, fc), ec) in (&mut o4).zip(&mut f4).zip(&mut e4) {
+        // SAFETY: each chunk holds exactly four elements, so every 32-byte
+        // unaligned access below stays inside it.
+        let (x, f) = unsafe {
+            (
+                i64x4_to_f64x4(_mm256_loadu_si256(oc.as_ptr().cast())),
+                _mm256_loadu_pd(fc.as_ptr()),
+            )
+        };
+        let d = _mm256_sub_pd(x, f);
+        let small = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_andnot_pd(sign, d), limit);
+        if _mm256_movemask_pd(small) == 0b1111 {
+            let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(d);
+            let frac = _mm256_sub_pd(d, t);
+            // A fraction of a half or more steps t by ±1, toward frac's
+            // (that is d's) sign.
+            let away = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_andnot_pd(sign, frac), half);
+            let step = _mm256_and_pd(away, _mm256_or_pd(one, _mm256_and_pd(sign, frac)));
+            let r = _mm256_add_pd(t, step);
+            let bits = _mm256_sub_epi64(
+                _mm256_castpd_si256(_mm256_add_pd(r, magic)),
+                _mm256_castpd_si256(magic),
+            );
+            // SAFETY: the chunk holds exactly four i64.
+            unsafe { _mm256_storeu_si256(ec.as_mut_ptr().cast(), bits) };
+        } else {
+            for (e, &d) in ec.iter_mut().zip(&to_lanes_f64(d)) {
+                *e = round_to_i64(d);
+            }
+        }
+        let next = _mm256_add_pd(_mm256_mul_pd(av, x), _mm256_mul_pd(bv, f));
+        // SAFETY: the chunk holds exactly four f64.
+        unsafe { _mm256_storeu_pd(fc.as_mut_ptr(), next) };
+    }
+    let beta = 1.0 - alpha;
+    let tail = o4.remainder().iter().zip(f4.into_remainder());
+    for ((&v, f), e) in tail.zip(e4.into_remainder()) {
+        let x = v as f64;
+        *e = round_to_i64(x - *f);
+        *f = alpha * x + beta * *f;
+    }
+}
+
+#[target_feature(enable = "avx2")]
 unsafe fn buckets_premixed(premixed: &[u64], a: u64, b: u64, shift: u32, out: &mut [u64]) {
     let n = premixed.len().min(out.len());
     let src = premixed.as_ptr();
@@ -374,6 +443,33 @@ mod tests {
                 v.buckets_premixed(&pre, 0x9E37_79B9_7F4A_7C15, 0x1234, shift, &mut a);
                 s.buckets_premixed(&pre, 0x9E37_79B9_7F4A_7C15, 0x1234, shift, &mut b);
                 assert_eq!(a, b, "shift {shift}");
+            }
+        });
+    }
+
+    #[test]
+    fn ewma_step_matches_scalar_across_the_fast_path_limit() {
+        with_avx2(|v, s| {
+            let two51 = 1i64 << 51;
+            let observed = [
+                two51 - 1,
+                two51,
+                -two51,
+                two51 + 1,
+                3,
+                -3,
+                i64::MAX,
+                i64::MIN,
+                7,
+            ];
+            for alpha in [0.0, 0.5, 1.0, 0.3] {
+                let init = [0.5, 0.0, 0.0, -0.5, 0.5, -0.5, -9.3e18, 9.3e18, 6.5];
+                let (mut fa, mut fb) = (init, init);
+                let (mut ea, mut eb) = ([0i64; 9], [0i64; 9]);
+                v.ewma_step(&observed, alpha, &mut fa, &mut ea);
+                s.ewma_step(&observed, alpha, &mut fb, &mut eb);
+                assert_eq!(ea, eb, "alpha {alpha}");
+                assert_eq!(fa.map(f64::to_bits), fb.map(f64::to_bits), "alpha {alpha}");
             }
         });
     }

@@ -1,11 +1,11 @@
 //! Runtime-dispatched SIMD kernels for the sketch hot loops.
 //!
-//! The four loops every packet (or every interval close) pays for —
+//! The five loops every packet (or every interval close) pays for —
 //! bucket-index finishing for batched UPDATE, per-stage sums for ESTIMATE,
-//! heavy-bucket threshold scans for INFERENCE, and element-wise saturating
-//! merges for COMBINE — are expressed once as the [`SketchKernel`] trait and
-//! implemented twice: a portable scalar kernel and an AVX2 kernel built from
-//! `core::arch` intrinsics.
+//! the EWMA forecast step, heavy-bucket threshold scans for INFERENCE, and
+//! element-wise saturating merges for COMBINE — are expressed once as the
+//! [`SketchKernel`] trait and implemented twice: a portable scalar kernel
+//! and an AVX2 kernel built from `core::arch` intrinsics.
 //!
 //! # Dispatch model
 //!
@@ -29,6 +29,10 @@
 //!   accumulates into lane `i mod 4`, and lanes combine as
 //!   `(l0 + l1) + (l2 + l3)`. The scalar kernel emulates the same four
 //!   lanes, so scalar and AVX2 agree to the last bit.
+//! * The element-wise float step ([`SketchKernel::ewma_step`]) has no
+//!   reduction: each cell is one subtract, one round and two multiplies
+//!   and an add in a fixed order, with no fused multiply-add, so every
+//!   lane computes exactly what the scalar expression does.
 //!
 //! The equivalence proptests in `tests/kernel_equivalence.rs` hold both
 //! implementations to this contract, including non-lane-multiple lengths,
@@ -111,7 +115,8 @@ pub struct RowMoments {
     pub bias_sum: f64,
 }
 
-/// The vectorizable inner loops of UPDATE / ESTIMATE / INFERENCE / COMBINE.
+/// The vectorizable inner loops of UPDATE / ESTIMATE / forecasting /
+/// INFERENCE / COMBINE.
 ///
 /// Implementations must be bit-identical to [`ScalarKernel`]; see the
 /// module docs for the exact contract. Slice-length mismatches are handled
@@ -134,6 +139,15 @@ pub trait SketchKernel: Send + Sync {
 
     /// Accumulates the row moments used by forecast-error statistics.
     fn row_moments(&self, row: &[i64]) -> RowMoments;
+
+    /// One EWMA forecasting step over a row (paper eq. 1), holding one f64
+    /// of state per cell: the forecast for this interval. For each cell,
+    /// with `x = observed[i] as f64` and `n = forecast[i]`, writes
+    /// `error[i] = (x - n).round() as i64` (half away from zero, saturating,
+    /// NaN to 0), then sets `forecast[i] = alpha * x + (1.0 - alpha) * n` —
+    /// the next interval's forecast, as two products and one sum, never
+    /// fused.
+    fn ewma_step(&self, observed: &[i64], alpha: f64, forecast: &mut [f64], error: &mut [i64]);
 
     /// Finishes the multiply-shift hash for a batch of premixed keys:
     /// `out[i] = ((premixed[i]·a + b) mod 2⁶⁴) >> shift`, with `shift >= 64`

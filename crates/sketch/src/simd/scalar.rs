@@ -67,12 +67,34 @@ impl SketchKernel for ScalarKernel {
         }
     }
 
+    fn ewma_step(&self, observed: &[i64], alpha: f64, forecast: &mut [f64], error: &mut [i64]) {
+        let beta = 1.0 - alpha;
+        for ((&v, n), e) in observed.iter().zip(forecast).zip(error) {
+            let x = v as f64;
+            *e = round_to_i64(x - *n);
+            *n = alpha * x + beta * *n;
+        }
+    }
+
     fn buckets_premixed(&self, premixed: &[u64], a: u64, b: u64, shift: u32, out: &mut [u64]) {
         for (o, &p) in out.iter_mut().zip(premixed) {
             let h = p.wrapping_mul(a).wrapping_add(b);
             *o = if shift >= 64 { 0 } else { h >> shift };
         }
     }
+}
+
+/// `d.round() as i64` without the libm call `f64::round` is on baseline
+/// x86-64: the saturating truncation `t` is exact, and so is `d - t` (the
+/// fractional bits of `d`), so a half or more of fraction steps one away
+/// from zero. Past ±2⁶³ the truncation saturates and the step saturates
+/// with it; NaN truncates to 0 and compares false.
+pub(crate) fn round_to_i64(d: f64) -> i64 {
+    let t = d as i64;
+    let frac = d - t as f64;
+    // Branch-free: with α = ½ half-way fractions are common and random.
+    t.saturating_add(i64::from(frac >= 0.5))
+        .saturating_sub(i64::from(frac <= -0.5))
 }
 
 #[cfg(test)]
@@ -112,6 +134,33 @@ mod tests {
         assert_eq!(m.abs_sum, (1u64 << 63) as f64 + 7.0);
         assert_eq!(m.bias_sum, i64::MIN as f64 - 1.0);
         assert!(k.row_moments(&[]).abs_sum == 0.0);
+    }
+
+    #[test]
+    fn rounding_matches_libm_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        for d in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -2.5,
+            0.499_999_999_999_999_94,
+            -0.499_999_999_999_999_94,
+            two52 - 0.5,
+            -(two52 - 0.5),
+            two52 + 1.0,
+            9.223_372_036_854_775e18,
+            -9.223_372_036_854_775e18,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(round_to_i64(d), d.round() as i64, "{d:e}");
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! `hifind_sketch::simd`: every kernel method must agree with
 //! [`hifind_sketch::simd::ScalarKernel`] to the last bit — including
 //! non-lane-multiple row lengths (the vector loop's scalar tail), empty
-//! rows, saturating boundaries (`i64::MIN` / `i64::MAX`), and the fixed
-//! 4-lane f64 association of `row_moments`. On hardware without AVX2 the
+//! rows, saturating boundaries (`i64::MIN` / `i64::MAX`), the fixed
+//! 4-lane f64 association of `row_moments`, and the EWMA step's rounding
+//! (half-way differences, magnitudes past 2⁵², saturating errors), which
+//! both kernels must also match against an independent libm reference. On hardware without AVX2 the
 //! raw-kernel tests degrade to scalar-vs-scalar (still exercising the
 //! harness) rather than failing.
 
@@ -47,8 +49,102 @@ fn row() -> impl Strategy<Value = Vec<i64>> {
     prop::collection::vec(counter(), 0..(UPDATE_CHUNK + 9))
 }
 
+/// Smoothing factors: the two degenerate ends, the half that makes odd
+/// observations produce `.5` forecasts, and anything in between.
+fn alpha() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(0.5), Just(1.0), 0.0f64..=1.0]
+}
+
+/// Forecast state: integers, half-integers (where rounding half away from
+/// zero and the hardware's half-to-even disagree), magnitudes past 2⁵²,
+/// and values far enough past i64's range that the error saturates.
+fn forecast_cell() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-1000i64..1000).prop_map(|v| v as f64),
+        (-1000i64..1000).prop_map(|v| v as f64 + 0.5),
+        -1e6f64..1e6,
+        (1i64 << 52..1i64 << 62).prop_map(|v| v as f64),
+        -3e19f64..3e19,
+        Just(i64::MAX as f64),
+        Just(i64::MIN as f64),
+    ]
+}
+
+/// The independent reference for one EWMA step: libm's `round` and the
+/// recurrence written out per cell.
+fn reference_ewma_step(observed: &[i64], alpha: f64, forecast: &[f64]) -> (Vec<i64>, Vec<f64>) {
+    observed
+        .iter()
+        .zip(forecast)
+        .map(|(&v, &n)| {
+            let x = v as f64;
+            ((x - n).round() as i64, alpha * x + (1.0 - alpha) * n)
+        })
+        .unzip()
+}
+
+/// Runs one `ewma_step` through `kernel` on copies of the state.
+fn kernel_ewma_step(
+    kernel: &dyn SketchKernel,
+    observed: &[i64],
+    alpha: f64,
+    forecast: &[f64],
+) -> (Vec<i64>, Vec<f64>) {
+    let mut next = forecast.to_vec();
+    let mut error = vec![0i64; observed.len()];
+    kernel.ewma_step(observed, alpha, &mut next, &mut error);
+    (error, next)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One step from arbitrary state: both kernels equal the reference,
+    /// errors exactly and the next forecast to the bit.
+    #[test]
+    fn ewma_step_matches_the_reference(
+        cells in prop::collection::vec((counter(), forecast_cell()), 0..(UPDATE_CHUNK + 9)),
+        alpha in alpha(),
+    ) {
+        let (observed, forecast): (Vec<i64>, Vec<f64>) = cells.into_iter().unzip();
+        let (want_error, want_next) = reference_ewma_step(&observed, alpha, &forecast);
+        let (scalar, vector) = kernel_pair();
+        for kernel in [scalar, vector] {
+            let (error, next) = kernel_ewma_step(kernel, &observed, alpha, &forecast);
+            prop_assert_eq!(&error, &want_error, "{}", kernel.isa());
+            prop_assert_eq!(bits(&next), bits(&want_next), "{}", kernel.isa());
+        }
+    }
+
+    /// A series of rows from warm-up on, as the forecaster runs it: the
+    /// state each kernel carries forward stays bit-identical to the
+    /// reference's.
+    #[test]
+    fn ewma_steps_match_the_reference_over_a_series(
+        cells in prop::collection::vec(counter(), 0..(6 * (UPDATE_CHUNK + 9))),
+        steps in 2usize..7,
+        alpha in alpha(),
+    ) {
+        let len = cells.len() / steps;
+        let rows: Vec<&[i64]> = (0..steps).map(|i| &cells[i * len..(i + 1) * len]).collect();
+        let (scalar, vector) = kernel_pair();
+        let warm: Vec<f64> = rows[0].iter().map(|&v| v as f64).collect();
+        let (mut want, mut a, mut b) = (warm.clone(), warm.clone(), warm);
+        for &row in &rows[1..] {
+            let (want_error, want_next) = reference_ewma_step(row, alpha, &want);
+            let (ea, na) = kernel_ewma_step(scalar, row, alpha, &a);
+            let (eb, nb) = kernel_ewma_step(vector, row, alpha, &b);
+            prop_assert_eq!(&ea, &want_error);
+            prop_assert_eq!(&eb, &want_error);
+            prop_assert_eq!(bits(&na), bits(&want_next));
+            prop_assert_eq!(bits(&nb), bits(&want_next));
+            (want, a, b) = (want_next, na, nb);
+        }
+    }
 
     #[test]
     fn add_saturating_matches_scalar(dst in row(), src in row()) {
@@ -119,6 +215,24 @@ proptest! {
         vector.prefetch_buckets(&values, &idx);
         vector.prefetch_buckets(&[], &idx);
         prop_assert_eq!(values, before);
+    }
+}
+
+/// Half-way errors and the saturating rails, pinned: with α = ½ an odd
+/// observation after a zero forecast leaves `k.5`, which rounds away from
+/// zero (half-to-even would give 2 and −2 here); a difference past i64's
+/// range saturates.
+#[test]
+fn ewma_step_rounds_half_away_and_saturates() {
+    let observed = [5, -5, 3, -3, i64::MAX, i64::MIN, 1 << 53, -(1 << 53), 0];
+    let forecast = [2.5, -2.5, 0.5, -0.5, -1e19, 1e19, 0.5, -0.5, 0.0];
+    let want_error = [3, -3, 3, -3, i64::MAX, i64::MIN, 1 << 53, -(1 << 53), 0];
+    let (scalar, vector) = kernel_pair();
+    for kernel in [scalar, vector] {
+        let (error, _) = kernel_ewma_step(kernel, &observed, 0.5, &forecast);
+        assert_eq!(error, want_error, "{}", kernel.isa());
+        let (reference, _) = reference_ewma_step(&observed, 0.5, &forecast);
+        assert_eq!(reference, want_error);
     }
 }
 
