@@ -18,15 +18,18 @@
 //! rows; the loopback TCP identity check is
 //! `crates/collect/tests/loopback.rs`.
 //!
+//! Exits nonzero if the aggregated and single-router final alerts differ.
+//!
 //! Run: `cargo run --release -p hifind-bench --bin multi_router`
 
-use hifind::{HiFind, HiFindAggregator, HiFindConfig, SketchRecorder};
+use hifind::{DetectionCore, HiFind, HiFindConfig, IntervalSnapshot, SketchRecorder};
 use hifind_baselines::{Trw, TrwConfig};
 use hifind_bench::harness::{scale, section, seed, write_json, Provenance};
 use hifind_flow::Ip4;
 use hifind_trafficgen::{presets, split_per_packet};
 use serde::Serialize;
 use std::collections::BTreeSet;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct MultiRouter {
@@ -40,7 +43,7 @@ struct MultiRouter {
     trw_extra_vs_single: usize,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let provenance = Provenance::collect(false);
     let scenario = presets::nu_like(seed()).scaled(scale());
     eprintln!("[multi_router] generating NU-like...");
@@ -52,27 +55,34 @@ fn main() {
     let mut single = HiFind::new(cfg).expect("paper config");
     let single_log = single.run_trace(&trace);
 
-    // HiFIND distributed: per-router recorders + central aggregation.
+    // HiFIND distributed: per-router recorders; each interval the site
+    // folds every snapshot into the first (COMBINE) and detects on the sum.
     let mut routers: Vec<SketchRecorder> = (0..3)
         .map(|_| SketchRecorder::new(&cfg).expect("paper config"))
         .collect();
-    let mut site = HiFindAggregator::new(cfg).expect("paper config");
+    let mut site = DetectionCore::new(cfg).expect("paper config");
     let windows: Vec<Vec<_>> = parts
         .iter()
         .map(|t| t.intervals(cfg.interval_ms).collect())
         .collect();
     let intervals = windows.iter().map(Vec::len).max().unwrap_or(0);
     for iv in 0..intervals {
-        let mut snaps = Vec::new();
-        for (router, wins) in routers.iter_mut().zip(&windows) {
-            if let Some(w) = wins.get(iv) {
-                for p in w.packets {
-                    router.record(p);
+        let mut snaps: Vec<IntervalSnapshot> = routers
+            .iter_mut()
+            .zip(&windows)
+            .map(|(router, wins)| {
+                if let Some(w) = wins.get(iv) {
+                    for p in w.packets {
+                        router.record(p);
+                    }
                 }
-            }
-            snaps.push(router.take_snapshot());
-        }
-        site.process_interval(&snaps).expect("same configuration");
+                router.take_snapshot()
+            })
+            .collect();
+        let (sum, rest) = snaps.split_first_mut().expect("three routers");
+        sum.combine_many(&rest.iter().collect::<Vec<_>>())
+            .expect("same configuration");
+        site.process_snapshot(sum);
     }
 
     let s: BTreeSet<_> = single_log
@@ -117,6 +127,10 @@ fn main() {
          false positives/negatives because SYN and SYN/ACK of one connection are\n\
          seen by different routers (a SYN without its SYN/ACK looks like a failure)."
     );
+    if s != a {
+        eprintln!("FAIL: aggregated final alerts differ from the single-router run");
+        return ExitCode::FAILURE;
+    }
 
     write_json(
         "BENCH_multi_router",
@@ -131,4 +145,5 @@ fn main() {
             trw_extra_vs_single: trw_union.difference(&trw_single).count(),
         },
     );
+    ExitCode::SUCCESS
 }

@@ -83,7 +83,7 @@ fn main() {
     // the numbers off the report instead of stopwatching end_interval().
     let mut ids = HiFind::new(cfg).expect("paper config");
     let mut report = RunReport::new();
-    ids.run_trace_with(&trace, 0, Some(&mut report))
+    ids.run_trace_with(&trace, Some(&mut report))
         .expect("in-thread recording cannot fail");
     let total = &report.phase_latency.total;
     let avg = total.mean_ns() as f64 / 1e9;
@@ -110,7 +110,7 @@ fn main() {
     let compressed = Scenario::time_compressed(&trace, 10);
     let mut ids = HiFind::new(cfg).expect("paper config");
     let mut creport = RunReport::new();
-    ids.run_trace_with(&compressed, 0, Some(&mut creport))
+    ids.run_trace_with(&compressed, Some(&mut creport))
         .expect("in-thread recording cannot fail");
     let cavg = creport.phase_latency.total.mean_ns() as f64 / 1e9;
     let cmax = creport.phase_latency.total.max_ns as f64 / 1e9;

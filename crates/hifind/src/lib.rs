@@ -24,7 +24,9 @@
 //! * [`fp_filter`] — SYN-flooding false-positive reduction (§3.4).
 //! * [`pipeline::HiFind`] — everything wired together, one call per
 //!   interval; [`pipeline::HiFind::run_trace`] for offline traces.
-//! * [`aggregate`] — multi-router sketch aggregation (§3.1, Figure 3).
+//! * Multi-router aggregation (§3.1, Figure 3) is one linear COMBINE,
+//!   [`recorder::IntervalSnapshot::combine_many`], followed by
+//!   [`pipeline::DetectionCore::process_snapshot`] on the sum.
 //! * [`metrics`] — the Table 9 memory model and §5.5.2 access counts.
 //! * [`mod@evaluate`] — alert ↔ ground-truth scoring for experiments.
 //! * [`postprocess`] — block-scan correlation across alerts.
@@ -62,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod classify;
 pub mod config;
 pub mod detector;
@@ -79,7 +80,6 @@ pub mod report;
 pub mod run_report;
 pub mod telemetry_ext;
 
-pub use aggregate::HiFindAggregator;
 pub use config::HiFindConfig;
 pub use evaluate::{evaluate, EvalSummary};
 pub use mitigate::{plan as mitigation_plan, Action, MitigationPolicy};

@@ -18,9 +18,10 @@ use std::time::Instant;
 /// 2D classification, and flooding heuristics, fed one
 /// [`IntervalSnapshot`] per interval.
 ///
-/// [`HiFind`] wraps it with a recorder for the single-router case;
-/// [`crate::HiFindAggregator`] feeds it combined snapshots from many
-/// routers.
+/// [`HiFind`] wraps it with a record plane for the single-router case;
+/// for many routers, fold their snapshots into one with
+/// [`IntervalSnapshot::combine_many`] and feed the sum to
+/// [`DetectionCore::process_snapshot`], as the collection root does.
 #[derive(Clone, Debug)]
 pub struct DetectionCore {
     detector: Detector,
@@ -283,44 +284,54 @@ pub struct CoreCheckpoint {
 ///
 /// See the [crate-level example](crate) for usage; the data-plane
 /// operation is [`HiFind::record`], and [`HiFind::end_interval`] runs the
-/// background detection once per interval. For live streams where the
-/// caller does not want to manage interval boundaries,
-/// [`HiFind::record_streaming`] rolls intervals over automatically from
-/// packet timestamps.
+/// background detection once per interval. [`HiFind::new`] records on the
+/// caller's thread; [`HiFind::with_workers`] shards recording across
+/// worker threads (see `docs/PARALLEL_RECORD.md`). Sketch linearity makes
+/// both planes' snapshots bit-identical, so both return the same alerts.
 #[derive(Debug)]
 pub struct HiFind {
-    /// The pipeline's own plane: zero workers, recording on this thread.
+    /// The record plane, built once: inline or sharded.
     recorder: ParallelRecorder,
     core: DetectionCore,
-    /// Start of the current streaming interval (None until first packet).
-    stream_window_start: Option<u64>,
     /// Live metrics publisher (attached via [`HiFind::attach_telemetry`]).
     telemetry: Option<crate::telemetry_ext::PipelineTelemetry>,
 }
 
 impl HiFind {
-    /// Builds the system.
+    /// Builds the system with the zero-worker plane: recording runs on
+    /// the caller's thread.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors.
     pub fn new(cfg: HiFindConfig) -> Result<Self, SketchError> {
         // Zero workers spawn nothing: only the configuration can fail.
-        let recorder = ParallelRecorder::new(&cfg, 0).map_err(|e| match e {
+        Self::with_workers(cfg, 0).map_err(|e| match e {
             ParallelError::Build(e) => e,
             e => SketchError::BadConfig(e.to_string()),
-        })?;
+        })
+    }
+
+    /// Builds the system with a record plane of `workers` shard threads
+    /// ([`ParallelRecorder::new`]); `workers == 0` is [`HiFind::new`]'s
+    /// inline plane. Dropping the pipeline joins the workers.
+    ///
+    /// # Errors
+    ///
+    /// [`ParallelError::Build`] for configuration errors,
+    /// [`ParallelError::Spawn`] if a worker thread cannot be spawned.
+    pub fn with_workers(cfg: HiFindConfig, workers: usize) -> Result<Self, ParallelError> {
         Ok(HiFind {
-            recorder,
+            recorder: ParallelRecorder::new(&cfg, workers)?,
             core: DetectionCore::new(cfg)?,
-            stream_window_start: None,
             telemetry: None,
         })
     }
 
     /// Publishes live metrics (packet counts, amortized record latency,
     /// phase latencies, alert counters, sketch-health gauges) into
-    /// `registry` from now on.
+    /// `registry` from now on; a sharded plane adds its
+    /// `hifind_record_*` shard/merge metrics to the same registry.
     ///
     /// # Errors
     ///
@@ -331,13 +342,18 @@ impl HiFind {
         &mut self,
         registry: hifind_telemetry::Registry,
     ) -> Result<(), hifind_telemetry::TelemetryError> {
-        self.telemetry = Some(crate::telemetry_ext::PipelineTelemetry::new(registry)?);
+        let telemetry = crate::telemetry_ext::PipelineTelemetry::new(registry)?;
+        if self.recorder.workers() > 0 {
+            self.recorder.attach_telemetry(telemetry.registry())?;
+        }
+        self.telemetry = Some(telemetry);
         Ok(())
     }
 
     /// Stops publishing live metrics; recording reverts to the
     /// uninstrumented path. Already-published values stay in the registry.
     pub fn detach_telemetry(&mut self) {
+        self.recorder.detach_telemetry();
         self.telemetry = None;
     }
 
@@ -365,57 +381,26 @@ impl HiFind {
     }
 
     /// Ends the current interval: snapshots the sketches and runs the
-    /// detection pipeline. Only a sharded plane can fail to close, and then
-    /// the interval is a gap, as a collection outage is.
+    /// detection pipeline. Only a sharded plane can fail to close (a lost
+    /// shard worker), and then the interval is a gap, as a collection
+    /// outage is.
     pub fn end_interval(&mut self) -> IntervalOutcome {
-        let (core, telemetry) = (&mut self.core, &mut self.telemetry);
-        match self
-            .recorder
-            .end_interval_with(|snapshot| detect(core, telemetry, snapshot))
-        {
+        match self.close(None) {
             Ok(outcome) => outcome,
             Err(_) => self.core.process_gap(),
         }
     }
 
-    /// Records a packet in *streaming mode*: interval boundaries are
-    /// derived from packet timestamps (`config.interval_ms`-wide windows
-    /// aligned to the first packet's window). When a packet's timestamp
-    /// crosses into a new window, all elapsed intervals are closed first
-    /// (including empty ones, so the forecaster ticks uniformly) and their
-    /// outcomes returned.
-    ///
-    /// Packets must arrive in non-decreasing timestamp order; late packets
-    /// are counted into the *current* interval rather than dropped.
-    pub fn record_streaming(&mut self, packet: &hifind_flow::Packet) -> Vec<IntervalOutcome> {
-        let width = self.core.config().interval_ms;
-        let window = packet.ts_ms / width;
-        let mut outcomes = Vec::new();
-        match self.stream_window_start {
-            None => self.stream_window_start = Some(window),
-            Some(current) if window > current => {
-                for _ in current..window {
-                    outcomes.push(self.end_interval());
-                }
-                self.stream_window_start = Some(window);
-            }
-            Some(_) => {}
-        }
-        self.record(packet);
-        outcomes
-    }
-
-    /// Flushes the in-progress streaming interval (call at end of stream).
-    pub fn finish_stream(&mut self) -> Option<IntervalOutcome> {
-        self.stream_window_start.take().map(|_| self.end_interval())
-    }
-
-    /// Replays a whole trace with the configured interval width on this
-    /// thread and returns the final alert log:
-    /// [`HiFind::run_trace_with`] with no workers and no report.
+    /// Replays a whole trace with the configured interval width and
+    /// returns the final alert log. Each interval closes as
+    /// [`HiFind::end_interval`] does, so on a sharded plane that lost a
+    /// worker the remaining intervals are gaps;
+    /// [`HiFind::run_trace_with`] reports that loss instead.
     pub fn run_trace(&mut self, trace: &Trace) -> AlertLog {
-        // With no workers there is no shard to lose: this cannot fail.
-        let _ = self.run_trace_with(trace, 0, None);
+        for window in trace.intervals(self.core.config().interval_ms) {
+            self.record_all(window.packets);
+            self.end_interval();
+        }
         self.core.log().clone()
     }
 
@@ -424,73 +409,45 @@ impl HiFind {
     /// `report` (phase latencies, alert counts by phase, sketch health —
     /// what `hifind detect --metrics-json` writes) when one is given.
     ///
-    /// `workers == 0` records on this thread through the pipeline's own
-    /// plane, as [`HiFind::record`] does. `workers > 0` swaps in a
-    /// [`ParallelRecorder`] with that many worker threads for this call,
-    /// then restores the pipeline's own plane and joins the workers before
-    /// returning: the swapped-in plane starts from empty sketches and an
-    /// empty active-service filter, and the pipeline's own plane is neither
-    /// read nor written. Sketch linearity makes the merged shard snapshots
-    /// bit-identical to the inline plane's, so on a fresh pipeline both
-    /// settings return the same [`AlertLog`]; see `docs/PARALLEL_RECORD.md`.
-    ///
     /// # Errors
     ///
-    /// Returns [`ParallelError`] if the sharded plane cannot be built or a
-    /// worker thread dies mid-run; the detection core keeps whatever
-    /// intervals completed before the failure. `workers == 0` never fails.
+    /// Returns [`ParallelError::WorkerLost`] if a shard worker dies
+    /// mid-run; the detection core keeps whatever intervals completed
+    /// before the failure. The zero-worker plane never fails.
     pub fn run_trace_with(
         &mut self,
         trace: &Trace,
-        workers: usize,
         mut report: Option<&mut crate::RunReport>,
     ) -> Result<AlertLog, ParallelError> {
         if let Some(r) = report.as_deref_mut() {
             r.sketch_memory_bytes = self.recorder.memory_bytes();
         }
-        let own = match workers {
-            0 => None,
-            n => {
-                let plane = ParallelRecorder::new(self.core.config(), n)?;
-                Some(std::mem::replace(&mut self.recorder, plane))
-            }
-        };
-        if let (Some(_), Some(t)) = (&own, &self.telemetry) {
-            // Shard/merge gauges live in the same registry as the pipeline
-            // metrics; a name clash leaves the plane uninstrumented but
-            // fully functional.
-            let _ = self.recorder.attach_telemetry(t.registry());
+        for window in trace.intervals(self.core.config().interval_ms) {
+            self.record_all(window.packets);
+            self.close(report.as_deref_mut())?;
         }
-        let replayed = self.replay(trace, report);
-        let joined = match own {
-            Some(own) => std::mem::replace(&mut self.recorder, own).finish(),
-            None => Ok(()),
-        };
-        replayed.and(joined)?;
         Ok(self.core.log().clone())
     }
 
-    /// Records and detects every interval of `trace` through the current
-    /// plane, adding one record per interval to `report`.
-    fn replay(
+    /// Closes the interval through the plane, runs detection on its
+    /// snapshot and publishes the outcome to attached telemetry and to
+    /// `report`.
+    fn close(
         &mut self,
-        trace: &Trace,
-        mut report: Option<&mut crate::RunReport>,
-    ) -> Result<(), ParallelError> {
-        let threshold = self.core.config().interval_threshold();
-        for window in trace.intervals(self.core.config().interval_ms) {
-            for p in window.packets {
-                self.record(p);
+        report: Option<&mut crate::RunReport>,
+    ) -> Result<IntervalOutcome, ParallelError> {
+        let (core, telemetry) = (&mut self.core, &mut self.telemetry);
+        self.recorder.end_interval_with(|snapshot| {
+            let outcome = core.process_snapshot(snapshot);
+            let threshold = core.config().interval_threshold();
+            if let Some(t) = telemetry {
+                t.publish_interval(&outcome, snapshot, threshold);
             }
-            let (core, telemetry) = (&mut self.core, &mut self.telemetry);
-            self.recorder.end_interval_with(|snapshot| {
-                let outcome = detect(core, telemetry, snapshot);
-                if let Some(r) = report.as_deref_mut() {
-                    r.record_interval(&outcome, snapshot, threshold);
-                }
-            })?;
-        }
-        Ok(())
+            if let Some(r) = report {
+                r.record_interval(&outcome, snapshot, threshold);
+            }
+            outcome
+        })
     }
 
     /// The deduplicated alert log.
@@ -507,21 +464,6 @@ impl HiFind {
     pub fn intervals_processed(&self) -> u64 {
         self.core.intervals_processed()
     }
-}
-
-/// Runs detection on one interval's snapshot and publishes the outcome
-/// to attached telemetry.
-fn detect(
-    core: &mut DetectionCore,
-    telemetry: &mut Option<crate::telemetry_ext::PipelineTelemetry>,
-    snapshot: &IntervalSnapshot,
-) -> IntervalOutcome {
-    let outcome = core.process_snapshot(snapshot);
-    if let Some(t) = telemetry {
-        let threshold = core.config().interval_threshold();
-        t.publish_interval(&outcome, snapshot, threshold);
-    }
-    outcome
 }
 
 #[cfg(test)]
@@ -645,44 +587,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_mode_matches_batch_mode() {
+    fn sharded_run_reports_every_shard_memory() {
         let config = cfg();
         let (trace, _) = flood_trace(config.interval_ms);
-
-        let mut batch = HiFind::new(config).unwrap();
-        let batch_log = batch.run_trace(&trace);
-
-        let mut stream = HiFind::new(config).unwrap();
-        for p in trace.iter() {
-            stream.record_streaming(p);
-        }
-        stream.finish_stream();
-
-        assert_eq!(
-            batch_log.final_alerts(),
-            stream.log().final_alerts(),
-            "streaming and batch interval boundaries must agree"
-        );
-    }
-
-    #[test]
-    fn streaming_closes_empty_gap_intervals() {
-        let config = cfg();
-        let mut ids = HiFind::new(config).unwrap();
-        let p1 = Packet::syn(0, [1, 1, 1, 1].into(), 1, [2, 2, 2, 2].into(), 80);
-        // Next packet three intervals later: two elapsed + the gap close.
-        let p2 = Packet::syn(
-            3 * config.interval_ms + 5,
-            [1, 1, 1, 1].into(),
-            2,
-            [2, 2, 2, 2].into(),
-            80,
-        );
-        assert!(ids.record_streaming(&p1).is_empty());
-        let outcomes = ids.record_streaming(&p2);
-        assert_eq!(outcomes.len(), 3, "intervals 0..3 must all close");
-        assert!(ids.finish_stream().is_some());
-        assert_eq!(ids.intervals_processed(), 4);
+        let mut ids = HiFind::with_workers(config, 2).unwrap();
+        let mut report = crate::RunReport::new();
+        ids.run_trace_with(&trace, Some(&mut report)).unwrap();
+        let one = SketchRecorder::new(&config).unwrap().memory_bytes();
+        assert_eq!(report.sketch_memory_bytes, 2 * one);
     }
 
     #[test]

@@ -340,7 +340,7 @@ mod tests {
                 ));
             }
         }
-        ids.run_trace_with(&trace, 0, Some(&mut report)).unwrap();
+        ids.run_trace_with(&trace, Some(&mut report)).unwrap();
         report
     }
 

@@ -298,9 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_sharded_routes_are_metered() {
+    fn inline_and_sharded_routes_are_metered() {
         // Every route into the record plane passes the one metered record
-        // path: streaming mode and the sharded trace runner alike.
+        // path: per-packet `record` on the inline plane and the trace
+        // runner on a sharded one alike.
         let config = HiFindConfig::small(3);
         let mut trace = hifind_flow::Trace::new();
         for i in 0..1500u32 {
@@ -309,27 +310,30 @@ mod tests {
             trace.push(Packet::syn(ts, c, 2000, [129, 105, 0, 1].into(), 80));
         }
         let n = trace.len() as u64;
-        let packets_total =
-            |registry: &Registry| registry.snapshot().get("hifind_packets_total").cloned();
+        let metric = |registry: &Registry, name: &str| registry.snapshot().get(name).cloned();
 
-        let streamed = Registry::new();
+        let inline = Registry::new();
         let mut ids = HiFind::new(config).unwrap();
-        ids.attach_telemetry(streamed.clone()).unwrap();
+        ids.attach_telemetry(inline.clone()).unwrap();
         for p in trace.iter() {
-            ids.record_streaming(p);
+            ids.record(p);
         }
-        ids.finish_stream();
+        ids.end_interval();
         assert_eq!(
-            packets_total(&streamed),
+            metric(&inline, "hifind_packets_total"),
             Some(MetricValue::Counter { value: n })
         );
 
         let sharded = Registry::new();
-        let mut ids = HiFind::new(config).unwrap();
+        let mut ids = HiFind::with_workers(config, 2).unwrap();
         ids.attach_telemetry(sharded.clone()).unwrap();
-        ids.run_trace_with(&trace, 2, None).unwrap();
         assert_eq!(
-            packets_total(&sharded),
+            metric(&sharded, "hifind_record_workers"),
+            Some(MetricValue::Gauge { value: 2 })
+        );
+        ids.run_trace_with(&trace, None).unwrap();
+        assert_eq!(
+            metric(&sharded, "hifind_packets_total"),
             Some(MetricValue::Counter { value: n })
         );
     }

@@ -3,7 +3,11 @@
 //! does (at unit-test scale).
 
 use hifind::evaluate::evaluate;
-use hifind::{AlertKind, HiFind, HiFindAggregator, HiFindConfig, Phase, SketchRecorder};
+use hifind::{
+    AlertKind, AlertLog, DetectionCore, HiFind, HiFindConfig, IntervalSnapshot, Phase,
+    SketchRecorder,
+};
+use hifind_flow::{Ip4, Packet, Trace};
 use hifind_trafficgen::{presets, split_per_packet, EventClass};
 
 fn test_config() -> HiFindConfig {
@@ -70,43 +74,93 @@ fn lbl_like_no_flooding_after_phase3() {
     assert!(log.count(Phase::Final, AlertKind::HScan) >= 5);
 }
 
-#[test]
-fn aggregated_detection_equals_single_router_on_preset() {
-    let cfg = test_config();
-    let (trace, _) = presets::nu_like(3).scaled(0.01).generate();
-
-    let mut single = HiFind::new(cfg).unwrap();
-    let single_log = single.run_trace(&trace);
-
-    let parts = split_per_packet(&trace, 3, 99);
-    let mut routers: Vec<SketchRecorder> =
-        (0..3).map(|_| SketchRecorder::new(&cfg).unwrap()).collect();
-    let mut site = HiFindAggregator::new(cfg).unwrap();
+/// Detects on the per-interval sum of the routers' snapshots, as the
+/// collection root does: each interval, fold every router's snapshot into
+/// the first one with `combine_many`, then run the one detection core.
+fn detect_aggregated(cfg: HiFindConfig, parts: &[Trace]) -> AlertLog {
+    let mut routers: Vec<SketchRecorder> = parts
+        .iter()
+        .map(|_| SketchRecorder::new(&cfg).unwrap())
+        .collect();
+    let mut core = DetectionCore::new(cfg).unwrap();
     let windows: Vec<Vec<_>> = parts
         .iter()
         .map(|t| t.intervals(cfg.interval_ms).collect())
         .collect();
     let n = windows.iter().map(Vec::len).max().unwrap();
     for iv in 0..n {
-        let mut snaps = Vec::new();
-        for (router, wins) in routers.iter_mut().zip(&windows) {
-            if let Some(w) = wins.get(iv) {
-                for p in w.packets {
-                    router.record(p);
+        let mut snaps: Vec<IntervalSnapshot> = routers
+            .iter_mut()
+            .zip(&windows)
+            .map(|(router, wins)| {
+                if let Some(w) = wins.get(iv) {
+                    for p in w.packets {
+                        router.record(p);
+                    }
                 }
-            }
-            snaps.push(router.take_snapshot());
-        }
-        site.process_interval(&snaps).unwrap();
+                router.take_snapshot()
+            })
+            .collect();
+        let (sum, rest) = snaps.split_first_mut().unwrap();
+        sum.combine_many(&rest.iter().collect::<Vec<_>>()).unwrap();
+        core.process_snapshot(sum);
     }
+    core.log().clone()
+}
+
+/// A hand-built trace: background handshakes to a victim service, then
+/// from interval 1 on a spoofed SYN flood against it and a port-445 scan.
+fn flood_and_scan(cfg: &HiFindConfig) -> Trace {
+    let mut t = Trace::new();
+    let victim: Ip4 = [129, 105, 0, 1].into();
+    let scanner: Ip4 = [66, 6, 6, 6].into();
+    for iv in 0..5u64 {
+        let base = iv * cfg.interval_ms;
+        for i in 0..30u32 {
+            let c: Ip4 = [9, 9, 9, (i % 100) as u8].into();
+            let ts = base + u64::from(i) * 7;
+            t.push(Packet::syn(ts, c, 4000 + i as u16, victim, 80));
+            t.push(Packet::syn_ack(ts + 1, c, 4000 + i as u16, victim, 80));
+        }
+        if iv >= 1 {
+            for i in 0..250u32 {
+                let spoofed = Ip4::new(0x5100_0000 + i);
+                t.push(Packet::syn(
+                    base + 200 + u64::from(i),
+                    spoofed,
+                    2000,
+                    victim,
+                    80,
+                ));
+                let dst: Ip4 = [129, 105, (i >> 8) as u8, i as u8].into();
+                t.push(Packet::syn(
+                    base + 300 + u64::from(i),
+                    scanner,
+                    2100,
+                    dst,
+                    445,
+                ));
+            }
+        }
+    }
+    t.sort_by_time();
+    t
+}
+
+/// Splits `trace` per packet over three routers and asserts detection on
+/// their aggregate equals single-router detection; returns the aggregate's
+/// log.
+fn assert_aggregate_equals_single(cfg: HiFindConfig, trace: &Trace) -> AlertLog {
+    let mut single = HiFind::new(cfg).unwrap();
+    let single_log = single.run_trace(trace);
+    let aggregate = detect_aggregated(cfg, &split_per_packet(trace, 3, 99));
 
     let mut a: Vec<_> = single_log
         .final_alerts()
         .iter()
         .map(|x| x.identity())
         .collect();
-    let mut b: Vec<_> = site
-        .log()
+    let mut b: Vec<_> = aggregate
         .final_alerts()
         .iter()
         .map(|x| x.identity())
@@ -114,6 +168,22 @@ fn aggregated_detection_equals_single_router_on_preset() {
     a.sort();
     b.sort();
     assert_eq!(a, b, "aggregate must equal single-router detection");
+    aggregate
+}
+
+#[test]
+fn aggregated_detection_equals_single_router_on_preset() {
+    let (trace, _) = presets::nu_like(3).scaled(0.01).generate();
+    assert_aggregate_equals_single(test_config(), &trace);
+
+    // The hand-built split: the aggregate still finds both attacks.
+    let cfg = HiFindConfig::small(50);
+    let aggregate = assert_aggregate_equals_single(cfg, &flood_and_scan(&cfg));
+    assert!(
+        aggregate.count(Phase::Final, AlertKind::SynFlooding) >= 1,
+        "aggregate must still detect the flood"
+    );
+    assert!(aggregate.count(Phase::Final, AlertKind::HScan) >= 1);
 }
 
 #[test]
@@ -123,8 +193,8 @@ fn snapshots_survive_serialization_between_router_and_site() {
     let cfg = test_config();
     let (trace, _) = presets::dos_resilience(4).scaled(0.05).generate();
     let mut recorder = SketchRecorder::new(&cfg).unwrap();
-    let mut site_direct = HiFindAggregator::new(cfg).unwrap();
-    let mut site_wire = HiFindAggregator::new(cfg).unwrap();
+    let mut site_direct = DetectionCore::new(cfg).unwrap();
+    let mut site_wire = DetectionCore::new(cfg).unwrap();
     for window in trace.intervals(cfg.interval_ms) {
         for p in window.packets {
             recorder.record(p);
@@ -132,10 +202,8 @@ fn snapshots_survive_serialization_between_router_and_site() {
         let snap = recorder.take_snapshot();
         let wire = serde_json::to_vec(&snap).unwrap();
         let shipped: hifind::IntervalSnapshot = serde_json::from_slice(&wire).unwrap();
-        site_direct
-            .process_interval(std::slice::from_ref(&snap))
-            .unwrap();
-        site_wire.process_interval(&[shipped]).unwrap();
+        site_direct.process_snapshot(&snap);
+        site_wire.process_snapshot(&shipped);
     }
     assert_eq!(
         site_direct.log().final_alerts(),

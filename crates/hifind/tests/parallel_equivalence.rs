@@ -1,6 +1,6 @@
 //! Property-based equivalence between the serial and sharded record
-//! planes: for arbitrary traces and worker counts, `run_trace_with(n)`
-//! must produce byte-identical interval snapshots and the same alert log
+//! planes: for arbitrary traces and worker counts, a pipeline built
+//! `HiFind::with_workers(cfg, n)` must produce byte-identical interval snapshots and the same alert log
 //! as `run_trace` — sketch linearity promises it, these tests hold it to
 //! that promise.
 
@@ -67,7 +67,7 @@ fn assert_logs_equal(serial: &hifind::AlertLog, parallel: &hifind::AlertLog) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `run_trace_with(n)` yields the same alert log as `run_trace`
+    /// a pipeline built `with_workers(n)` yields the same alert log as `run_trace`
     /// for arbitrary traces and every interesting worker count (including
     /// a count that does not divide the batch flow evenly).
     #[test]
@@ -80,8 +80,8 @@ proptest! {
         let trace = arb_trace(seed);
         let mut serial = HiFind::new(cfg).unwrap();
         let serial_log = serial.run_trace(&trace);
-        let mut parallel = HiFind::new(cfg).unwrap();
-        let parallel_log = parallel.run_trace_with(&trace, workers, None).unwrap();
+        let mut parallel = HiFind::with_workers(cfg, workers).unwrap();
+        let parallel_log = parallel.run_trace_with(&trace, None).unwrap();
         assert_logs_equal(&serial_log, &parallel_log);
         prop_assert_eq!(
             serial.intervals_processed(),
@@ -119,8 +119,8 @@ fn empty_trace_matches_serial() {
     for workers in [1usize, 2, 4, 7] {
         let mut serial = HiFind::new(cfg).unwrap();
         let serial_log = serial.run_trace(&trace);
-        let mut parallel = HiFind::new(cfg).unwrap();
-        let parallel_log = parallel.run_trace_with(&trace, workers, None).unwrap();
+        let mut parallel = HiFind::with_workers(cfg, workers).unwrap();
+        let parallel_log = parallel.run_trace_with(&trace, None).unwrap();
         assert_logs_equal(&serial_log, &parallel_log);
     }
 }
@@ -139,8 +139,8 @@ fn one_packet_trace_matches_serial() {
     for workers in [1usize, 2, 4, 7] {
         let mut serial = HiFind::new(cfg).unwrap();
         let serial_log = serial.run_trace(&trace);
-        let mut parallel = HiFind::new(cfg).unwrap();
-        let parallel_log = parallel.run_trace_with(&trace, workers, None).unwrap();
+        let mut parallel = HiFind::with_workers(cfg, workers).unwrap();
+        let parallel_log = parallel.run_trace_with(&trace, None).unwrap();
         assert_logs_equal(&serial_log, &parallel_log);
         assert_eq!(serial.intervals_processed(), parallel.intervals_processed());
     }

@@ -278,12 +278,12 @@ fn detect(args: &Args) -> Result<(), String> {
     cfg.threshold_per_sec = threshold;
     cfg.validate()?;
     let workers: usize = args.get_parsed("workers", 0)?;
-    let mut ids = HiFind::new(cfg).map_err(|e| e.to_string())?;
+    let mut ids = HiFind::with_workers(cfg, workers).map_err(|e| e.to_string())?;
 
     // Telemetry is collected whenever someone will consume it.
     let mut report = (metrics_json.is_some() || args.has("stats")).then(hifind::RunReport::new);
     let log = ids
-        .run_trace_with(&trace, workers, report.as_mut())
+        .run_trace_with(&trace, report.as_mut())
         .map_err(|e| e.to_string())?;
 
     if args.has("phases") {
