@@ -12,7 +12,7 @@
 //! failures of the same source are scattered, producing both false
 //! positives and false negatives.
 //!
-//! What shipping those sketches costs (codec bytes, delta share, wire
+//! What shipping those sketches costs (codec bytes, wire
 //! bytes per router interval) is the end-to-end benchmark's
 //! `codec.payload_bytes`, `codec_v2.*` and `wire_bytes_per_router_interval`
 //! rows; the loopback TCP identity check is

@@ -91,10 +91,6 @@ pub struct AgentStats {
     pub reconnects: u64,
     /// Failed connect or write attempts.
     pub send_failures: u64,
-    /// Intervals encoded as v2 keyframes.
-    pub frames_v2_keyframes: u64,
-    /// Intervals encoded as v2 deltas against an acked baseline.
-    pub frames_v2_deltas: u64,
 }
 
 /// What one flush (or interval end) managed to ship.

@@ -118,10 +118,6 @@ pub struct AggregatorReport {
     pub frames_late: u64,
     /// Child frames rejected for wire/codec/fingerprint violations.
     pub frames_rejected: u64,
-    /// Accepted v2 keyframes from children.
-    pub frames_v2_keyframes: u64,
-    /// Accepted v2 delta frames from children.
-    pub frames_v2_deltas: u64,
     /// Payload + header bytes of valid child frames.
     pub bytes_received: u64,
     /// Distinct child ids that contributed at least one valid frame.
@@ -245,9 +241,8 @@ impl Sink for ForwardSink {
             }
             return;
         };
-        // The shipper re-encodes the sum (keeping its own delta chain
-        // against its upstream) and counts an unframeable sum as a
-        // dropped interval itself.
+        // The shipper encodes the sum as a keyframe and counts an
+        // unframeable sum as a dropped interval itself.
         let _ = self.shipper.ship_snapshot(flush.interval, &combined);
         self.forwarded.inc();
         if let Some(obs) = &tier.observer {
@@ -289,8 +284,6 @@ impl Sink for ForwardSink {
             frames_received: c.frames_received,
             frames_late: c.frames_late,
             frames_rejected: c.frames_rejected,
-            frames_v2_keyframes: c.frames_v2_keyframes,
-            frames_v2_deltas: c.frames_v2_deltas,
             bytes_received: c.bytes_received,
             children_seen: c.routers_seen,
             checkpoints_written: c.checkpoints_written,

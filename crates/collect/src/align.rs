@@ -99,7 +99,10 @@ impl IntervalAligner {
         self.next_interval
     }
 
-    /// Offers one child's parsed frame for `interval`.
+    /// Offers one child's parsed frame for `interval`, adding it into
+    /// the interval's sum with saturating adds. Those are not associative,
+    /// so the sum is independent of arrival order only while no cell
+    /// saturates.
     pub(crate) fn offer(&mut self, child: u32, interval: u64, frame: &FrameRuns) -> OfferOutcome {
         if interval < self.next_interval {
             return OfferOutcome::Late;
@@ -193,7 +196,7 @@ mod tests {
     /// An empty interval's frame recorded under `cfg`.
     fn snap(cfg: &HiFindConfig) -> FrameRuns {
         let snap = SketchRecorder::new(cfg).unwrap().take_snapshot();
-        codec_v2::parse(&codec_v2::encode_keyframe(&snap), None, None).unwrap()
+        codec_v2::parse(&codec_v2::encode_keyframe(&snap), None).unwrap()
     }
 
     fn aligner(policy: AlignPolicy) -> IntervalAligner {
@@ -271,6 +274,33 @@ mod tests {
         assert_eq!(flush.interval, 0);
         assert!(matches!(flush.kind, FlushKind::Partial { missing: 1 }));
         assert!(aligner.pop_ready(false).is_none(), "back inside window");
+    }
+
+    /// Saturating addition is not associative: the same three frames
+    /// summed in two arrival orders give two sums once a cell reaches the
+    /// `i64` rails. A tier sum is order-independent only while no cell
+    /// saturates.
+    #[test]
+    fn a_saturating_sum_depends_on_arrival_order() {
+        let cfg = HiFindConfig::small(1);
+        let frame = |value: i64| {
+            let mut snap = SketchRecorder::new(&cfg).unwrap().take_snapshot();
+            snap.os.stage_mut(0)[0] = value;
+            codec_v2::parse(&codec_v2::encode_keyframe(&snap), None).unwrap()
+        };
+        let sum_in = |order: [i64; 3]| {
+            let mut aligner = aligner(policy(3));
+            for (child, value) in (1..).zip(order) {
+                assert_eq!(
+                    aligner.offer(child, 0, &frame(value)),
+                    OfferOutcome::Accepted
+                );
+            }
+            let (sum, _) = aligner.pop_ready(false).unwrap().payload.unwrap();
+            sum.os.stage(0)[0]
+        };
+        assert_eq!(sum_in([i64::MAX, i64::MAX, i64::MIN]), -1);
+        assert_eq!(sum_in([i64::MAX, i64::MIN, i64::MAX]), i64::MAX - 1);
     }
 
     #[test]

@@ -160,8 +160,8 @@ pub struct AgentCheckpoint {
     pub router_id: u32,
     /// Intervals ended so far (the next frame's interval index).
     pub interval: u64,
-    /// Backlogged wire frames (complete standalone v2 frames, never
-    /// deltas), oldest first.
+    /// Backlogged wire frames (complete v2 keyframe frames), oldest
+    /// first.
     pub backlog: Vec<Vec<u8>>,
 }
 

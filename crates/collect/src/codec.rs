@@ -48,14 +48,9 @@ pub enum CodecError {
     /// The decoded Bloom filter parts violated
     /// [`hifind_hashing::BloomFilter`] invariants.
     Bloom(String),
-    /// A v2 payload's flag byte set bits this decoder does not know.
+    /// A v2 payload's flag byte was not zero (a keyframe's). Bit 0 once
+    /// marked a delta frame, which no build sends or accepts any more.
     BadFlags { flags: u64 },
-    /// A v2 delta referenced a baseline interval the receiver no longer
-    /// (or never) retained; the sender recovers by keyframing.
-    DeltaBaselineMissing { baseline: u64 },
-    /// A v2 delta's shapes (grid dimensions, Bloom geometry) disagree
-    /// with its baseline, so residuals cannot be applied.
-    DeltaShapeMismatch { at: &'static str },
     /// A payload declares a shape (grid dimensions, Bloom geometry or
     /// seeds, fingerprint) other than the receiving node's own.
     ShapeMismatch { at: &'static str },
@@ -76,12 +71,6 @@ impl std::fmt::Display for CodecError {
             CodecError::Bloom(detail) => write!(f, "bloom filter: {detail}"),
             CodecError::BadFlags { flags } => {
                 write!(f, "unknown payload flag bits {flags:#x}")
-            }
-            CodecError::DeltaBaselineMissing { baseline } => {
-                write!(f, "delta baseline interval {baseline} not retained")
-            }
-            CodecError::DeltaShapeMismatch { at } => {
-                write!(f, "delta and baseline disagree on {at} shape")
             }
             CodecError::ShapeMismatch { at } => {
                 write!(f, "payload {at} shape differs from the receiver's")

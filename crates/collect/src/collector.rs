@@ -117,10 +117,6 @@ pub struct CollectionReport {
     pub frames_rejected: u64,
     /// Payload + header bytes of valid frames.
     pub bytes_received: u64,
-    /// Valid v2 keyframes.
-    pub frames_v2_keyframes: u64,
-    /// Valid v2 delta frames.
-    pub frames_v2_deltas: u64,
     /// Distinct router ids that contributed at least one valid frame.
     pub routers_seen: Vec<u32>,
     /// Checkpoints successfully written this run.

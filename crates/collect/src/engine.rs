@@ -16,21 +16,21 @@
 //! has produced data frames leaves the poll set until the queue drains,
 //! so backpressure lands on TCP instead of collector memory. Crucially
 //! the engine thread itself never blocks — the control plane (accepting
-//! connections, answering codec hellos, flushing interval acks) stays
-//! live however far behind detection runs.
-//! An agent reconnecting into a backpressured collector still gets its
-//! hello answered instead of timing out into retry loops.
+//! connections, answering codec hellos) stays live however far behind
+//! detection runs. An agent reconnecting into a backpressured collector
+//! still gets its hello answered instead of timing out into retry loops.
 //!
-//! Every frame is codec v2. A connection that opened with a hello is
-//! acked per frame; one that sent no hello is still decoded, never acked.
-//! A version-1 frame header is a lost framing: it is rejected and its
-//! connection dropped.
+//! Every frame is codec v2. The accept that answers a hello is the only
+//! thing the engine ever writes to a connection; frames are never
+//! answered, and one that arrives without a hello is decoded all the
+//! same. A version-1 frame header is a lost framing: it is rejected and
+//! its connection dropped.
 //!
 //! Shutdown is prompt: [`EngineHandle::wake`] writes one byte into the
 //! wakeup pipe, which the poll set always watches, so `stop()` never
 //! waits out an accept or read timeout tick.
 
-use crate::codec_v2::{ChainStore, FrameRuns};
+use crate::codec_v2::FrameRuns;
 use crate::wire::{self, FrameHeader, WireError, HEADER_LEN};
 use crate::CollectError;
 use hifind::SnapshotShape;
@@ -58,14 +58,13 @@ pub(crate) enum Event {
 
 /// A validated frame as the engine hands it on: the sender id and
 /// interval from its header, its payload parsed into runs, its header +
-/// payload size on the wire, whether the payload was a delta, and the
-/// time spent validating and parsing it.
+/// payload size on the wire, and the time spent validating and parsing
+/// it.
 pub(crate) struct Received {
     pub router_id: u32,
     pub interval: u64,
     pub frame: FrameRuns,
     pub frame_bytes: u64,
-    pub delta: bool,
     pub decode: Duration,
 }
 
@@ -168,7 +167,7 @@ impl FrameAssembler {
     }
 
     /// Advances the state machine by at most one frame.
-    pub(crate) fn step(&mut self, chains: &mut ChainStore) -> Step {
+    pub(crate) fn step(&mut self) -> Step {
         let header = match self.state {
             FrameState::Header => {
                 if let Some(step) = self.try_hello() {
@@ -208,17 +207,16 @@ impl FrameAssembler {
         }
         let payload = &self.buf[HEADER_LEN..frame_len];
         let decode_start = Instant::now();
-        let parsed = wire::parse_payload(&header, payload, chains, Some(&self.shape));
+        let parsed = wire::parse_payload(&header, payload, Some(&self.shape));
         let decode = decode_start.elapsed();
         self.buf.drain(..frame_len);
         self.state = FrameState::Header;
         match parsed {
-            Ok((frame, delta)) => Step::Frame(Box::new(Received {
+            Ok(frame) => Step::Frame(Box::new(Received {
                 router_id: header.router_id,
                 interval: header.interval,
                 frame,
                 frame_bytes: u64::try_from(frame_len).unwrap_or(u64::MAX),
-                delta,
                 decode,
             })),
             Err(e) => Step::Skip(e, decode),
@@ -345,13 +343,11 @@ struct Conn {
     stream: TcpStream,
     assembler: FrameAssembler,
     open: bool,
-    /// The peer's hello was accepted.
-    negotiated: bool,
-    /// Bytes queued for the peer (accept + acks), written opportunistically
-    /// with nonblocking writes so the engine never stalls on a peer.
+    /// Accepts queued for the peer, written opportunistically with
+    /// nonblocking writes so the engine never stalls on a peer.
     out: Vec<u8>,
-    /// The write side died (peer gone or closed). Control messages stop;
-    /// the read side keeps draining whatever the peer already sent.
+    /// The write side died (peer gone or closed). Accepts stop; the read
+    /// side keeps draining whatever the peer already sent.
     write_dead: bool,
     /// The peer has produced at least one data frame. While the consumer
     /// is backpressured, greeted connections leave the poll set (their
@@ -360,9 +356,9 @@ struct Conn {
     greeted: bool,
 }
 
-/// Cap on a connection's queued outbound control bytes. Acks beyond it
-/// are dropped — the peer simply keyframes until the queue drains, so
-/// an unreadable peer costs compression, never engine memory or time.
+/// Cap on a connection's queued outbound bytes. Only a peer that keeps
+/// repeating its hello without reading could reach it; accepts beyond it
+/// are dropped, so such a peer costs no engine memory or time.
 const MAX_OUT_BUFFER: usize = 4096;
 
 impl Conn {
@@ -376,9 +372,8 @@ impl Conn {
     /// Writes as much queued output as the socket will take right now.
     ///
     /// A dead write side (a peer that shipped its frames and closed) only
-    /// disables further control messages — it must NOT close the
-    /// connection: frames the peer sent before closing may still sit in
-    /// our receive buffer, and acks are mere compression hints.
+    /// disables further accepts — it must NOT close the connection: frames
+    /// the peer sent before closing may still sit in our receive buffer.
     fn flush_out(&mut self) {
         while !self.out.is_empty() {
             match self.stream.write(&self.out) {
@@ -535,10 +530,6 @@ fn run(
     cfg: EngineConfig,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    // Delta baselines for every downstream, shared across connections so
-    // a sender that reconnects (same router id) can still be served —
-    // though its fresh session always opens with a keyframe anyway.
-    let mut chains = ChainStore::new();
     // Events the consumer had no channel room for. While non-empty the
     // engine is backpressured: greeted connections pause, control stays
     // live. Bounded in practice by one service burst per fresh peer.
@@ -587,10 +578,10 @@ fn run(
             // poll will never announce them, so check explicitly.
             let leftover = !backpressured && conn.assembler.has_buffered();
             let flow = if *ready || leftover {
-                service(conn, &tx, &mut pending, &mut chains)
+                service(conn, &tx, &mut pending)
             } else {
-                // Nothing to read (or paused); retry any queued
-                // accept/acks that hit WouldBlock earlier.
+                // Nothing to read (or paused); retry an accept that hit
+                // WouldBlock earlier.
                 conn.flush_out();
                 Flow::Keep
             };
@@ -628,7 +619,6 @@ fn run(
                             stream,
                             assembler: FrameAssembler::new(cfg.max_payload, Arc::clone(&cfg.shape)),
                             open: true,
-                            negotiated: false,
                             out: Vec::new(),
                             write_dead: false,
                             greeted: false,
@@ -685,14 +675,12 @@ enum Drain {
 /// Decodes whatever complete frames sit in `conn`'s assembler, emitting
 /// their events, until the buffer runs dry, the framing turns fatal, or
 /// (with a cap) `cap` data events have been emitted. Hellos are answered
-/// and validated v2 frames acked via the connection's out-buffer; neither
-/// counts against the cap. Returns the data events emitted and why the
-/// pass stopped.
+/// via the connection's out-buffer and do not count against the cap.
+/// Returns the data events emitted and why the pass stopped.
 fn drain_steps(
     conn: &mut Conn,
     tx: &SyncSender<Event>,
     pending: &mut VecDeque<Event>,
-    chains: &mut ChainStore,
     cap: Option<usize>,
 ) -> (usize, Drain) {
     let mut emitted = 0usize;
@@ -700,19 +688,11 @@ fn drain_steps(
         if cap.is_some_and(|c| emitted >= c) {
             return (emitted, Drain::Paused);
         }
-        match conn.assembler.step(chains) {
+        match conn.assembler.step() {
             Step::Need => return (emitted, Drain::Paused),
-            Step::Hello => {
-                conn.negotiated = true;
-                conn.queue(&wire::encode_accept(wire::CODEC_V2));
-            }
+            Step::Hello => conn.queue(&wire::encode_accept(wire::CODEC_V2)),
             Step::Frame(received) => {
                 conn.greeted = true;
-                // Acks exist solely to unlock the sender's delta chain,
-                // which only a peer that sent a hello keeps.
-                if conn.negotiated {
-                    conn.queue(&wire::encode_ack(received.interval));
-                }
                 if !emit(tx, pending, Event::Frame(received)) {
                     return (emitted, Drain::Exit);
                 }
@@ -750,17 +730,12 @@ fn drain_steps(
 /// exception is EOF or a fatal socket error: there will be no further
 /// rounds for this connection, so everything the peer shipped before
 /// closing drains uncapped — the pending queue absorbs it.
-fn service(
-    conn: &mut Conn,
-    tx: &SyncSender<Event>,
-    pending: &mut VecDeque<Event>,
-    chains: &mut ChainStore,
-) -> Flow {
+fn service(conn: &mut Conn, tx: &SyncSender<Event>, pending: &mut VecDeque<Event>) -> Flow {
     let mut chunk = [0u8; 64 * 1024];
     let mut flow = Flow::Keep;
     // Leftovers first: an earlier capped round may have left complete
     // frames in the assembler that no poll readiness will announce.
-    let spent = match drain_steps(conn, tx, pending, chains, Some(1)) {
+    let spent = match drain_steps(conn, tx, pending, Some(1)) {
         (_, Drain::Exit) => return Flow::Exit,
         (_, Drain::Fatal) => {
             conn.flush_out();
@@ -772,10 +747,7 @@ fn service(
         'read: for _ in 0..8 {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
-                    if matches!(
-                        drain_steps(conn, tx, pending, chains, None),
-                        (_, Drain::Exit)
-                    ) {
+                    if matches!(drain_steps(conn, tx, pending, None), (_, Drain::Exit)) {
                         return Flow::Exit;
                     }
                     flow = Flow::Close;
@@ -783,7 +755,7 @@ fn service(
                 }
                 Ok(n) => {
                     conn.assembler.extend(&chunk[..n]);
-                    match drain_steps(conn, tx, pending, chains, Some(1)) {
+                    match drain_steps(conn, tx, pending, Some(1)) {
                         (_, Drain::Exit) => return Flow::Exit,
                         (_, Drain::Fatal) => {
                             flow = Flow::Close;
@@ -799,10 +771,7 @@ fn service(
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break 'read,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    if matches!(
-                        drain_steps(conn, tx, pending, chains, None),
-                        (_, Drain::Exit)
-                    ) {
+                    if matches!(drain_steps(conn, tx, pending, None), (_, Drain::Exit)) {
                         return Flow::Exit;
                     }
                     flow = Flow::Close;
@@ -811,7 +780,7 @@ fn service(
             }
         }
     }
-    // Push out whatever this round queued (accept, acks) — best effort;
+    // Push out an accept this round queued — best effort;
     // a dead write side never closes a connection that may still hold
     // readable frames.
     conn.flush_out();
@@ -845,12 +814,11 @@ mod tests {
         doubled.extend_from_slice(&frame);
         for chunk_size in [1, 7, 36, 37, 1024] {
             let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
-            let mut chains = ChainStore::new();
             let mut frames = 0;
             for chunk in doubled.chunks(chunk_size) {
                 asm.extend(chunk);
                 loop {
-                    match asm.step(&mut chains) {
+                    match asm.step() {
                         Step::Need => break,
                         Step::Frame(r) => {
                             assert_eq!(r.router_id, 9);
@@ -872,12 +840,8 @@ mod tests {
         let (mut frame, _) = sample_frame();
         frame[0] = b'X';
         let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
-        let mut chains = ChainStore::new();
         asm.extend(&frame);
-        assert!(matches!(
-            asm.step(&mut chains),
-            Step::Fatal(WireError::BadMagic(_))
-        ));
+        assert!(matches!(asm.step(), Step::Fatal(WireError::BadMagic(_))));
     }
 
     #[test]
@@ -888,11 +852,10 @@ mod tests {
         corrupted[last] ^= 0xFF; // flip a payload byte: CRC mismatch
         corrupted.extend_from_slice(&frame); // a good frame follows
         let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
-        let mut chains = ChainStore::new();
         asm.extend(&corrupted);
-        assert!(matches!(asm.step(&mut chains), Step::Skip(..)));
-        assert!(matches!(asm.step(&mut chains), Step::Frame(_)));
-        assert!(matches!(asm.step(&mut chains), Step::Need));
+        assert!(matches!(asm.step(), Step::Skip(..)));
+        assert!(matches!(asm.step(), Step::Frame(_)));
+        assert!(matches!(asm.step(), Step::Need));
     }
 
     /// A hello arriving in arbitrary fragments is recognized when it
@@ -903,27 +866,26 @@ mod tests {
     fn hello_is_recognized_only_when_v2_is_enabled() {
         let hello = wire::encode_hello(&[wire::CODEC_V2]);
         let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
-        let mut chains = ChainStore::new();
         for &b in &hello[..hello.len() - 1] {
             asm.extend(&[b]);
-            assert!(matches!(asm.step(&mut chains), Step::Need));
+            assert!(matches!(asm.step(), Step::Need));
         }
         asm.extend(&hello[hello.len() - 1..]);
-        assert!(matches!(asm.step(&mut chains), Step::Hello));
+        assert!(matches!(asm.step(), Step::Hello));
         let (frame, _) = sample_frame();
         asm.extend(&frame);
-        assert!(matches!(asm.step(&mut chains), Step::Frame(r) if !r.delta));
+        assert!(matches!(asm.step(), Step::Frame(_)));
         let cfg = HiFindConfig::small(3);
         asm.extend(&crate::collector::tests::version_1_frame(&cfg, 9, 5));
         assert!(matches!(
-            asm.step(&mut chains),
+            asm.step(),
             Step::Fatal(WireError::UnsupportedVersion(1))
         ));
 
         let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, shape());
         v1_only.extend(&wire::encode_hello(&[1]));
         assert!(matches!(
-            v1_only.step(&mut chains),
+            v1_only.step(),
             Step::Fatal(WireError::BadControl { .. })
         ));
     }

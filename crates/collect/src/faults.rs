@@ -318,11 +318,10 @@ fn accept_loop(
 }
 
 /// Relays one agent connection frame by frame until EOF, shutdown, or an
-/// injected/organic connection death. Collector-to-agent traffic (codec
-/// accepts and interval acks) relays back unfaulted through a paired
-/// thread: the fault model is about data frames, and a control channel
-/// this proxy silently ate would just fail every agent's hello instead
-/// of exercising the delta chain under faults.
+/// injected/organic connection death. The collector's one message, the
+/// accept answering a hello, is relayed back unfaulted: the fault model
+/// is about data frames, and an accept this proxy ate would just fail
+/// every agent's hello.
 fn relay_connection(mut downstream: TcpStream, upstream_addr: SocketAddr, conn: u64, sh: &Shared) {
     let _ = downstream.set_read_timeout(Some(Duration::from_millis(50)));
     let Ok(mut upstream) = TcpStream::connect_timeout(&upstream_addr, Duration::from_secs(5))
@@ -330,62 +329,12 @@ fn relay_connection(mut downstream: TcpStream, upstream_addr: SocketAddr, conn: 
         return;
     };
     let _ = upstream.set_nodelay(true);
-    let done = Arc::new(AtomicBool::new(false));
-    let reverse = match (upstream.try_clone(), downstream.try_clone()) {
-        (Ok(up), Ok(down)) => {
-            let shutdown = Arc::clone(&sh.shutdown);
-            let done = Arc::clone(&done);
-            Some(std::thread::spawn(move || {
-                reverse_relay(up, down, &shutdown, &done)
-            }))
-        }
-        _ => None,
-    };
+    let _ = upstream.set_read_timeout(Some(Duration::from_secs(5)));
     relay_forward(&mut downstream, &mut upstream, conn, sh);
     // The agent-facing socket dies now — for injected kills, abruptly;
-    // that is the fault being modelled. The collector-facing socket is
-    // only half-closed: dropping it outright would RST the collector on
-    // its next ack write and wipe relayed frames still sitting unread in
-    // its receive buffer. The reverse thread keeps draining acks until
-    // the collector itself closes the connection.
+    // that is the fault being modelled. The collector sees a clean end
+    // of stream after the last relayed byte.
     let _ = downstream.shutdown(std::net::Shutdown::Both);
-    let _ = upstream.shutdown(std::net::Shutdown::Write);
-    done.store(true, Ordering::SeqCst);
-    if let Some(handle) = reverse {
-        let _ = handle.join();
-    }
-}
-
-/// Copies collector-to-agent bytes verbatim. Runs until the collector
-/// closes its side (or global shutdown); once `done` marks the agent
-/// side gone, bytes are drained and discarded instead of forwarded.
-fn reverse_relay(
-    mut upstream: TcpStream,
-    mut downstream: TcpStream,
-    shutdown: &AtomicBool,
-    done: &AtomicBool,
-) {
-    let _ = upstream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut chunk = [0u8; 4096];
-    let mut forwarding = true;
-    while !shutdown.load(Ordering::SeqCst) {
-        match upstream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                if forwarding
-                    && (done.load(Ordering::SeqCst) || downstream.write_all(&chunk[..n]).is_err())
-                {
-                    forwarding = false;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => break,
-        }
-    }
 }
 
 /// The faulted agent-to-collector direction of one connection.
@@ -404,7 +353,7 @@ fn relay_forward(downstream: &mut TcpStream, upstream: &mut TcpStream, conn: u64
                 loop {
                     // A codec hello is control traffic, not a frame: it
                     // passes through whole and unfaulted (and uncounted),
-                    // exactly like the accept flowing the other way.
+                    // and so does the accept that answers it.
                     if buf.starts_with(&wire::HELLO_MAGIC) {
                         if buf.len() < 8 {
                             break;
@@ -415,7 +364,11 @@ fn relay_forward(downstream: &mut TcpStream, upstream: &mut TcpStream, conn: u64
                             break;
                         }
                         let hello: Vec<u8> = buf.drain(..total).collect();
-                        if upstream.write_all(&hello).is_err() {
+                        let mut accept = [0u8; wire::ACCEPT_LEN];
+                        let answered = upstream.write_all(&hello).is_ok()
+                            && upstream.read_exact(&mut accept).is_ok()
+                            && downstream.write_all(&accept).is_ok();
+                        if !answered {
                             return;
                         }
                         continue;

@@ -7,15 +7,17 @@
 //! one router had seen all traffic. The core crates prove that property
 //! in-process; this crate makes it *networked*:
 //!
-//! * [`codec_v2`] — the sparse/delta encoding of
-//!   [`hifind::IntervalSnapshot`], the one codec on the wire and in
-//!   agent checkpoints.
+//! * [`codec_v2`] — the sparse encoding of [`hifind::IntervalSnapshot`]
+//!   as standalone keyframes, the one codec on the wire and in agent
+//!   checkpoints.
 //! * [`codec`] — the dense v1 encoding (zig-zag varint counters), kept
 //!   only as a library: no node sends or accepts it.
 //! * [`wire`] — versioned, length-prefixed, CRC-checked framing with the
 //!   record-plane configuration fingerprint in every header, so a
 //!   mis-seeded router is rejected before its counters can poison the sum.
-//!   A version-1 frame is rejected like any other framing loss.
+//!   A version-1 frame is rejected like any other framing loss. A session
+//!   is one hello and one accept, then frames one way: a receiving tier
+//!   writes nothing after the accept.
 //! * `node` (crate-private) — the one tier node every receiving tier
 //!   runs: an event-driven connection engine (one poll thread for all
 //!   sockets, no thread per connection) accepts N downstream nodes, and

@@ -87,8 +87,6 @@ struct TierTelemetry {
     frames_rejected: Arc<Counter>,
     straggler_slots: Arc<Counter>,
     bytes_received: Arc<Counter>,
-    frames_v2_keyframes: Arc<Counter>,
-    frames_v2_deltas: Arc<Counter>,
     decode_seconds: Arc<Histogram>,
     combine_seconds: Arc<Histogram>,
     checkpoint_written: Arc<Counter>,
@@ -123,14 +121,6 @@ impl TierTelemetry {
             bytes_received: registry.counter(
                 "hifind_collect_bytes_received_total",
                 "Bytes of valid frames received",
-            )?,
-            frames_v2_keyframes: registry.counter(
-                "hifind_collect_frames_v2_keyframes_total",
-                "Valid codec-v2 keyframes received",
-            )?,
-            frames_v2_deltas: registry.counter(
-                "hifind_collect_frames_v2_deltas_total",
-                "Valid codec-v2 delta frames received",
             )?,
             decode_seconds: registry.histogram(
                 "hifind_collect_decode_seconds",
@@ -423,13 +413,6 @@ impl<S: Sink> Node<S> {
                 t.frames_received.inc();
                 c.bytes_received += r.frame_bytes;
                 t.bytes_received.add(r.frame_bytes);
-                let (count, metric) = if r.delta {
-                    (&mut c.frames_v2_deltas, &t.frames_v2_deltas)
-                } else {
-                    (&mut c.frames_v2_keyframes, &t.frames_v2_keyframes)
-                };
-                *count += 1;
-                metric.inc();
                 if !c.routers_seen.contains(&r.router_id) {
                     c.routers_seen.push(r.router_id);
                 }

@@ -7,21 +7,17 @@
 //!
 //! # One codec
 //!
-//! Every snapshot ships as codec v2 ([`crate::codec_v2`]). Each
-//! connection opens with a hello offering [`wire::CODEC_V2`] and waits up
-//! to `io_timeout` for the upstream's accept. An upstream that does not
-//! accept costs a failed connect attempt — counted, backed off, and the
-//! backlog kept — never a downgrade. Backlog frames restored from a
-//! checkpoint are standalone v2 keyframes and ship verbatim.
-//!
-//! The upstream acks each interval it decodes; those acks gate the delta
-//! chain: a snapshot is shipped as residuals only against a baseline the
-//! upstream provably holds, so no drop, reorder, or restart can ever
-//! leave a frame undecodable. Backlogged delta frames carry their
-//! standalone keyframe twin, which replaces them after any reconnect.
+//! Every snapshot ships as a codec v2 keyframe ([`crate::codec_v2`]),
+//! which stands alone: no drop, reorder or restart can leave a frame
+//! undecodable, and a backlogged frame ships unchanged on any connection.
+//! Each connection opens with a hello offering [`wire::CODEC_V2`] and
+//! waits up to `io_timeout` for the upstream's accept. An upstream that
+//! does not accept costs a failed connect attempt — counted, backed off,
+//! and the backlog kept — never a downgrade. After the accept the
+//! upstream sends nothing, so the shipper never reads again.
 
 use crate::agent::{AgentError, AgentStats, ShipReport};
-use crate::codec_v2::SnapshotEncoder;
+use crate::codec_v2;
 use crate::observer::CollectObserver;
 use crate::wire;
 use hifind::IntervalSnapshot;
@@ -62,42 +58,20 @@ impl Default for ShipConfig {
     }
 }
 
-/// A queued frame awaiting shipment.
-struct Entry {
-    /// The frame to write on the current connection.
-    frame: Vec<u8>,
-    /// For delta frames: the standalone keyframe twin that replaces
-    /// `frame` after a reconnect (the new session's chain state is
-    /// unknown) and is what checkpoints persist.
-    standalone: Option<Vec<u8>>,
-}
-
-impl Entry {
-    /// The frame a checkpoint (or a fresh connection) should carry.
-    fn standalone_frame(&self) -> &Vec<u8> {
-        self.standalone.as_ref().unwrap_or(&self.frame)
-    }
-}
-
 /// Ships encoded frames to one upstream address on behalf of node `id`
 /// (a router id or an aggregator node id — whoever owns the frames).
 pub struct Shipper {
     addr: String,
     id: u32,
     cfg: ShipConfig,
-    backlog: VecDeque<Entry>,
+    /// Encoded frames awaiting shipment, oldest first.
+    backlog: VecDeque<Vec<u8>>,
     /// The live v2 session: present only once the upstream accepted the
     /// hello.
     stream: Option<TcpStream>,
     connected_before: bool,
     stats: AgentStats,
     observer: Option<Arc<dyn CollectObserver>>,
-    /// Highest interval the collector acked on this connection.
-    last_acked: Option<u64>,
-    /// Partial ack bytes carried between nonblocking reads.
-    ack_buf: Vec<u8>,
-    /// Keyframe/delta state for v2 encoding.
-    encoder: SnapshotEncoder,
     /// `hifind_collect_encode_seconds` where a registry exports it: an
     /// aggregator's, not a `RouterAgent`'s (which has no registry).
     pub(crate) encode_seconds: Option<Arc<Histogram>>,
@@ -127,9 +101,6 @@ impl Shipper {
             connected_before: false,
             stats: AgentStats::default(),
             observer: None,
-            last_acked: None,
-            ack_buf: Vec::new(),
-            encoder: SnapshotEncoder::default(),
             encode_seconds: None,
         }
     }
@@ -150,31 +121,15 @@ impl Shipper {
     /// backlog is kept and ships to the new address on the next flush.
     pub fn set_addr(&mut self, addr: impl Into<String>) {
         self.addr = addr.into();
-        self.drop_stream();
-    }
-
-    /// Drops the connection and every piece of per-session state: the
-    /// next session cannot be assumed to hold our delta baselines, so
-    /// pending delta frames revert to their standalone twins and the
-    /// encoder restarts from a keyframe.
-    fn drop_stream(&mut self) {
         self.stream = None;
-        self.last_acked = None;
-        self.ack_buf.clear();
-        self.encoder.reset();
-        for entry in &mut self.backlog {
-            if let Some(standalone) = entry.standalone.take() {
-                entry.frame = standalone;
-            }
-        }
     }
 
     /// Encodes `snapshot` for `interval` and queues it. Returns the flush
     /// outcome, like the old frame-level path did.
     pub fn ship_snapshot(&mut self, interval: u64, snapshot: &IntervalSnapshot) -> ShipReport {
         let mut dropped = 0;
-        match self.encode_entry(interval, snapshot) {
-            Some(entry) => dropped += self.enqueue_entry(entry),
+        match self.encode_frame(interval, snapshot) {
+            Some(frame) => dropped += self.enqueue(frame),
             None => {
                 self.count_unframeable();
                 dropped += 1;
@@ -185,33 +140,16 @@ impl Shipper {
         report
     }
 
-    fn encode_entry(&mut self, interval: u64, snapshot: &IntervalSnapshot) -> Option<Entry> {
-        // Deltas only against an interval the live session acked (none
-        // while disconnected); anywhere short of that, `encode` falls
-        // back to a keyframe on its own.
-        self.drain_acks();
+    fn encode_frame(&self, interval: u64, snapshot: &IntervalSnapshot) -> Option<Vec<u8>> {
         let timer = self.encode_seconds.clone().map(ScopeTimer::new);
-        let encoded = self.encoder.encode(interval, snapshot, self.last_acked);
+        let payload = codec_v2::encode_keyframe(snapshot);
         drop(timer);
-        let frame =
-            wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &encoded.payload)
-                .ok()?;
-        let standalone = if encoded.is_delta {
-            self.stats.frames_v2_deltas += 1;
-            Some(
-                wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &encoded.keyframe)
-                    .ok()?,
-            )
-        } else {
-            self.stats.frames_v2_keyframes += 1;
-            None
-        };
-        Some(Entry { frame, standalone })
+        wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &payload).ok()
     }
 
-    /// Queues `entry`, evicting the oldest on overflow (fresher intervals
+    /// Queues `frame`, evicting the oldest on overflow (fresher intervals
     /// matter more to detection). Returns how many frames were evicted.
-    fn enqueue_entry(&mut self, entry: Entry) -> usize {
+    fn enqueue(&mut self, frame: Vec<u8>) -> usize {
         self.stats.frames_enqueued += 1;
         let mut dropped = 0;
         while self.backlog.len() >= self.cfg.max_backlog_frames.max(1) {
@@ -219,7 +157,7 @@ impl Shipper {
             self.stats.frames_dropped += 1;
             dropped += 1;
         }
-        self.backlog.push_back(entry);
+        self.backlog.push_back(frame);
         dropped
     }
 
@@ -277,7 +215,7 @@ impl Shipper {
                     // upstream's framing validation discards the torn
                     // remainder on its side, and the whole frame is
                     // resent on a fresh connection.
-                    self.drop_stream();
+                    self.stream = None;
                     self.stats.send_failures += 1;
                     attempts += 1;
                     if attempts >= self.cfg.max_attempts {
@@ -288,7 +226,6 @@ impl Shipper {
                 }
             }
         }
-        self.drain_acks();
         report.queued = self.backlog.len();
         report
     }
@@ -297,11 +234,11 @@ impl Shipper {
     /// (`0` when the backlog is empty — nothing to do).
     fn ship_front(&mut self) -> Result<u64, AgentError> {
         let stream = self.stream.as_mut().ok_or(AgentError::NotConnected)?;
-        let Some(entry) = self.backlog.front() else {
+        let Some(frame) = self.backlog.front() else {
             return Ok(0);
         };
-        stream.write_all(&entry.frame).map_err(AgentError::Io)?;
-        let bytes = u64::try_from(entry.frame.len()).unwrap_or(u64::MAX);
+        stream.write_all(frame).map_err(AgentError::Io)?;
+        let bytes = u64::try_from(frame.len()).unwrap_or(u64::MAX);
         self.backlog.pop_front();
         Ok(bytes)
     }
@@ -332,45 +269,6 @@ impl Shipper {
         Ok(stream)
     }
 
-    /// Reads whatever acks the collector has sent without ever blocking;
-    /// a malformed ack stream is ignored (acks only unlock compression —
-    /// losing them costs keyframes, not correctness).
-    fn drain_acks(&mut self) {
-        let Some(stream) = &mut self.stream else {
-            return;
-        };
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let mut chunk = [0u8; 256];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => self.ack_buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        let _ = stream.set_nonblocking(false);
-        while self.ack_buf.len() >= wire::ACK_LEN {
-            let Ok(msg) = <[u8; wire::ACK_LEN]>::try_from(&self.ack_buf[..wire::ACK_LEN]) else {
-                break;
-            };
-            match wire::parse_ack(&msg) {
-                Ok(interval) => {
-                    self.last_acked = Some(self.last_acked.map_or(interval, |a| a.max(interval)));
-                    self.ack_buf.drain(..wire::ACK_LEN);
-                }
-                Err(_) => {
-                    // Desynchronized ack stream: discard it wholesale.
-                    self.ack_buf.clear();
-                    break;
-                }
-            }
-        }
-    }
-
     fn connect(&self) -> std::io::Result<TcpStream> {
         let mut last_err = None;
         for addr in std::net::ToSocketAddrs::to_socket_addrs(&self.addr.as_str())? {
@@ -393,24 +291,15 @@ impl Shipper {
         self.backlog.len()
     }
 
-    /// The still-unshipped frames in checkpointable form: complete
-    /// standalone frames (header + payload, never a delta).
+    /// The still-unshipped frames, each a complete keyframe frame
+    /// (header + payload), oldest first.
     pub fn backlog_frames(&self) -> Vec<Vec<u8>> {
-        self.backlog
-            .iter()
-            .map(|entry| entry.standalone_frame().clone())
-            .collect()
+        self.backlog.iter().cloned().collect()
     }
 
     /// Replaces the backlog with checkpointed frames.
     pub fn restore_backlog(&mut self, frames: &[Vec<u8>]) {
-        self.backlog = frames
-            .iter()
-            .map(|frame| Entry {
-                frame: frame.clone(),
-                standalone: None,
-            })
-            .collect();
+        self.backlog = frames.iter().cloned().collect();
     }
 
     /// Lifetime shipping counters.
@@ -418,36 +307,10 @@ impl Shipper {
         &self.stats
     }
 
-    /// Closes the connection gracefully. The collector acks intervals as
-    /// it *decodes* them, which can trail our last write by however deep
-    /// its queue runs; dropping the socket outright would answer a late
-    /// ack with an RST — and an RST discards every shipped frame the
-    /// collector had not yet read from its receive buffer. So: shut down
-    /// the write side (the collector sees a clean EOF after our last
-    /// frame) and hand the read side to a detached drain that sinks acks
-    /// until the collector closes. Never blocks; the backlog and stats
-    /// stay.
+    /// Closes the connection: the upstream reads every frame written so
+    /// far, then a clean end of stream. Never blocks; the backlog and
+    /// stats stay.
     pub fn close(&mut self) {
-        if let Some(stream) = self.stream.take() {
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            let _ = std::thread::Builder::new()
-                .name("hifind-ack-drain".into())
-                .spawn(move || {
-                    // The backstop timeout only matters if the collector
-                    // neither acks nor closes for this long — then
-                    // late-ack loss is moot anyway.
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                    let mut s = &stream;
-                    let mut sink = [0u8; 1024];
-                    loop {
-                        match s.read(&mut sink) {
-                            Ok(n) if n > 0 => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            _ => break,
-                        }
-                    }
-                });
-        }
-        self.drop_stream();
+        self.stream = None;
     }
 }

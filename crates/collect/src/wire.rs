@@ -23,10 +23,15 @@
 //!
 //! Version 2 is the only version a node sends or accepts; a version-1
 //! header (the retired dense codec) is [`WireError::UnsupportedVersion`].
-//! Sessions additionally exchange three fixed control messages: the
-//! sender's `HFSH` hello offering codec v2, the receiver's `HFSA` accept,
-//! and per-interval `HFKA` acks that gate the sender's delta chain (see
-//! [`crate::codec_v2`]).
+//! A session opens with two fixed control messages: the sender's `HFSH`
+//! hello offering codec v2, then the receiver's `HFSA` accept. After the
+//! accept the receiver writes nothing more; frames flow one way only.
+//!
+//! Receiving tiers must be upgraded before the agents that ship to them:
+//! an older receiver answers each frame with a 12-byte `HFKA` ack, which
+//! this build never reads, and a socket closed with unread bytes is reset
+//! rather than shut down cleanly, which can cost the frames the receiver
+//! had not yet read.
 
 use crate::codec::CodecError;
 use crate::codec_v2::{ChainStore, FrameRuns};
@@ -38,7 +43,7 @@ pub const MAGIC: [u8; 4] = *b"HFS1";
 /// Protocol version carrying codec-v2 payloads, the only one accepted.
 pub const PROTOCOL_VERSION_2: u16 = 2;
 
-/// Codec id of the sparse/delta v2 encoding ([`crate::codec_v2`]).
+/// Codec id of the sparse v2 encoding ([`crate::codec_v2`]).
 pub const CODEC_V2: u8 = 2;
 
 /// Hello magic: HiFIND Snapshot Hello (agent → collector, once per
@@ -49,15 +54,8 @@ pub const HELLO_MAGIC: [u8; 4] = *b"HFSH";
 /// a hello).
 pub const ACCEPT_MAGIC: [u8; 4] = *b"HFSA";
 
-/// Ack magic: HiFIND frame acKnowledgement (collector → agent, one per
-/// decoded interval on v2 sessions).
-pub const ACK_MAGIC: [u8; 4] = *b"HFKA";
-
 /// Size of an encoded accept message.
 pub const ACCEPT_LEN: usize = 8;
-
-/// Size of an encoded ack message.
-pub const ACK_LEN: usize = 12;
 
 /// Hello framing overhead (magic + version + count + trailing CRC);
 /// the full message is this plus one byte per advertised codec.
@@ -113,7 +111,7 @@ pub enum WireError {
     ReservedBytes(u16),
     /// A header naming a codec this build does not implement.
     UnknownCodec(u8),
-    /// A malformed hello/accept/ack control message.
+    /// A malformed hello or accept control message.
     BadControl { at: &'static str },
     /// The header declares a payload beyond the configured cap.
     PayloadTooLarge { len: u32, max: u32 },
@@ -221,8 +219,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Encodes an already-serialized [`crate::codec_v2`] payload as one
-/// complete version-2 frame. The payload's keyframe/delta nature lives
-/// in its own flag byte; the header only names the codec.
+/// complete version-2 frame.
 ///
 /// # Errors
 ///
@@ -325,28 +322,6 @@ pub fn parse_accept(msg: &[u8; ACCEPT_LEN]) -> Result<u8, WireError> {
     Ok(msg[4])
 }
 
-/// Encodes the collector's per-interval ack.
-pub fn encode_ack(interval: u64) -> [u8; ACK_LEN] {
-    let mut msg = [0u8; ACK_LEN];
-    msg[..4].copy_from_slice(&ACK_MAGIC);
-    msg[4..].copy_from_slice(&interval.to_le_bytes());
-    msg
-}
-
-/// Parses an ack message into the acknowledged interval.
-///
-/// # Errors
-///
-/// [`WireError::BadControl`] for wrong magic.
-pub fn parse_ack(msg: &[u8; ACK_LEN]) -> Result<u64, WireError> {
-    if msg[..4] != ACK_MAGIC {
-        return Err(WireError::BadControl { at: "ack magic" });
-    }
-    Ok(u64::from_le_bytes([
-        msg[4], msg[5], msg[6], msg[7], msg[8], msg[9], msg[10], msg[11],
-    ]))
-}
-
 /// Little-endian field readers over the fixed-size header. Building the
 /// arrays element-wise keeps every read panic-free by construction (the
 /// offsets are compile-visible constants within `HEADER_LEN`).
@@ -428,48 +403,46 @@ fn check_payload(header: &FrameHeader, payload: &[u8]) -> Result<(), WireError> 
     Ok(())
 }
 
-/// Validates and decodes a version-2 payload through the receiver's
-/// delta chain state. Returns the snapshot and whether the wire form was
-/// a delta.
+/// Validates and decodes a version-2 payload. Returns the snapshot and
+/// `false` (the payload was not a delta; none is any more).
+///
+/// Kept only because the end-to-end benchmark's layer replay
+/// (`benchmark/src/layers.rs`) names it with a [`ChainStore`]; ROADMAP
+/// item 12 retires it with that replay. Receiving tiers call
+/// [`parse_payload`].
+///
+/// # Errors
+///
+/// As [`parse_payload`].
+pub fn decode_payload_v2(
+    header: &FrameHeader,
+    payload: &[u8],
+    _chains: &mut ChainStore,
+) -> Result<(IntervalSnapshot, bool), WireError> {
+    Ok((parse_payload(header, payload, None)?.into_snapshot(), false))
+}
+
+/// Checks one frame's payload whole — against the receiving node's own
+/// `shape` too, when given — and parses it into runs.
 ///
 /// # Errors
 ///
 /// Every corruption mode maps to a typed error: CRC/length violations to
-/// their [`WireError`] variants, structural ones to
-/// [`WireError::Codec`] — including a
-/// [`CodecError::DeltaBaselineMissing`] chain break.
-pub fn decode_payload_v2(
-    header: &FrameHeader,
-    payload: &[u8],
-    chains: &mut ChainStore,
-) -> Result<(IntervalSnapshot, bool), WireError> {
-    let (frame, delta) = parse_payload(header, payload, chains, None)?;
-    Ok((frame.into_snapshot(), delta))
-}
-
-/// Checks one frame's payload whole — against the receiving node's own
-/// `shape` too, when given — and parses it into runs, returned with
-/// whether the wire form was a delta. Only a frame that passed every
-/// check becomes a delta baseline in `chains`.
-///
-/// # Errors
-///
-/// As [`decode_payload_v2`]; for another node's frame, a fingerprint or
-/// [`CodecError::ShapeMismatch`].
+/// their [`WireError`] variants, structural ones (a non-zero flags byte
+/// included) to [`WireError::Codec`]; for another node's frame, a
+/// fingerprint or [`CodecError::ShapeMismatch`].
 pub fn parse_payload(
     header: &FrameHeader,
     payload: &[u8],
-    chains: &mut ChainStore,
     shape: Option<&SnapshotShape>,
-) -> Result<(FrameRuns, bool), WireError> {
+) -> Result<FrameRuns, WireError> {
     if let Some(node) = shape {
         agree(node.fingerprint, header.fingerprint)?;
     }
     check_payload(header, payload)?;
-    let (frame, delta) = chains.parse(header.router_id, header.interval, payload, shape)?;
+    let frame = crate::codec_v2::parse(payload, shape)?;
     agree(header.fingerprint, frame.fingerprint)?;
-    chains.retain(header.router_id, header.interval, &frame);
-    Ok((frame, delta))
+    Ok(frame)
 }
 
 /// The fingerprint cross-check: `payload` must be `header`.
@@ -505,8 +478,7 @@ mod tests {
         encode_frame_v2(router_id, interval, snap.fingerprint, &payload).unwrap()
     }
 
-    /// Parses `frame`'s header, then decodes its payload into a fresh
-    /// chain store.
+    /// Parses `frame`'s header, then its payload.
     fn decode(
         frame: &[u8],
         max_payload: u32,
@@ -514,8 +486,8 @@ mod tests {
         let mut bytes = [0u8; HEADER_LEN];
         bytes.copy_from_slice(&frame[..HEADER_LEN]);
         let header = parse_header(&bytes, max_payload)?;
-        let (snap, _) = decode_payload_v2(&header, &frame[HEADER_LEN..], &mut ChainStore::new())?;
-        Ok((header, snap))
+        let frame = parse_payload(&header, &frame[HEADER_LEN..], None)?;
+        Ok((header, frame.into_snapshot()))
     }
 
     #[test]
@@ -581,11 +553,18 @@ mod tests {
         ));
     }
 
+    /// The benchmark's stand-in path decodes what the receiving tiers
+    /// parse.
     #[test]
     fn v2_frame_round_trips_through_a_chain_store() {
         let snap = snapshot(12);
         let frame = frame_of(7, 42, &snap);
-        let (header, back) = decode(&frame, DEFAULT_MAX_PAYLOAD).unwrap();
+        let mut bytes = [0u8; HEADER_LEN];
+        bytes.copy_from_slice(&frame[..HEADER_LEN]);
+        let header = parse_header(&bytes, DEFAULT_MAX_PAYLOAD).unwrap();
+        let (back, delta) =
+            decode_payload_v2(&header, &frame[HEADER_LEN..], &mut ChainStore::new()).unwrap();
+        assert!(!delta);
         assert_eq!(header.router_id, 7);
         assert_eq!(header.interval, 42);
         assert_eq!(header.fingerprint, snap.fingerprint);
@@ -596,9 +575,6 @@ mod tests {
         assert_eq!(back, snap);
     }
 
-    /// Regression: a keyframe whose header fingerprint disagreed with its
-    /// payload's was retained as a delta baseline before the cross-check
-    /// rejected it, so a delta chained off a frame nobody accepted.
     /// Frames back to back on one stream read back whole through
     /// `std::io::Read`, header then payload, and consume it exactly.
     #[test]
@@ -610,7 +586,6 @@ mod tests {
             .flat_map(|(i, s)| frame_of(7, 42 + i as u64, s))
             .collect();
         let mut cursor = &stream[..];
-        let mut chains = ChainStore::new();
         for (i, snap) in snaps.iter().enumerate() {
             let mut bytes = [0u8; HEADER_LEN];
             std::io::Read::read_exact(&mut cursor, &mut bytes).unwrap();
@@ -620,9 +595,8 @@ mod tests {
             assert_eq!(header.router_id, 7);
             assert_eq!(header.interval, 42 + i as u64);
             assert_eq!(header.fingerprint, snap.fingerprint);
-            let (back, delta) = decode_payload_v2(&header, &payload, &mut chains).unwrap();
-            assert_eq!(&back, snap);
-            assert!(!delta);
+            let back = parse_payload(&header, &payload, None).unwrap();
+            assert_eq!(&back.into_snapshot(), snap);
         }
         // And the stream is exactly consumed: next read is a clean EOF.
         assert!(cursor.is_empty());
@@ -646,28 +620,23 @@ mod tests {
         }
     }
 
+    /// A frame whose header fingerprint disagrees with its payload's, and
+    /// a payload flagged as a delta frame, are typed rejections.
     #[test]
-    fn a_rejected_frame_never_becomes_a_delta_baseline() {
+    fn a_forged_or_delta_flagged_frame_is_a_typed_rejection() {
         let snap = snapshot(14);
         let payload = crate::codec_v2::encode_keyframe(&snap);
-        let header_of = |frame: &[u8]| {
-            let mut bytes = [0u8; HEADER_LEN];
-            bytes.copy_from_slice(&frame[..HEADER_LEN]);
-            parse_header(&bytes, DEFAULT_MAX_PAYLOAD).unwrap()
-        };
-        let mut chains = ChainStore::new();
         let forged = encode_frame_v2(7, 0, snap.fingerprint ^ 1, &payload).unwrap();
         assert!(matches!(
-            decode_payload_v2(&header_of(&forged), &forged[HEADER_LEN..], &mut chains),
+            decode(&forged, DEFAULT_MAX_PAYLOAD),
             Err(WireError::FingerprintMismatch { .. })
         ));
-        let delta = crate::codec_v2::encode_delta(&snap, &snap, 0).unwrap();
-        let frame = encode_frame_v2(7, 1, snap.fingerprint, &delta).unwrap();
+        let mut flagged = payload;
+        flagged[0] = 1;
+        let frame = encode_frame_v2(7, 1, snap.fingerprint, &flagged).unwrap();
         assert!(matches!(
-            decode_payload_v2(&header_of(&frame), &frame[HEADER_LEN..], &mut chains),
-            Err(WireError::Codec(CodecError::DeltaBaselineMissing {
-                baseline: 0
-            }))
+            decode(&frame, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::Codec(CodecError::BadFlags { flags: 1 }))
         ));
     }
 
@@ -709,12 +678,6 @@ mod tests {
         let mut bad = accept;
         bad[6] = 1;
         assert!(parse_accept(&bad).is_err());
-
-        let ack = encode_ack(0xDEAD_BEEF_0042);
-        assert_eq!(parse_ack(&ack).unwrap(), 0xDEAD_BEEF_0042);
-        let mut bad = ack;
-        bad[0] = b'X';
-        assert!(parse_ack(&bad).is_err());
     }
 
     #[test]

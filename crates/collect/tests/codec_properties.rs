@@ -8,7 +8,7 @@
 //! snapshot.
 
 use hifind::{HiFindConfig, IntervalSnapshot, SketchRecorder};
-use hifind_collect::codec_v2::{encode_keyframe, ChainStore};
+use hifind_collect::codec_v2::encode_keyframe;
 use hifind_collect::wire::{self, DEFAULT_MAX_PAYLOAD};
 use hifind_collect::{FrameHeader, WireError, HEADER_LEN};
 use hifind_flow::rng::SplitMix64;
@@ -61,7 +61,7 @@ fn read_one(bytes: &[u8]) -> Result<Option<(FrameHeader, IntervalSnapshot)>, Wir
         });
     };
     let header = wire::parse_header(header.try_into().unwrap(), DEFAULT_MAX_PAYLOAD)?;
-    let (snap, _) = wire::decode_payload_v2(&header, &bytes[HEADER_LEN..], &mut ChainStore::new())?;
+    let snap = wire::parse_payload(&header, &bytes[HEADER_LEN..], None)?.into_snapshot();
     Ok(Some((header, snap)))
 }
 
