@@ -445,13 +445,11 @@ pub(crate) fn parse(
     shape: Option<&SnapshotShape>,
 ) -> Result<FrameRuns, CodecError> {
     let mut r = Reader::new(payload);
-    match r.u8("flags")? {
-        0 => {}
-        other => {
-            return Err(CodecError::BadFlags {
-                flags: u64::from(other),
-            })
-        }
+    let flags = r.u8("flags")?;
+    if flags != 0 {
+        return Err(CodecError::BadFlags {
+            flags: u64::from(flags),
+        });
     }
     parse_body(r, shape, GridRuns::read_moded, |r, words, _seeds| {
         let inserted = r.uvarint("bloom_inserted")?;
